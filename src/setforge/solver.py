@@ -20,6 +20,8 @@ evaluation before it is returned.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -153,8 +155,11 @@ class PSeq:
         return f"PSeq{self.elems!r}"
 
 
+_GROUND_OF = {PTup: TupV, PSet: SetV, PSeq: SeqV}
+
+
 def _walk(p, env):
-    while isinstance(p, PHole):
+    while type(p) is PHole:
         bound = env.get(p.var)
         if bound is None:
             return p
@@ -164,39 +169,22 @@ def _walk(p, env):
 
 def resolve(p, env):
     """Walk bindings and collapse fully ground structure to a Value."""
-    p = _walk(p, env)
-    if isinstance(p, Value) or isinstance(p, PHole):
-        return p
-    if isinstance(p, PTup):
-        rs = [resolve(e, env) for e in p.elems]
-        if all(isinstance(r, Value) for r in rs):
-            return TupV(rs)
-        return PTup(rs)
-    if isinstance(p, PSet):
-        rs = [resolve(e, env) for e in p.elems]
-        if all(isinstance(r, Value) for r in rs):
-            return SetV(rs)
-        return PSet(rs)
-    if isinstance(p, PSeq):
-        rs = [resolve(e, env) for e in p.elems]
-        if all(isinstance(r, Value) for r in rs):
-            return SeqV(rs)
-        return PSeq(rs)
-    raise KindError(f"not a pval: {p!r}")
-
-
-def _holes_in(p, out):
-    if isinstance(p, PHole):
-        out.add(p.var)
-    elif isinstance(p, (PTup, PSet, PSeq)):
-        for e in p.elems:
-            _holes_in(e, out)
-
-
-def holes_of(p):
-    out = set()
-    _holes_in(p, out)
-    return out
+    # _walk inlined: this is the search's most frequent call
+    while type(p) is PHole:
+        bound = env.get(p.var)
+        if bound is None:
+            return p
+        p = bound
+    ground = _GROUND_OF.get(type(p))
+    if ground is None:
+        if isinstance(p, Value):
+            return p
+        raise KindError(f"not a pval: {p!r}")
+    rs = [resolve(e, env) for e in p.elems]
+    for r in rs:
+        if not isinstance(r, Value):
+            return type(p)(rs)
+    return ground(rs)
 
 
 # -- terms to pvals --------------------------------------------------------------
@@ -207,18 +195,24 @@ class _Defer(Exception):
 
 
 def term_pval(t: Term, env):
+    """The resolved pval of a term.  Children come back resolved already, so
+    a compound is built straight from them."""
     if isinstance(t, Lit):
         return t.value
     if isinstance(t, Var):
-        return resolve(PHole(t.name), env)
+        bound = env.get(t.name)
+        return PHole(t.name) if bound is None else resolve(bound, env)
     if isinstance(t, TupT):
-        return resolve(PTup([term_pval(e, env) for e in t.elems]), env)
+        rs = [term_pval(e, env) for e in t.elems]
+        return TupV(rs) if all(isinstance(r, Value) for r in rs) else PTup(rs)
     if isinstance(t, SeqT):
-        return resolve(PSeq([term_pval(e, env) for e in t.elems]), env)
+        rs = [term_pval(e, env) for e in t.elems]
+        return SeqV(rs) if all(isinstance(r, Value) for r in rs) else PSeq(rs)
     if isinstance(t, SetT):
         if t.tail is not None:
             raise _Defer()  # open extensions are handled by eq directly
-        return resolve(PSet([term_pval(e, env) for e in t.elems]), env)
+        rs = [term_pval(e, env) for e in t.elems]
+        return SetV(rs) if all(isinstance(r, Value) for r in rs) else PSet(rs)
     if isinstance(t, RisT):
         raise _Defer()  # comprehensions are handled by eq directly
     raise KindError(f"not a term: {t!r}")
@@ -450,18 +444,19 @@ def _from_unify(r):
     return _TRUE if r == _OK else (_FALSE if r == _FAIL else _DEFER)
 
 
-def _eval_constraint(c: Constraint, env):
+def _eval_constraint(c: Constraint, env, memo):
     """Evaluate or propagate one constraint against the current bindings.
-    Returns 'true' (satisfied, possibly after binding), 'false', or 'defer'."""
+    Returns 'true' (satisfied, possibly after binding), 'false', or 'defer'.
+    memo is the solve's _RisMemo."""
     kind = c.kind
     if kind == "eq":
-        return _eval_eq(c.args[0], c.args[1], env)
+        return _eval_eq(c.args[0], c.args[1], env, memo)
     if kind == "neq":
         try:
             a = term_pval(c.args[0], env)
             b = term_pval(c.args[1], env)
         except _Defer:
-            return _eval_eq_negated(c, env)
+            return _eval_eq_negated(c, env, memo)
         v = _neq_decide(a, b, env)
         if v is None:
             return _DEFER
@@ -797,10 +792,10 @@ def _eval_arith(kind, args, env):
     return _DEFER
 
 
-def _eval_eq(lhs: Term, rhs: Term, env):
+def _eval_eq(lhs: Term, rhs: Term, env, memo):
     for one, other in ((lhs, rhs), (rhs, lhs)):
         if isinstance(one, RisT):
-            return _eval_ris_eq(one, other, env)
+            return _eval_ris_eq(one, other, env, memo)
         if isinstance(one, SetT) and one.tail is not None:
             return _eval_open_eq(one, other, env)
     try:
@@ -811,13 +806,13 @@ def _eval_eq(lhs: Term, rhs: Term, env):
     return _from_unify(unify(a, b, env))
 
 
-def _eval_eq_negated(c, env):
+def _eval_eq_negated(c, env, memo):
     # neq whose operand is a comprehension or open extension: decide only
     # once the operand side is ground
     lhs, rhs = c.args
     for one, other in ((lhs, rhs), (rhs, lhs)):
         if isinstance(one, RisT):
-            got = _ris_value(one, env)
+            got = _ris_value(one, env, memo)
             if got is _FAIL:
                 return _TRUE
             if got is None:
@@ -836,9 +831,38 @@ def _try_pval(t, env):
         return PHole("~")
 
 
-def _ris_value(t: RisT, env):
+class _RisMemo:
+    """Comprehension values of one solve, keyed on the comprehension and the
+    ground values of its free variables, which include those that make up
+    its domain.  Only ground values are stored.  Keys use the
+    comprehension's identity: the compiled constraints that hold it live as
+    long as the memo."""
+
+    __slots__ = ("inputs", "values")
+
+    def __init__(self):
+        self.inputs = {}  # id(comprehension) -> its free names
+        self.values = {}
+
+    def key(self, t: RisT, env):
+        names = self.inputs.get(id(t))
+        if names is None:
+            names = self.inputs[id(t)] = _free_names([t])
+        vals = []
+        for name in names:
+            v = env.get(name)
+            if v is not None:
+                v = resolve(v, env)
+            if not isinstance(v, Value):
+                return None  # an input is still open: evaluate without the memo
+            vals.append(v)
+        return (id(t), *vals)
+
+
+def _ris_value(t: RisT, env, memo=None):
     """Value of a comprehension whose domain is ground, else None; _FAIL
-    when the domain is ground but not a set."""
+    when the domain is ground but not a set.  The binder is set in env
+    while the filter and pattern are evaluated, and restored after."""
     try:
         domain = term_pval(t.domain, env)
     except _Defer:
@@ -847,27 +871,42 @@ def _ris_value(t: RisT, env):
         return _FAIL
     if not isinstance(domain, SetV):
         return None
+    key = memo.key(t, env) if memo is not None else None
+    if key is not None:
+        got = memo.values.get(key)
+        if got is not None:
+            return got
     out = []
-    overlay = dict(env)
-    for x in domain.elems:
-        overlay[t.binder] = x
-        v = eval_ground_formula(t.filter, overlay, partial_ok=True)
-        if v is None:
-            return None
-        if not v:
-            continue
-        try:
-            y = resolve(term_pval(t.pattern, overlay), overlay)
-        except _Defer:
-            return None
-        if not isinstance(y, Value):
-            return None
-        out.append(y)
-    return SetV(out)
+    binder = t.binder
+    saved = env.get(binder)
+    try:
+        for x in domain.elems:
+            env[binder] = x
+            v = eval_ground_formula(t.filter, env, partial_ok=True)
+            if v is None:
+                return None
+            if not v:
+                continue
+            try:
+                y = term_pval(t.pattern, env)
+            except _Defer:
+                return None
+            if not isinstance(y, Value):
+                return None
+            out.append(y)
+    finally:
+        if saved is None:
+            env.pop(binder, None)
+        else:
+            env[binder] = saved
+    got = SetV(out)
+    if key is not None:
+        memo.values[key] = got
+    return got
 
 
-def _eval_ris_eq(ris: RisT, other: Term, env):
-    got = _ris_value(ris, env)
+def _eval_ris_eq(ris: RisT, other: Term, env, memo):
+    got = _ris_value(ris, env, memo)
     if got is _FAIL:
         return _FALSE
     if got is None:
@@ -1123,8 +1162,8 @@ def _collect_var_names(constraints):
     return names
 
 
-def _free_names(constraints):
-    """Free variables of a conjunction in first-occurrence order; the
+def _free_names(terms):
+    """Free variables of the terms in first-occurrence order; the
     binder-scoped occurrences inside comprehensions do not count."""
     seen = set()
     order = []
@@ -1151,9 +1190,8 @@ def _free_names(constraints):
                         term(a, inner)
             term(t.pattern, inner)
 
-    for c in constraints:
-        for a in c.args:
-            term(a, frozenset())
+    for t in terms:
+        term(t, frozenset())
     return order
 
 
@@ -1290,6 +1328,13 @@ def _infer_sorts(constraints, declared):
 
 
 # -- search -------------------------------------------------------------------------
+#
+# One mutable env holds the bindings of the current branch.  A binding is
+# only ever added, never changed, and dicts keep insertion order, so the
+# env's keys are the trail: the names bound since a mark (the env's length
+# then) are its last len(env) - mark keys, and undoing to the mark pops
+# them, newest first.  A comprehension's binder is set in env only while
+# the comprehension is evaluated, so it never shows in the trail.
 
 
 class _Budget(Exception):
@@ -1301,19 +1346,34 @@ class _Stuck(Exception):
 
 
 class _State:
-    __slots__ = ("scope", "registry", "budget", "nodes", "fresh_counter", "used_names",
-                 "validate")
+    """Search state of one disjunct: the compiled constraints and their free
+    names, the env, the watch lists and the comprehension memo."""
 
-    def __init__(self, scope, registry, budget, used_names, validate=None):
+    __slots__ = ("scope", "constraints", "free", "registry", "order", "budget", "nodes",
+                 "fresh_counter", "used_names", "validate", "env", "watch", "sort_watch",
+                 "memo")
+
+    def __init__(self, scope, constraints, free, registry, budget, validate, nodes=0):
         self.scope = scope
+        self.constraints = constraints
+        self.free = free  # per constraint: its free names in first-occurrence order
         self.registry = registry  # ordered: var -> Sort
+        self.order = {name: i for i, name in enumerate(registry)}
         self.budget = budget
-        self.nodes = 0
+        self.nodes = nodes  # decision nodes so far, earlier disjuncts included
         self.fresh_counter = itertools.count(1)
-        self.used_names = used_names
+        self.used_names = set(registry)
         # caller-declared sorts define the in-scope universe of their
         # variables: a propagated binding outside it fails the branch
-        self.validate = validate or {}
+        self.validate = validate
+        self.env = {}
+        # hole -> the constraints (a dict used as an ordered set) that were
+        # deferred while they could observe it; entries are never removed,
+        # so a stale one only wakes a constraint that then defers again
+        self.watch = {}
+        # hole -> the declared variables that were not ground while it was open
+        self.sort_watch = {name: {name: None} for name in validate}
+        self.memo = _RisMemo()
 
     def tick(self):
         self.nodes += 1
@@ -1325,8 +1385,29 @@ class _State:
             name = f"_H{next(self.fresh_counter)}"
             if name not in self.used_names:
                 self.used_names.add(name)
+                self.order[name] = len(self.registry)
                 self.registry[name] = sort
                 return name
+
+
+def _undo(env, mark):
+    while len(env) > mark:
+        env.popitem()
+
+
+def _bound_since(env, mark):
+    """Names bound since the trail mark, newest first."""
+    return itertools.islice(reversed(env), len(env) - mark)
+
+
+def _open_holes(p, env, out):
+    """Append to out the unbound holes that pval p reaches through env."""
+    p = _walk(p, env)
+    if isinstance(p, PHole):
+        out.append(p.var)
+    elif isinstance(p, (PTup, PSet, PSeq)):
+        for e in p.elems:
+            _open_holes(e, env, out)
 
 
 def _sort_candidates(sort, st):
@@ -1357,20 +1438,105 @@ def _sort_candidates(sort, st):
     yield from enumerate_sort(sort, scope)
 
 
-def _in_declared_universe(env, st):
-    for var, sort in st.validate.items():
-        if var in env:
-            val = resolve(PHole(var), env)
-            if isinstance(val, Value) and not sort_contains(sort, val, st.scope):
+def _in_declared_universe(st, mark):
+    """Whether each declared variable that the bindings since the trail mark
+    made ground lies in its sort's universe.  One still open is filed under
+    the holes it waits for."""
+    env, sort_watch = st.env, st.sort_watch
+    for name in _bound_since(env, mark):
+        for var in sort_watch.get(name, ()):
+            holes = []
+            _open_holes(PHole(var), env, holes)
+            if holes:
+                for h in holes:
+                    sort_watch.setdefault(h, {})[var] = None
+            elif not sort_contains(st.validate[var], resolve(PHole(var), env), st.scope):
                 return False
     return True
+
+
+def _watch(st, i):
+    """File deferred constraint i under every unbound hole it can observe:
+    the roots of its free variables and the holes inside their values."""
+    env, watch = st.env, st.watch
+    holes = []
+    for name in st.free[i]:
+        _open_holes(PHole(name), env, holes)
+    for h in holes:
+        watch.setdefault(h, {})[i] = None
+
+
+def _propagate(st, pending, mark, queue):
+    """Run constraints to a fixpoint: first the queued ones and those that
+    watch a name bound since the trail mark, then whatever their bindings
+    wake.
+
+    pending lists the open constraints in ascending order.  Each round runs its
+    constraints in that order.  A constraint woken by a binding runs later
+    in the same round when it comes after the one that bound, else in the
+    next round, and one whose own evaluation bound something runs again in
+    the next round.  That is the round-robin fixpoint minus evaluations
+    that can neither bind nor decide anything, so bindings happen in the
+    same order.  Returns the constraints left open, or None when one fails
+    or a declared variable grounds outside its universe."""
+    env, constraints, watch, memo = st.env, st.constraints, st.watch, st.memo
+    closed = set()
+
+    def is_open(j):
+        k = bisect.bisect_left(pending, j)
+        return k < len(pending) and pending[k] == j and j not in closed
+
+    queued = set(queue)
+    for name in _bound_since(env, mark):
+        for j in watch.get(name, ()):
+            if j not in queued and is_open(j):
+                queued.add(j)
+                queue.append(j)
+    heapq.heapify(queue)
+    while True:
+        again = {}
+        while queue:
+            i = heapq.heappop(queue)
+            before = len(env)
+            r = _eval_constraint(constraints[i], env, memo)
+            if r == _FALSE:
+                return None
+            if r == _DEFER:
+                _watch(st, i)
+            else:
+                closed.add(i)
+            if len(env) == before:
+                continue
+            if r == _DEFER:
+                again[i] = None
+            for name in _bound_since(env, before):
+                for j in watch.get(name, ()):
+                    if j == i or not is_open(j):
+                        continue
+                    if j < i:
+                        again[j] = None
+                    elif j not in queued:
+                        queued.add(j)
+                        heapq.heappush(queue, j)
+        if not _in_declared_universe(st, mark):
+            return None
+        if not again:
+            break
+        mark = len(env)
+        queue = sorted(again)
+        queued = set(queue)
+    left = list(pending)
+    for i in sorted(closed, reverse=True):
+        del left[bisect.bisect_left(left, i)]
+    return left
 
 
 _PLACE_A, _PLACE_B, _PLACE_BOTH = 0, 1, 2
 
 
-def _pending_holes(pending, env):
+def _pending_holes(st, pending):
     """Unbound variables the pending constraints can still observe."""
+    env = st.env
     out = []
     seen = set()
 
@@ -1379,19 +1545,23 @@ def _pending_holes(pending, env):
             seen.add(name)
             out.append(name)
 
-    for c in pending:
-        for name in _free_names([c]):
+    for i in pending:
+        for name in st.free[i]:
             root = _walk(PHole(name), env)
             if isinstance(root, PHole):
                 note(root.var)
             else:
-                for h in sorted(holes_of(resolve(root, env))):
+                holes = []
+                _open_holes(root, env, holes)
+                for h in sorted(set(holes)):
                     note(h)
     return out
 
 
-def _pick_decision(env, pending, st):
-    for c in pending:
+def _pick_decision(st, pending):
+    env = st.env
+    for i in pending:
+        c = st.constraints[i]
         if c.kind == "in":
             try:
                 x = term_pval(c.args[0], env)
@@ -1399,7 +1569,7 @@ def _pick_decision(env, pending, st):
             except _Defer:
                 continue
             if isinstance(s, SetV) and isinstance(x, PHole):
-                return ("member", c, x, s)
+                return ("member", x, s)
         if c.kind == "un":
             try:
                 a = term_pval(c.args[0], env)
@@ -1408,16 +1578,16 @@ def _pick_decision(env, pending, st):
             except _Defer:
                 continue
             if isinstance(out, SetV) and not (isinstance(a, Value) and isinstance(b, Value)):
-                return ("split", c, a, b, out)
-    live = _pending_holes(pending, env)
-    order = {name: i for i, name in enumerate(st.registry)}
-    live = [v for v in live if v in order]
+                return ("split", a, b, out)
+    order = st.order
+    live = [v for v in _pending_holes(st, pending) if v in order]
     if not live:
         return None
     # a bare variable equated to a comprehension or an open extension is
     # determined by the pattern's inputs; decide those first
     defined = set()
-    for c in pending:
+    for i in pending:
+        c = st.constraints[i]
         if c.kind == "eq":
             for one, other in ((c.args[0], c.args[1]), (c.args[1], c.args[0])):
                 if isinstance(one, Var) and (
@@ -1433,70 +1603,66 @@ def _pick_decision(env, pending, st):
     return ("enumerate", var)
 
 
-def _search(env, pending, st):
-    # propagation to fixpoint: evaluate every pending constraint, keep the
-    # undecided ones, repeat while bindings or discharges happen
-    pending = list(pending)
-    while True:
-        before = len(env)
-        keep = []
-        for c in pending:
-            r = _eval_constraint(c, env)
-            if r == _FALSE:
-                return None
-            if r == _DEFER:
-                keep.append(c)
-        progressed = len(keep) != len(pending) or len(env) != before
-        pending = keep
-        if not _in_declared_universe(env, st):
-            return None
-        if not pending or not progressed:
-            break
-    if not pending:
-        return env
-    decision = _pick_decision(env, pending, st)
-    if decision is None:
-        raise _Stuck(
-            "constraints left undecided with no enumerable variable: "
-            + ", ".join(c.kind for c in pending)
-        )
+def _candidates(decision, st):
+    """Bind the decision's candidates in env one after another, undoing the
+    previous one first; yields after each binding.  Every candidate tried
+    is a decision node."""
+    env = st.env
+    mark = len(env)
     if decision[0] == "member":
-        _, c, x, s = decision
+        _, x, s = decision
         for elem in s.elems:
             st.tick()
-            child = dict(env)
-            child[x.var] = elem
-            r = _search(child, pending, st)
-            if r is not None:
-                return r
-        return None
-    if decision[0] == "split":
-        _, c, a, b, out = decision
+            _undo(env, mark)
+            env[x.var] = elem
+            yield True
+    elif decision[0] == "split":
+        _, a, b, out = decision
         for combo in itertools.product((_PLACE_A, _PLACE_B, _PLACE_BOTH), repeat=len(out.elems)):
             st.tick()
-            child = dict(env)
+            _undo(env, mark)
             left = SetV([e for e, w in zip(out.elems, combo) if w != _PLACE_B], _canonical=True)
             right = SetV([e for e, w in zip(out.elems, combo) if w != _PLACE_A], _canonical=True)
-            if unify(a, left, child) == _FAIL:
-                continue
-            if unify(b, right, child) == _FAIL:
-                continue
-            r = _search(child, pending, st)
-            if r is not None:
-                return r
-        return None
-    _, var = decision
-    sort = st.registry.get(var) or AnyS()
-    for cand in _sort_candidates(sort, st):
-        st.tick()
-        child = dict(env)
-        child[var] = cand
-        r = _search(child, pending, st)
-        if r is not None:
-            return r
-    # fresh vars registered by abandoned candidates stay in the registry:
-    # they are unreachable, and keeping it append-only keeps runs identical
-    return None
+            if unify(a, left, env) != _FAIL and unify(b, right, env) != _FAIL:
+                yield True
+    else:
+        _, var = decision
+        # fresh vars registered by abandoned candidates stay in the registry:
+        # they are unreachable, and keeping it append-only keeps runs identical
+        for cand in _sort_candidates(st.registry.get(var) or AnyS(), st):
+            st.tick()
+            _undo(env, mark)
+            env[var] = cand
+            yield True
+
+
+def _search(st):
+    """Depth-first search over decisions, kept on an explicit stack of
+    (trail mark, open constraints, candidates) frames.  True when env ends
+    up satisfying every constraint, False when no branch does."""
+    env = st.env
+    everything = list(range(len(st.constraints)))
+    pending = _propagate(st, everything, 0, list(everything))
+    stack = []
+    while True:
+        if pending is not None:
+            if not pending:
+                return True
+            decision = _pick_decision(st, pending)
+            if decision is None:
+                raise _Stuck(
+                    "constraints left undecided with no enumerable variable: "
+                    + ", ".join(st.constraints[i].kind for i in pending)
+                )
+            stack.append((len(env), pending, _candidates(decision, st)))
+        while stack:
+            mark, pending, candidates = stack[-1]
+            if next(candidates, False):
+                break
+            stack.pop()
+        else:
+            return False
+        pending = _propagate(st, pending, mark, [])
 
 
 # -- public api ----------------------------------------------------------------------
@@ -1506,19 +1672,18 @@ def _prepare(disjunct, declared_sorts):
     constraints = _compile_conjunct(list(disjunct))
     original = free_vars(Formula((tuple(disjunct),)))
     sorts = _infer_sorts(constraints, declared_sorts)
+    free = [_free_names(c.args) for c in constraints]
     registry = {}
-    for v in original:
-        registry[v] = sorts.get(v) or AnyS()
-    for v in _free_names(constraints):
+    for v in itertools.chain(original, *free):
         if v not in registry:
             registry[v] = sorts.get(v) or AnyS()
-    return constraints, registry, original
+    return constraints, free, registry, original
 
 
-def _complete(env, constraints, original, st):
+def _complete(st, original):
     """Ground every variable the compiled constraints or the caller can see."""
-    todo = list(original)
-    todo.extend(v for v in _free_names(constraints) if v not in todo)
+    env = st.env
+    todo = list(dict.fromkeys(itertools.chain(original, *st.free)))
     for v in todo:
         root = _walk(PHole(v), env)
         if isinstance(root, PHole):
@@ -1529,8 +1694,9 @@ def _complete(env, constraints, original, st):
     while changed:
         changed = False
         for v in todo:
-            val = resolve(PHole(v), env)
-            for h in sorted(holes_of(val)):
+            holes = []
+            _open_holes(PHole(v), env, holes)
+            for h in sorted(set(holes)):
                 root = _walk(PHole(h), env)
                 if isinstance(root, PHole):
                     sort = st.registry.get(root.var) or AnyS()
@@ -1544,25 +1710,27 @@ def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DE
 
     Enumeration order is fixed (atoms in namespace order, integers
     ascending, sets by cardinality then element order), so identical inputs
-    give identical answers.  Unsat is scope-relative.
+    give identical answers.  Unsat is scope-relative.  The budget bounds
+    the decision nodes of all disjuncts together.
     """
     declared = dict(sorts or {})
+    budget = DEFAULT_BUDGET if budget is None else budget
+    nodes = 0
     unknown = None
     for disjunct in f.disjuncts:
-        constraints, registry, original = _prepare(disjunct, declared)
-        st = _State(scope, registry, DEFAULT_BUDGET if budget is None else budget,
-                    set(registry), validate=declared)
+        constraints, free, registry, original = _prepare(disjunct, declared)
+        st = _State(scope, constraints, free, registry, budget, declared, nodes)
         try:
-            env = _search({}, constraints, st)
+            found = _search(st)
         except _Budget:
-            unknown = Unknown(f"search budget exceeded ({st.budget} decision nodes)")
-            continue
+            return Unknown(f"search budget exceeded ({budget} decision nodes)")
         except _Stuck as e:
             unknown = Unknown(str(e))
+            found = False
+        nodes = st.nodes
+        if not found:
             continue
-        if env is None:
-            continue
-        _complete(env, constraints, original, st)
+        env = _complete(st, original)
         assignment = {}
         for name in st.registry:
             val = resolve(PHole(name), env)

@@ -25,6 +25,8 @@ ground values.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from .errors import NotGroundError, ParseError
 from .formula import (
     FALSE,
@@ -328,9 +330,23 @@ class _Parser:
         return SeqT(elems)
 
 
+@contextmanager
+def _nesting_guard(p: _Parser):
+    """Turn input nested deeper than the recursive descent can follow into
+    a ParseError at the token the parser reached."""
+    try:
+        yield
+    except RecursionError:
+        t = p.peek()
+        raise ParseError(
+            "input nested too deeply", t.line, t.col, t.text or "end of input"
+        ) from None
+
+
 def parse_formula(src: str) -> Formula:
     p = _Parser(src)
-    f = p.formula()
+    with _nesting_guard(p):
+        f = p.formula()
     if p.peek().kind == "DOT":
         p.next()
     p.expect("EOF", "end of input")
@@ -339,7 +355,8 @@ def parse_formula(src: str) -> Formula:
 
 def parse_term(src: str) -> Term:
     p = _Parser(src)
-    t = p.term()
+    with _nesting_guard(p):
+        t = p.term()
     p.expect("EOF", "end of input")
     return t
 
@@ -380,21 +397,22 @@ def parse_file(src: str):
     p = _Parser(src)
     clauses = {}
     main = None
-    while p.peek().kind != "EOF":
-        saved = p.pos
-        clause = _try_clausedef(p)
-        if clause is not None:
-            if clause.name in clauses:
-                t = p.peek()
-                raise ParseError(f"duplicate clause {clause.name!r}", t.line, t.col)
-            clauses[clause.name] = clause
-            continue
-        p.pos = saved
-        if main is not None:
-            p.error("only one bare formula per file")
-        main = p.formula()
-        if p.peek().kind == "DOT":
-            p.next()
+    with _nesting_guard(p):
+        while p.peek().kind != "EOF":
+            saved = p.pos
+            clause = _try_clausedef(p)
+            if clause is not None:
+                if clause.name in clauses:
+                    t = p.peek()
+                    raise ParseError(f"duplicate clause {clause.name!r}", t.line, t.col)
+                clauses[clause.name] = clause
+                continue
+            p.pos = saved
+            if main is not None:
+                p.error("only one bare formula per file")
+            main = p.formula()
+            if p.peek().kind == "DOT":
+                p.next()
     return clauses, main
 
 

@@ -47,6 +47,15 @@ def test_eval_parse_error_exit_2(capsys, tmp_path):
     assert "line" in err and "column" in err
 
 
+def test_eval_deeply_nested_input_is_a_parse_error(capsys, tmp_path):
+    p = tmp_path / "deep.slog"
+    p.write_text("X = " + "{" * 3000 + "}" * 3000 + "\n")
+    code, out, err = run_cli(capsys, "eval", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input nested too deeply (line 1, column ")
+
+
 def test_eval_named_goal_selection(capsys, tmp_path):
     p = tmp_path / "clauses.slog"
     p.write_text("one(X) :- X = a1.\ntwo(Y) :- Y = {} & Y neq {}.\n")

@@ -1,0 +1,520 @@
+"""The search's answers are pinned: verdict, witness and decision-node count.
+
+PINNED holds, as literal data, what the solver answered before propagation
+became incremental (watch lists, a binding trail, a comprehension memo):
+the `prove` benchmark's solves at atoms=card=3,4 (both shipped goals and
+the eight `checkpoint-ttf` conditions, each refutation solved directly) and
+every `mbt --all` condition of `rcv_addr` and `checkpoint_state` at
+atoms=card=3.  Any change to the search order shows up here as a changed
+witness or node count.
+"""
+
+import pytest
+
+from setforge import goals, solver, speclang, ttf
+from setforge.formula import conj_formulas, negate
+from setforge.universe import Scope
+
+# label -> (verdict, witness as printed values or None, decision nodes)
+PINNED = {
+    "psd-psas-disjoint@3": ("Unsat", None, 312),
+    "checkpoint-pfun@3": ("Unsat", None, 50),
+    "checkpoint-ttf:1@3": ("Unsat", None, 0),
+    "checkpoint-ttf:2@3": ("Unsat", None, 0),
+    "checkpoint-ttf:3@3": ("Unsat", None, 0),
+    "checkpoint-ttf:4@3": (
+        "Sat",
+        {
+            "A0": "{[bal,0],[code,u1],[nonce,0]}",
+            "A1": "{[bal,0],[code,u1],[nonce,1]}",
+            "Acc": "{[a1,{[bal,0],[code,u1],[nonce,0]}]}",
+            "Acc_": "{[a1,{[bal,0],[code,u1],[nonce,1]}]}",
+            "B0": "0",
+            "B1": "0",
+            "C0": "u1",
+            "Cost": "0",
+            "DomAcc": "{a1}",
+            "GasCost": "0",
+            "N0": "0",
+            "N1": "1",
+            "Sender": "a1",
+            "Step": "initial",
+            "Step_": "ccbegins",
+            "Tg": "0",
+            "Tn": "0",
+            "Tp": "0",
+            "Tv": "0",
+            "_DomL13": "{a1}",
+            "_DomR13": "{a1}",
+        },
+        8,
+    ),
+    "checkpoint-ttf:5@3": (
+        "Sat",
+        {
+            "A0": "{[bal,0],[code,u1],[nonce,0]}",
+            "A1": "{[bal,0],[code,u1],[nonce,1]}",
+            "Acc": "{[a1,{[bal,0],[code,u1],[nonce,0]}],[a2,{[bal,0],[code,u1],[nonce,0]}]}",
+            "Acc_": "{[a1,{[bal,0],[code,u1],[nonce,1]}],[a2,{[bal,0],[code,u1],[nonce,0]}]}",
+            "B0": "0",
+            "B1": "0",
+            "C0": "u1",
+            "Cost": "0",
+            "DomAcc": "{a1,a2}",
+            "GasCost": "0",
+            "N0": "0",
+            "N1": "1",
+            "Sender": "a1",
+            "Step": "initial",
+            "Step_": "ccbegins",
+            "Tg": "0",
+            "Tn": "0",
+            "Tp": "0",
+            "Tv": "0",
+            "_DomL13": "{a1,a2}",
+            "_DomR13": "{a1}",
+        },
+        16,
+    ),
+    "checkpoint-ttf:6@3": ("Unsat", None, 50),
+    "checkpoint-ttf:7@3": ("Unsat", None, 50),
+    "checkpoint-ttf:8@3": ("Unsat", None, 50),
+    "psd-psas-disjoint@4": ("Unsat", None, 2832),
+    "checkpoint-pfun@4": ("Unsat", None, 210),
+    "checkpoint-ttf:1@4": ("Unsat", None, 0),
+    "checkpoint-ttf:2@4": ("Unsat", None, 0),
+    "checkpoint-ttf:3@4": ("Unsat", None, 0),
+    "checkpoint-ttf:4@4": (
+        "Sat",
+        {
+            "A0": "{[bal,0],[code,u1],[nonce,0]}",
+            "A1": "{[bal,0],[code,u1],[nonce,1]}",
+            "Acc": "{[a1,{[bal,0],[code,u1],[nonce,0]}]}",
+            "Acc_": "{[a1,{[bal,0],[code,u1],[nonce,1]}]}",
+            "B0": "0",
+            "B1": "0",
+            "C0": "u1",
+            "Cost": "0",
+            "DomAcc": "{a1}",
+            "GasCost": "0",
+            "N0": "0",
+            "N1": "1",
+            "Sender": "a1",
+            "Step": "initial",
+            "Step_": "ccbegins",
+            "Tg": "0",
+            "Tn": "0",
+            "Tp": "0",
+            "Tv": "0",
+            "_DomL13": "{a1}",
+            "_DomR13": "{a1}",
+        },
+        8,
+    ),
+    "checkpoint-ttf:5@4": (
+        "Sat",
+        {
+            "A0": "{[bal,0],[code,u1],[nonce,0]}",
+            "A1": "{[bal,0],[code,u1],[nonce,1]}",
+            "Acc": "{[a1,{[bal,0],[code,u1],[nonce,0]}],[a2,{[bal,0],[code,u1],[nonce,0]}]}",
+            "Acc_": "{[a1,{[bal,0],[code,u1],[nonce,1]}],[a2,{[bal,0],[code,u1],[nonce,0]}]}",
+            "B0": "0",
+            "B1": "0",
+            "C0": "u1",
+            "Cost": "0",
+            "DomAcc": "{a1,a2}",
+            "GasCost": "0",
+            "N0": "0",
+            "N1": "1",
+            "Sender": "a1",
+            "Step": "initial",
+            "Step_": "ccbegins",
+            "Tg": "0",
+            "Tn": "0",
+            "Tp": "0",
+            "Tv": "0",
+            "_DomL13": "{a1,a2}",
+            "_DomR13": "{a1}",
+        },
+        18,
+    ),
+    "checkpoint-ttf:6@4": ("Unsat", None, 210),
+    "checkpoint-ttf:7@4": ("Unsat", None, 210),
+    "checkpoint-ttf:8@4": ("Unsat", None, 210),
+    "rcv_addr:un1:1@3": (
+        "Sat",
+        {
+            "As": "{}",
+            "As_": "{}",
+            "Asm": "{}",
+            "D": "{}",
+            "Ps": "{}",
+            "PsAs": "{}",
+            "PsD": "{}",
+        },
+        0,
+    ),
+    "rcv_addr:un1:2@3": (
+        "Sat",
+        {
+            "As": "{}",
+            "As_": "{a1}",
+            "Asm": "{a1}",
+            "D": "{a1}",
+            "Ps": "{[this,a1,connectMsg]}",
+            "PsAs": "{}",
+            "PsD": "{[this,a1,connectMsg]}",
+        },
+        2,
+    ),
+    "rcv_addr:un1:3@3": (
+        "Sat",
+        {
+            "As": "{a1}",
+            "As_": "{a1}",
+            "Asm": "{}",
+            "D": "{}",
+            "Ps": "{[this,a1,addrMsg({a1})]}",
+            "PsAs": "{[this,a1,addrMsg({a1})]}",
+            "PsD": "{}",
+        },
+        2,
+    ),
+    "rcv_addr:un1:4@3": (
+        "Sat",
+        {
+            "As": "{a1}",
+            "As_": "{a1}",
+            "Asm": "{a1}",
+            "D": "{}",
+            "Ps": "{[this,a1,addrMsg({a1})]}",
+            "PsAs": "{[this,a1,addrMsg({a1})]}",
+            "PsD": "{}",
+        },
+        2,
+    ),
+    "rcv_addr:un1:5@3": (
+        "Sat",
+        {
+            "As": "{a1,a2}",
+            "As_": "{a1,a2}",
+            "Asm": "{a1}",
+            "D": "{}",
+            "Ps": "{[this,a1,addrMsg({a1,a2})],[this,a2,addrMsg({a1,a2})]}",
+            "PsAs": "{[this,a1,addrMsg({a1,a2})],[this,a2,addrMsg({a1,a2})]}",
+            "PsD": "{}",
+        },
+        31,
+    ),
+    "rcv_addr:un1:6@3": (
+        "Sat",
+        {
+            "As": "{a1}",
+            "As_": "{a1,a2}",
+            "Asm": "{a2}",
+            "D": "{a2}",
+            "Ps": "{[this,a1,addrMsg({a1,a2})],[this,a2,connectMsg]}",
+            "PsAs": "{[this,a1,addrMsg({a1,a2})]}",
+            "PsD": "{[this,a2,connectMsg]}",
+        },
+        5,
+    ),
+    "rcv_addr:un1:7@3": (
+        "Sat",
+        {
+            "As": "{a1}",
+            "As_": "{a1,a2}",
+            "Asm": "{a1,a2}",
+            "D": "{a2}",
+            "Ps": "{[this,a1,addrMsg({a1,a2})],[this,a2,connectMsg]}",
+            "PsAs": "{[this,a1,addrMsg({a1,a2})]}",
+            "PsD": "{[this,a2,connectMsg]}",
+        },
+        7,
+    ),
+    "rcv_addr:un1:8@3": (
+        "Sat",
+        {
+            "As": "{a1,a2}",
+            "As_": "{a1,a2,a3}",
+            "Asm": "{a1,a3}",
+            "D": "{a3}",
+            "Ps": "{[this,a1,addrMsg({a1,a2,a3})],[this,a2,addrMsg({a1,a2,a3})],[this,a3,connectMsg]}",
+            "PsAs": "{[this,a1,addrMsg({a1,a2,a3})],[this,a2,addrMsg({a1,a2,a3})]}",
+            "PsD": "{[this,a3,connectMsg]}",
+        },
+        35,
+    ),
+    "rcv_addr:diff1:1@3": (
+        "Sat",
+        {
+            "As": "{}",
+            "As_": "{}",
+            "Asm": "{}",
+            "D": "{}",
+            "Ps": "{}",
+            "PsAs": "{}",
+            "PsD": "{}",
+        },
+        0,
+    ),
+    "rcv_addr:diff1:2@3": (
+        "Sat",
+        {
+            "As": "{a1}",
+            "As_": "{a1}",
+            "Asm": "{}",
+            "D": "{}",
+            "Ps": "{[this,a1,addrMsg({a1})]}",
+            "PsAs": "{[this,a1,addrMsg({a1})]}",
+            "PsD": "{}",
+        },
+        2,
+    ),
+    "rcv_addr:diff1:3@3": (
+        "Sat",
+        {
+            "As": "{}",
+            "As_": "{a1}",
+            "Asm": "{a1}",
+            "D": "{a1}",
+            "Ps": "{[this,a1,connectMsg]}",
+            "PsAs": "{}",
+            "PsD": "{[this,a1,connectMsg]}",
+        },
+        2,
+    ),
+    "rcv_addr:diff1:4@3": (
+        "Sat",
+        {
+            "As": "{a1}",
+            "As_": "{a1}",
+            "Asm": "{a1}",
+            "D": "{}",
+            "Ps": "{[this,a1,addrMsg({a1})]}",
+            "PsAs": "{[this,a1,addrMsg({a1})]}",
+            "PsD": "{}",
+        },
+        2,
+    ),
+    "rcv_addr:diff1:5@3": (
+        "Sat",
+        {
+            "As": "{a1}",
+            "As_": "{a1,a2}",
+            "Asm": "{a1,a2}",
+            "D": "{a2}",
+            "Ps": "{[this,a1,addrMsg({a1,a2})],[this,a2,connectMsg]}",
+            "PsAs": "{[this,a1,addrMsg({a1,a2})]}",
+            "PsD": "{[this,a2,connectMsg]}",
+        },
+        7,
+    ),
+    "rcv_addr:diff1:6@3": (
+        "Sat",
+        {
+            "As": "{a1}",
+            "As_": "{a1,a2}",
+            "Asm": "{a2}",
+            "D": "{a2}",
+            "Ps": "{[this,a1,addrMsg({a1,a2})],[this,a2,connectMsg]}",
+            "PsAs": "{[this,a1,addrMsg({a1,a2})]}",
+            "PsD": "{[this,a2,connectMsg]}",
+        },
+        5,
+    ),
+    "rcv_addr:diff1:7@3": (
+        "Sat",
+        {
+            "As": "{a1,a2}",
+            "As_": "{a1,a2}",
+            "Asm": "{a1}",
+            "D": "{}",
+            "Ps": "{[this,a1,addrMsg({a1,a2})],[this,a2,addrMsg({a1,a2})]}",
+            "PsAs": "{[this,a1,addrMsg({a1,a2})],[this,a2,addrMsg({a1,a2})]}",
+            "PsD": "{}",
+        },
+        31,
+    ),
+    "rcv_addr:diff1:8@3": (
+        "Sat",
+        {
+            "As": "{a1,a2}",
+            "As_": "{a1,a2,a3}",
+            "Asm": "{a1,a3}",
+            "D": "{a3}",
+            "Ps": "{[this,a1,addrMsg({a1,a2,a3})],[this,a2,addrMsg({a1,a2,a3})],[this,a3,connectMsg]}",
+            "PsAs": "{[this,a1,addrMsg({a1,a2,a3})],[this,a2,addrMsg({a1,a2,a3})]}",
+            "PsD": "{[this,a3,connectMsg]}",
+        },
+        35,
+    ),
+    "rcv_addr:un2:1@3": (
+        "Sat",
+        {
+            "As": "{}",
+            "As_": "{}",
+            "Asm": "{}",
+            "D": "{}",
+            "Ps": "{}",
+            "PsAs": "{}",
+            "PsD": "{}",
+        },
+        2,
+    ),
+    "rcv_addr:un2:2@3": (
+        "Sat",
+        {
+            "As": "{a1}",
+            "As_": "{a1}",
+            "Asm": "{}",
+            "D": "{}",
+            "Ps": "{[this,a1,addrMsg({a1})]}",
+            "PsAs": "{[this,a1,addrMsg({a1})]}",
+            "PsD": "{}",
+        },
+        3,
+    ),
+    "rcv_addr:un2:3@3": (
+        "Sat",
+        {
+            "As": "{}",
+            "As_": "{a1}",
+            "Asm": "{a1}",
+            "D": "{a1}",
+            "Ps": "{[this,a1,connectMsg]}",
+            "PsAs": "{}",
+            "PsD": "{[this,a1,connectMsg]}",
+        },
+        3,
+    ),
+    "rcv_addr:un2:4@3": ("Unsat", None, 64),
+    "rcv_addr:un2:5@3": ("Unsat", None, 64),
+    "rcv_addr:un2:6@3": (
+        "Sat",
+        {
+            "As": "{a1}",
+            "As_": "{a1,a2}",
+            "Asm": "{a2}",
+            "D": "{a2}",
+            "Ps": "{[this,a1,addrMsg({a1,a2})],[this,a2,connectMsg]}",
+            "PsAs": "{[this,a1,addrMsg({a1,a2})]}",
+            "PsD": "{[this,a2,connectMsg]}",
+        },
+        5,
+    ),
+    "rcv_addr:un2:7@3": ("Unsat", None, 64),
+    "rcv_addr:un2:8@3": ("Unsat", None, 64),
+    "checkpoint_state:oplus1:1@3": ("Unsat", None, 0),
+    "checkpoint_state:oplus1:2@3": ("Unsat", None, 0),
+    "checkpoint_state:oplus1:3@3": ("Unsat", None, 0),
+    "checkpoint_state:oplus1:4@3": (
+        "Sat",
+        {
+            "A0": "{[bal,0],[code,u1],[nonce,0]}",
+            "A1": "{[bal,0],[code,u1],[nonce,1]}",
+            "Acc": "{[a1,{[bal,0],[code,u1],[nonce,0]}]}",
+            "Acc_": "{[a1,{[bal,0],[code,u1],[nonce,1]}]}",
+            "B0": "0",
+            "B1": "0",
+            "C0": "u1",
+            "Cost": "0",
+            "DomAcc": "{a1}",
+            "GasCost": "0",
+            "N0": "0",
+            "N1": "1",
+            "Sender": "a1",
+            "Step": "initial",
+            "Step_": "ccbegins",
+            "Tg": "0",
+            "Tn": "0",
+            "Tp": "0",
+            "Tv": "0",
+            "_DomL13": "{a1}",
+            "_DomR13": "{a1}",
+        },
+        8,
+    ),
+    "checkpoint_state:oplus1:5@3": (
+        "Sat",
+        {
+            "A0": "{[bal,0],[code,u1],[nonce,0]}",
+            "A1": "{[bal,0],[code,u1],[nonce,1]}",
+            "Acc": "{[a1,{[bal,0],[code,u1],[nonce,0]}],[a2,{[bal,0],[code,u1],[nonce,0]}]}",
+            "Acc_": "{[a1,{[bal,0],[code,u1],[nonce,1]}],[a2,{[bal,0],[code,u1],[nonce,0]}]}",
+            "B0": "0",
+            "B1": "0",
+            "C0": "u1",
+            "Cost": "0",
+            "DomAcc": "{a1,a2}",
+            "GasCost": "0",
+            "N0": "0",
+            "N1": "1",
+            "Sender": "a1",
+            "Step": "initial",
+            "Step_": "ccbegins",
+            "Tg": "0",
+            "Tn": "0",
+            "Tp": "0",
+            "Tv": "0",
+            "_DomL13": "{a1,a2}",
+            "_DomR13": "{a1}",
+        },
+        16,
+    ),
+    "checkpoint_state:oplus1:6@3": ("Unsat", None, 50),
+    "checkpoint_state:oplus1:7@3": ("Unsat", None, 50),
+    "checkpoint_state:oplus1:8@3": ("Unsat", None, 50),
+}
+
+
+def _solves():
+    """(label, formula, scope, sorts) of every pinned solve."""
+    for k in (3, 4):
+        scope = Scope(atoms_per_namespace=k, max_set_card=k)
+        for g in ("psd-psas-disjoint", "checkpoint-pfun"):
+            goal = goals.get_goal(g)
+            refutation = conj_formulas([goal.hypothesis, negate(goal.conclusion)])
+            yield f"{g}@{k}", refutation, scope, goal.sorts
+        t = goals.get_transition("checkpoint_state")
+        occ = ttf.find_occurrences(t, "oplus")[0]
+        for c in ttf.instantiate_partition(occ, t):
+            yield f"checkpoint-ttf:{c.case.index}@{k}", c.formula, scope, c.sorts
+    scope = Scope(atoms_per_namespace=3, max_set_card=3)
+    for name in ("rcv_addr", "checkpoint_state"):
+        t = goals.get_transition(name)
+        for occ in ttf.find_occurrences(t):
+            for c in ttf.instantiate_partition(occ, t):
+                label = f"{name}:{occ.operator}{occ.ordinal}:{c.case.index}@3"
+                yield label, c.formula, scope, c.sorts
+
+
+@pytest.fixture
+def count_nodes(monkeypatch):
+    """Counts decision nodes by wrapping the search state's tick."""
+    counter = [0]
+
+    class CountingState(solver._State):
+        def tick(self):
+            counter[0] += 1
+            super().tick()
+
+    monkeypatch.setattr(solver, "_State", CountingState)
+    return counter
+
+
+SOLVES = {label: rest for label, *rest in _solves()}
+
+
+def test_pinned_solves_cover_the_benchmark_and_mbt_conditions():
+    assert list(SOLVES) == list(PINNED)
+
+
+@pytest.mark.parametrize("label", list(PINNED))
+def test_search_answers_are_unchanged(label, count_nodes):
+    formula, scope, sorts = SOLVES[label]
+    r = solver.solve(formula, scope, sorts=sorts)
+    witness = None
+    if isinstance(r, solver.Sat):
+        witness = {k: speclang.print_value(v) for k, v in sorted(r.witness.items())}
+    assert (type(r).__name__, witness, count_nodes[0]) == PINNED[label]

@@ -3,7 +3,19 @@ import itertools
 import pytest
 
 from setforge import speclang as S
-from setforge.formula import C, Formula, Var, conj, free_vars, negate
+from setforge.formula import (
+    TRUE,
+    C,
+    Formula,
+    Lit,
+    RisT,
+    TupT,
+    Var,
+    conj,
+    disj_of,
+    free_vars,
+    negate,
+)
 from setforge.solver import (
     Counterexample,
     Sat,
@@ -16,7 +28,7 @@ from setforge.solver import (
     prove_implication,
     solve,
 )
-from setforge.universe import AtomS, AnyS, IntS, Scope, SetS, enumerate_sort
+from setforge.universe import AtomS, AnyS, IntS, RelS, Scope, SetS, enumerate_sort
 from setforge.values import atom, vset
 
 TINY = Scope(atoms_per_namespace=2, int_lo=0, int_hi=3, max_set_card=2, max_seq_len=2)
@@ -65,6 +77,31 @@ def test_budget_exhaustion_reports_unknown():
     assert isinstance(r, Unknown)
     with pytest.raises(UnknownOutcome):
         check_unsat(f, budget=3)
+
+
+def test_budget_is_shared_by_all_disjuncts():
+    # alone, the first disjunct needs 16 decision nodes and the second 2
+    sorts = {"A": SetS(AtomS("addr")), "B": SetS(AtomS("addr")), "C": SetS(AtomS("addr"))}
+    first = F("un(A,B,C) & disj(A,C) & neq(A,{})")
+    second = F("in(X,{a1,a2}) & X neq a1")
+    assert isinstance(solve(first, TINY, sorts=sorts), Unsat)
+    assert isinstance(solve(second, TINY, budget=10), Sat)
+    r = solve(disj_of([first, second]), TINY, sorts=sorts, budget=10)
+    assert r == Unknown("search budget exceeded (10 decision nodes)")
+    assert isinstance(solve(disj_of([second, first]), TINY, sorts=sorts, budget=10), Sat)
+
+
+def test_long_decision_chain_needs_no_recursion():
+    # 1,200 successive member decisions; the search keeps them on its own stack
+    n = 1200
+    s = Lit(vset([atom("a1"), atom("a2"), atom("a3")]))
+    cs = [C("in", Var("X1"), s)]
+    for i in range(2, n + 1):
+        cs += [C("in", Var(f"X{i}"), s), C("neq", Var(f"X{i - 1}"), Var(f"X{i}"))]
+    f = conj(cs)
+    r = solve(f, sorts={f"X{i}": AtomS("addr") for i in range(1, n + 1)})
+    assert isinstance(r, Sat)
+    assert eval_ground_formula(f, r.witness) is True
 
 
 def test_witnesses_satisfy_direct_evaluation():
@@ -267,6 +304,91 @@ def test_random_formulas_match_enumeration():
     gen = _RandomFormulas(seed=424242)
     disagreements = []
     for i in range(250):
+        f = gen.formula()
+        sorts = {v: gen.SORTS[v] for v in free_vars(f)}
+        expected = brute_force_sat(f, scope, sorts)
+        got = solve(f, scope, sorts=sorts)
+        if isinstance(got, Unknown):
+            disagreements.append((i, "unknown", S.print_formula(f)))
+            continue
+        if isinstance(got, Sat) != expected:
+            disagreements.append((i, "wrong", S.print_formula(f)))
+        elif expected:
+            assert eval_ground_formula(f, got.witness) is True
+    assert disagreements == [], disagreements[:5]
+
+
+class _WideFormulas(_RandomFormulas):
+    """Seeded stream of small formulas that adds relations and comprehensions:
+    dom, apply, oplus, pfun/npfun, and ris terms with empty and non-trivial
+    filters whose patterns use the binder alone or paired with a free
+    variable."""
+
+    SORTS = {
+        "A": SetS(AtomS("addr")),
+        "B": SetS(AtomS("addr")),
+        "R": RelS(AtomS("addr"), IntS()),
+        "G": RelS(AtomS("addr"), IntS()),
+        "H": RelS(AtomS("addr"), IntS()),
+        "V": AtomS("addr"),
+        "X": IntS(),
+    }
+    RELATIONS = ["{}", "{[a1,0]}", "{[a2,1]}", "{[a1,0],[a2,1]}", "{[a1,0],[a1,1]}"]
+
+    def term_for(self, var):
+        if var in ("R", "G", "H"):
+            return S.parse_term(self.rng.choice(self.RELATIONS))
+        if var == "X":
+            return S.parse_term(str(self.rng.randrange(0, 2)))
+        return super().term_for(var)
+
+    def slot(self, var):
+        return Var(var) if self.rng.random() < 0.7 else self.term_for(var)
+
+    def ris(self):
+        """ris(Z in A, filter, pattern) as a set of atoms or a relation; the
+        name of the variable it is compared with comes along."""
+        r = self.rng
+        z = Var("Z")
+        filt = r.choice(
+            [TRUE, conj([C("neq", z, self.slot("V"))]), conj([C("in", z, self.slot("B"))])]
+        )
+        domain = self.slot("A")
+        if r.random() < 0.5:
+            return "B", RisT("Z", domain, filt, z)
+        return "R", RisT("Z", domain, filt, TupT([z, self.slot("X")]))
+
+    def constraint(self):
+        r = self.rng
+        if r.random() < 0.25:
+            target, t = self.ris()
+            return C(r.choice(["eq", "eq", "neq"]), Var(target), t)
+        pick = r.choice(
+            [
+                ("dom", "R", "A"),
+                ("dom", "G", "B"),
+                ("apply", "R", "V", "X"),
+                ("apply", "G", "V", "X"),
+                ("oplus", "R", "G", "H"),
+                ("oplus", "R", "G", "R"),
+                ("pfun", "R"),
+                ("npfun", "G"),
+                ("npfun", "H"),
+                ("eq", "R", "G"),
+                ("neq", "H", "R"),
+                ("in", "V", "A"),
+                ("subset", "A", "B"),
+            ]
+        )
+        kind, *vars_ = pick
+        return C(kind, *[self.slot(v) for v in vars_])
+
+
+def test_random_relation_and_comprehension_formulas_match_enumeration():
+    scope = Scope(atoms_per_namespace=2, int_lo=0, int_hi=1, max_set_card=2, max_seq_len=1)
+    gen = _WideFormulas(seed=20191)
+    disagreements = []
+    for i in range(300):
         f = gen.formula()
         sorts = {v: gen.SORTS[v] for v in free_vars(f)}
         expected = brute_force_sat(f, scope, sorts)
