@@ -27,12 +27,42 @@ def _need_set(v: Value, op: str) -> SetV:
     return v
 
 
+# What a set is known to be, kept in its ``_facts`` slot from the first time
+# it is asked.  A fact is computed from the set's own elements only, never
+# inferred from the operation that built the set.
+_NOT_REL, _REL, _NOT_PFUN, _PFUN = range(4)
+
+
+def _relation_fact(s: SetV) -> int:
+    """_NOT_REL, or one of the relation facts once every element is a pair."""
+    try:
+        return s._facts
+    except AttributeError:
+        fact = _REL if all(map(is_pair, s.elems)) else _NOT_REL
+        object.__setattr__(s, "_facts", fact)
+        return fact
+
+
+def is_relation(v: Value) -> bool:
+    """True iff v is a set of pairs."""
+    return isinstance(v, SetV) and _relation_fact(v) != _NOT_REL
+
+
 def _need_rel(v: Value, op: str) -> SetV:
     s = _need_set(v, op)
-    for e in s.elems:
-        if not is_pair(e):
-            raise KindError(f"{op} needs a binary relation; offending element {e!r}")
+    if _relation_fact(s) == _NOT_REL:
+        bad = next(e for e in s.elems if not is_pair(e))
+        raise KindError(f"{op} needs a binary relation; offending element {bad!r}")
     return s
+
+
+def _is_pfun(r: SetV) -> bool:
+    """is_pfun of a set that _need_rel has accepted."""
+    fact = r._facts
+    if fact == _REL:
+        fact = _PFUN if _backend.is_pfun_elems(r.elems) else _NOT_PFUN
+        object.__setattr__(r, "_facts", fact)
+    return fact == _PFUN
 
 
 def _need_seq(v: Value, op: str) -> SeqV:
@@ -101,14 +131,13 @@ def dres(d: Value, r: Value) -> SetV:
 
 def is_pfun(r: Value) -> bool:
     """True iff no two pairs of r share a first component."""
-    r = _need_rel(r, "is_pfun")
-    return _backend.is_pfun_elems(r.elems)
+    return _is_pfun(_need_rel(r, "is_pfun"))
 
 
 def apply(f: Value, x: Value) -> Value:
     """The unique y with (x, y) in f; f must be a partial function."""
     f = _need_rel(f, "apply")
-    if not _backend.is_pfun_elems(f.elems):
+    if not _is_pfun(f):
         raise AmbiguousApplicationError("application on a relation that is not a function")
     hits = _backend.lookup(f.elems, x)
     if not hits:
@@ -162,7 +191,7 @@ def _record_pairs(r: Value, op: str):
     for e in r.elems:
         if not isinstance(e.elems[0], Atom):
             raise KindError(f"{op}: record field is not an atom: {e.elems[0]!r}")
-    if not _backend.is_pfun_elems(r.elems):
+    if not _is_pfun(r):
         raise KindError(f"{op}: duplicate field atoms in record")
     return r
 

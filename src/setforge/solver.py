@@ -1066,7 +1066,7 @@ def _ground_constraint(c: Constraint, env) -> bool:
             # as a constraint, application is functional at the point: the
             # kernel operation's global-function precondition is not imposed
             f, x, y = args
-            if not isinstance(f, SetV) or not all(is_pair(p) for p in f.elems):
+            if not kernel.is_relation(f):
                 return False
             matches = [p.elems[1] for p in f.elems if p.elems[0] == x]
             return len(matches) == 1 and matches[0] == y

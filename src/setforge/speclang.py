@@ -465,12 +465,12 @@ def print_value(v: Value) -> str:
     if isinstance(v, TupV):
         head = v.elems[0]
         if isinstance(head, Atom) and (head.ns in _FUNCTOR_NS or head.name in _FUNCTOR_NAMES):
-            return f"{head.name}({','.join(print_value(e) for e in v.elems[1:])})"
-        return f"[{','.join(print_value(e) for e in v.elems)}]"
+            return f"{head.name}({','.join(map(print_value, v.elems[1:]))})"
+        return f"[{','.join(map(print_value, v.elems))}]"
     if isinstance(v, SetV):
-        return "{" + ",".join(print_value(e) for e in v.elems) + "}"
+        return "{" + ",".join(map(print_value, v.elems)) + "}"
     if isinstance(v, SeqV):
-        return "seq([" + ",".join(print_value(e) for e in v.elems) + "])"
+        return "seq([" + ",".join(map(print_value, v.elems)) + "])"
     raise NotGroundError(f"cannot print non-Value {v!r}")
 
 

@@ -6,6 +6,10 @@ is immutable and carries a precomputed structural key that gives a total
 order over all values.  Set elements are stored deduplicated and sorted by
 that key, so structural equality of sets is order-insensitive for free and
 printing is canonical.
+
+Values remember what they are asked once: the hash of a value is computed
+from its key on first use, and a set remembers whether it is a binary
+relation and whether it is a partial function (see kernel.py).
 """
 
 from __future__ import annotations
@@ -59,7 +63,11 @@ def infer_namespace(name: str) -> str:
 
 
 class Value:
-    """Base class of all ground values.  Subclasses are immutable."""
+    """Base class of all ground values.  Subclasses are immutable.
+
+    ``_hash`` stays unset until the first ``hash(v)``, which stores
+    ``hash(v._key)`` there: most values are built and compared, never hashed.
+    """
 
     __slots__ = ("_key", "_hash")
 
@@ -82,7 +90,12 @@ class Value:
         return self._key <= other._key
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._key)
+            object.__setattr__(self, "_hash", h)
+            return h
 
 
 class Atom(Value):
@@ -98,7 +111,6 @@ class Atom(Value):
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_key", (0, _NS_RANK[ns], name))
-        object.__setattr__(self, "_hash", hash((0, ns, name)))
 
     def __setattr__(self, *a):
         raise AttributeError("Atom is immutable")
@@ -117,7 +129,6 @@ class IntV(Value):
             raise KindError(f"IntV needs a Python int, got {type(n).__name__}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_key", (1, n))
-        object.__setattr__(self, "_hash", hash((1, n)))
 
     def __setattr__(self, *a):
         raise AttributeError("IntV is immutable")
@@ -139,9 +150,7 @@ class TupV(Value):
             if not isinstance(e, Value):
                 raise KindError(f"tuple component is not a Value: {e!r}")
         object.__setattr__(self, "elems", elems)
-        key = (2, len(elems)) + tuple(e._key for e in elems)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_key", (2, len(elems)) + tuple(e._key for e in elems))
 
     def __setattr__(self, *a):
         raise AttributeError("TupV is immutable")
@@ -154,9 +163,14 @@ class TupV(Value):
 
 
 class SetV(Value):
-    """Finite set; elements stored deduplicated in canonical key order."""
+    """Finite set; elements stored deduplicated in canonical key order.
 
-    __slots__ = ("elems",)
+    ``_facts`` stays unset until kernel.py first asks whether the set is a
+    binary relation; it then records that, and later whether it is a
+    partial function, computed from the elements alone.
+    """
+
+    __slots__ = ("elems", "_facts")
 
     def __init__(self, elems=(), _canonical=False):
         if _canonical:
@@ -167,9 +181,7 @@ class SetV(Value):
                     raise KindError(f"set element is not a Value: {e!r}")
             elems = _backend.canon(elems)
         object.__setattr__(self, "elems", elems)
-        key = (3, len(elems)) + tuple(e._key for e in elems)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_key", (3, len(elems)) + tuple(e._key for e in elems))
 
     def __setattr__(self, *a):
         raise AttributeError("SetV is immutable")
@@ -198,9 +210,7 @@ class SeqV(Value):
             if not isinstance(e, Value):
                 raise KindError(f"sequence element is not a Value: {e!r}")
         object.__setattr__(self, "elems", elems)
-        key = (4, len(elems)) + tuple(e._key for e in elems)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_key", (4, len(elems)) + tuple(e._key for e in elems))
 
     def __setattr__(self, *a):
         raise AttributeError("SeqV is immutable")

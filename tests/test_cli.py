@@ -56,6 +56,16 @@ def test_eval_deeply_nested_input_is_a_parse_error(capsys, tmp_path):
     assert err.startswith("error: input nested too deeply (line 1, column ")
 
 
+def test_eval_prints_a_deeply_nested_witness(capsys, tmp_path):
+    deep = "{" * 450 + "a1" + "}" * 450
+    p = tmp_path / "deep.slog"
+    p.write_text(f"X = {deep}.\n")
+    code, out, _ = run_cli(capsys, "eval", str(p))
+    assert code == 0
+    printed = out.split("X = ", 1)[1].split()[0]
+    assert S.parse_value(printed) == S.parse_value(deep)
+
+
 def test_eval_named_goal_selection(capsys, tmp_path):
     p = tmp_path / "clauses.slog"
     p.write_text("one(X) :- X = a1.\ntwo(Y) :- Y = {} & Y neq {}.\n")

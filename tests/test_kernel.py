@@ -145,6 +145,49 @@ def test_is_pfun_examples():
     assert not K.is_pfun(rel((atom("a"), intv(1)), (atom("a"), intv(2))))
 
 
+def _outcome(fn, *args):
+    """What fn(*args) answers or raises, for comparing two calls."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as e:
+        return (type(e), str(e))
+
+
+def test_remembered_facts_answer_like_the_first_call():
+    non_pair = vset([tup(s_, acc1), a1])
+    dup_key = rel((s_, acc1), (s_, atom("u9")))
+    dup_field = vset([tup(AS, EMPTY_SET), tup(AS, vset([a1]))])
+    calls = [
+        (K.dom, non_pair), (K.apply, non_pair, s_), (K.is_pfun, non_pair),
+        (K.record_get, non_pair, s_),
+        (K.dom, dup_key), (K.apply, dup_key, s_), (K.is_pfun, dup_key),
+        (K.record_get, dup_key, s_),
+        (K.dom, dup_field), (K.apply, dup_field, AS), (K.is_pfun, dup_field),
+        (K.record_get, dup_field, AS),
+    ]
+    for fn, *args in calls:
+        first = _outcome(fn, *args)
+        assert _outcome(fn, *args) == first, fn.__name__
+    assert _outcome(K.dom, non_pair) == (
+        KindError, f"dom needs a binary relation; offending element {a1!r}")
+    assert _outcome(K.apply, dup_key, s_)[0] is AmbiguousApplicationError
+    assert _outcome(K.record_get, dup_field, AS) == (
+        KindError, "record_get: duplicate field atoms in record")
+    assert not K.is_relation(non_pair) and K.is_relation(dup_key) and not K.is_relation(a1)
+
+
+def test_relation_then_function_question():
+    f = rel((s_, acc1), (t_, acc1))
+    assert K.dom(f) == vset([s_, t_])
+    assert K.is_pfun(f)
+    assert K.apply(f, t_) == acc1
+    g = rel((s_, acc1), (s_, atom("u9")))
+    assert K.ran(g) == vset([acc1, atom("u9")])
+    assert not K.is_pfun(g)
+    with pytest.raises(AmbiguousApplicationError):
+        K.apply(g, s_)
+
+
 # -- comprehension -------------------------------------------------------------------
 
 

@@ -70,6 +70,9 @@ def test_equality_agrees_with_key(x, y):
     assert (x == y) == (x._key == y._key)
     if x == y:
         assert hash(x) == hash(y)
+    for v in (x, y):
+        assert hash(v) == hash(v._key)
+        assert hash(v) == hash(v._key)  # the remembered hash
 
 
 @given(st.lists(values_st(max_leaves=6), max_size=5))
