@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import consensus, evm, goals, speclang, ttf
-from .errors import ParseError, SetforgeError
+from .errors import ParseError, SetforgeError, UnknownName
 from .solver import Sat, Unsat, UnknownOutcome, Verified, solve
 from .universe import DEFAULT_SCOPE, Scope
 from .values import vset
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, _UsageError) as e:
+    except (ParseError, _UsageError, UnknownName) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except UnknownOutcome as e:

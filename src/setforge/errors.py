@@ -46,6 +46,10 @@ class FormulaError(SetforgeError):
     """Ill-formed formula: bad arity, unknown constraint kind, binder clash."""
 
 
+class UnknownName(SetforgeError):
+    """A built-in goal or transition was asked for by a name it does not have."""
+
+
 class NotEnabled(SetforgeError):
     """A state transition's precondition does not hold; no state change."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SetforgeError
+from .errors import UnknownName
 from .formula import C, Formula, Lit, RisT, SetT, TupT, Var, conj
 from .solver import prove_implication
 from .universe import DEFAULT_SCOPE, AtomS, IntS, RecordS, RelS, Scope, SetS
@@ -177,7 +177,7 @@ def get_transition(name: str) -> Transition:
         return TRANSITIONS[name]()
     except KeyError:
         known = ", ".join(sorted(TRANSITIONS))
-        raise SetforgeError(f"unknown transition {name!r}; known: {known}") from None
+        raise UnknownName(f"unknown transition {name!r}; known: {known}") from None
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def get_goal(name: str) -> ProvedGoal:
         return GOALS[name]()
     except KeyError:
         known = ", ".join(sorted(GOALS) + ["checkpoint-ttf"])
-        raise SetforgeError(f"unknown goal {name!r}; known: {known}") from None
+        raise UnknownName(f"unknown goal {name!r}; known: {known}") from None
 
 
 def prove_goal(name: str, scope: Scope = DEFAULT_SCOPE, budget=None):

@@ -11,7 +11,10 @@ work is moved ahead of search wherever possible:
   override rewrites it.  Open positions are holes (fresh variables) that
   are only enumerated if some constraint actually looks at them;
 * set-membership and union constraints with a known result act as
-  generators, proposing candidate decompositions in a fixed order.
+  generators, proposing candidate decompositions in a fixed order;
+* before search, two comprehension-defined sets whose patterns can never
+  denote the same value are known to be disjoint, which refutes an
+  overlap between them outright, in every scope.
 
 Unsat therefore always means "no model within the scope's universes", and
 every Sat answer carries a witness that is re-checked by direct ground
@@ -64,7 +67,7 @@ from .universe import (
     first_value,
     sort_contains,
 )
-from .values import Atom, IntV, SeqV, SetV, TupV, Value, is_pair
+from .values import EMPTY_SET, Atom, IntV, SeqV, SetV, TupV, Value, is_pair
 
 DEFAULT_BUDGET = 500_000
 
@@ -1252,6 +1255,84 @@ def _compile_conjunct(constraints):
     return out
 
 
+# -- compilation: comprehensions whose patterns clash -------------------------------
+
+
+def _pattern_shape(t):
+    """(kind, parts) of a term whose value kind is fixed: a tuple or a
+    sequence with its component terms, or any other literal with its value.
+    None for a variable, a set term or a comprehension."""
+    if isinstance(t, Lit):
+        v = t.value
+        if isinstance(v, TupV):
+            return "tuple", [Lit(e) for e in v.elems]
+        if isinstance(v, SeqV):
+            return "seq", [Lit(e) for e in v.elems]
+        return "literal", v
+    if isinstance(t, TupT):
+        return "tuple", t.elems
+    if isinstance(t, SeqT):
+        return "seq", t.elems
+    return None
+
+
+def _clash(p: Term, q: Term) -> bool:
+    """Whether patterns p and q denote different values under every
+    assignment of their variables, each side's variables taken
+    independently: they differ in kind (atom or integer, tuple, set,
+    sequence), are unequal literals, or are tuples or sequences of different
+    length or with a pair of clashing components.  A variable, a set term or
+    a comprehension clashes with nothing, so no clash rests on the value of
+    a variable or on set equality."""
+    sp, sq = _pattern_shape(p), _pattern_shape(q)
+    if sp is None or sq is None:
+        return False
+    (kp, ep), (kq, eq) = sp, sq
+    if kp != kq:
+        return True
+    if kp == "literal":
+        return ep != eq
+    return len(ep) != len(eq) or any(map(_clash, ep, eq))
+
+
+_EMPTY = Lit(EMPTY_SET)
+
+
+def _refute_clashes(constraints):
+    """Rewrite what relates two variables defined by comprehensions whose
+    patterns clash.  No element can lie in both sets, in any scope, so
+    ndisj(X,Y) cannot hold, eq(X,Y) holds only as X = {} and Y = {}, and
+    subset(X,Y) only as X = {}.  Returns the rewritten constraints, or None
+    when the conjunct is refuted."""
+    patterns = {}
+    for c in constraints:
+        if c.kind == "eq":
+            for one, other in (c.args, c.args[::-1]):
+                if isinstance(one, Var) and isinstance(other, RisT):
+                    patterns.setdefault(one.name, []).append(other.pattern)
+
+    def apart(a, b):
+        return (
+            isinstance(a, Var)
+            and isinstance(b, Var)
+            and any(
+                _clash(p, q) for p in patterns.get(a.name, ()) for q in patterns.get(b.name, ())
+            )
+        )
+
+    out = []
+    for c in constraints:
+        if c.kind not in ("ndisj", "eq", "subset") or not apart(*c.args):
+            out.append(c)
+        elif c.kind == "ndisj":
+            return None
+        else:
+            out.append(Constraint("eq", (c.args[0], _EMPTY)))
+            if c.kind == "eq":
+                out.append(Constraint("eq", (c.args[1], _EMPTY)))
+    return out
+
+
 # -- sort inference -----------------------------------------------------------------
 
 _SET_POSITIONS = {
@@ -1669,7 +1750,14 @@ def _search(st):
 
 
 def _prepare(disjunct, declared_sorts):
-    constraints = _compile_conjunct(list(disjunct))
+    """The compiled conjunct, the constraints the search runs (the compiled
+    ones after _refute_clashes), their free names, the variable registry and
+    the caller's variables; None when the conjunct is refuted at compile
+    time."""
+    compiled = _compile_conjunct(list(disjunct))
+    constraints = _refute_clashes(compiled)
+    if constraints is None:
+        return None
     original = free_vars(Formula((tuple(disjunct),)))
     sorts = _infer_sorts(constraints, declared_sorts)
     free = [_free_names(c.args) for c in constraints]
@@ -1677,7 +1765,7 @@ def _prepare(disjunct, declared_sorts):
     for v in itertools.chain(original, *free):
         if v not in registry:
             registry[v] = sorts.get(v) or AnyS()
-    return constraints, free, registry, original
+    return compiled, constraints, free, registry, original
 
 
 def _complete(st, original):
@@ -1710,7 +1798,8 @@ def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DE
 
     Enumeration order is fixed (atoms in namespace order, integers
     ascending, sets by cardinality then element order), so identical inputs
-    give identical answers.  Unsat is scope-relative.  The budget bounds
+    give identical answers.  Unsat is scope-relative (a refutation by
+    pattern clash holds in every scope).  The budget bounds
     the decision nodes of all disjuncts together.
     """
     declared = dict(sorts or {})
@@ -1718,7 +1807,10 @@ def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DE
     nodes = 0
     unknown = None
     for disjunct in f.disjuncts:
-        constraints, free, registry, original = _prepare(disjunct, declared)
+        prepared = _prepare(disjunct, declared)
+        if prepared is None:
+            continue
+        compiled, constraints, free, registry, original = prepared
         st = _State(scope, constraints, free, registry, budget, declared, nodes)
         try:
             found = _search(st)
@@ -1742,7 +1834,7 @@ def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DE
             if not isinstance(val, Value):
                 raise SetforgeError(f"internal: witness for {name} is not ground: {val!r}")
             witness[name] = val
-        ok = eval_ground_formula(Formula((tuple(constraints),)), assignment, partial_ok=True)
+        ok = eval_ground_formula(Formula((tuple(compiled),)), assignment, partial_ok=True)
         if ok is not True:
             raise SetforgeError(
                 f"internal: witness failed direct re-evaluation: {witness!r}"

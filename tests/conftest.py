@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from setforge import solver
 from setforge.values import SeqV, SetV, TupV, atom, intv
 
 ATOM_NAMES = ["a1", "a2", "a3", "h1", "tx1", "u1", "u2", "this"]
@@ -67,3 +68,17 @@ class ValueGen:
 @pytest.fixture
 def gen():
     return ValueGen()
+
+
+@pytest.fixture
+def count_nodes(monkeypatch):
+    """Counts decision nodes by wrapping the search state's tick."""
+    counter = [0]
+
+    class CountingState(solver._State):
+        def tick(self):
+            counter[0] += 1
+            super().tick()
+
+    monkeypatch.setattr(solver, "_State", CountingState)
+    return counter

@@ -181,6 +181,18 @@ def test_mbt_needs_occurrence_or_all(capsys):
     assert code == 2 and "--occurrence" in err
 
 
+def test_unknown_goal_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "prove", "--goal", "nope")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown goal 'nope'; known: ")
+
+
+def test_unknown_transition_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "mbt", "--transition", "nope", "--all")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown transition 'nope'; known: ")
+
+
 def test_identical_invocations_are_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, "mbt", "--transition", "checkpoint_state", "--occurrence", "oplus", "--json")
     _, out2, _ = run_cli(capsys, "mbt", "--transition", "checkpoint_state", "--occurrence", "oplus", "--json")
