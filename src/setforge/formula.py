@@ -248,63 +248,49 @@ class Formula:
         return hash(self.disjuncts)
 
 
-def _term_vars(t: Term, out: set, bound: frozenset):
-    if isinstance(t, Var):
-        if t.name not in bound:
-            out.add(t.name)
-    elif isinstance(t, (TupT, SeqT)):
-        for e in t.elems:
-            _term_vars(e, out, bound)
-    elif isinstance(t, SetT):
-        for e in t.elems:
-            _term_vars(e, out, bound)
-        if t.tail is not None:
-            _term_vars(t.tail, out, bound)
-    elif isinstance(t, RisT):
-        _term_vars(t.domain, out, bound)
-        inner = bound | {t.binder}
-        for d in t.filter.disjuncts:
-            for c in d:
-                for a in c.args:
-                    _term_vars(a, out, inner)
-        _term_vars(t.pattern, out, inner)
+def _free_names(terms, binders=None):
+    """Free variable names of the terms in first-occurrence order; an
+    occurrence inside a comprehension whose binder it names does not count.
+    When ``binders`` is a set, the binder of every comprehension passed,
+    nested ones included, is added to it."""
+    names = {}  # a dict keeps the order in which its keys were first set
+
+    def term(t, bound):
+        if isinstance(t, Var):
+            if t.name not in bound:
+                names[t.name] = None
+        elif isinstance(t, (TupT, SeqT)):
+            for e in t.elems:
+                term(e, bound)
+        elif isinstance(t, SetT):
+            for e in t.elems:
+                term(e, bound)
+            if t.tail is not None:
+                term(t.tail, bound)
+        elif isinstance(t, RisT):
+            if binders is not None:
+                binders.add(t.binder)
+            term(t.domain, bound)
+            inner = bound | {t.binder}
+            for d in t.filter.disjuncts:
+                for c in d:
+                    for a in c.args:
+                        term(a, inner)
+            term(t.pattern, inner)
+
+    empty = frozenset()
+    for t in terms:
+        term(t, empty)
+    return list(names)
+
+
+def _formula_args(f: Formula):
+    return [a for d in f.disjuncts for c in d for a in c.args]
 
 
 def free_vars(f: Formula) -> list:
     """Free variables in first-occurrence order."""
-    seen = set()
-    order = []
-    empty = frozenset()
-    for d in f.disjuncts:
-        for c in d:
-            for a in c.args:
-                for name in _occurrence_order(a, empty):
-                    if name not in seen:
-                        seen.add(name)
-                        order.append(name)
-    return order
-
-
-def _occurrence_order(t: Term, bound: frozenset):
-    if isinstance(t, Var):
-        if t.name not in bound:
-            yield t.name
-    elif isinstance(t, (TupT, SeqT)):
-        for e in t.elems:
-            yield from _occurrence_order(e, bound)
-    elif isinstance(t, SetT):
-        for e in t.elems:
-            yield from _occurrence_order(e, bound)
-        if t.tail is not None:
-            yield from _occurrence_order(t.tail, bound)
-    elif isinstance(t, RisT):
-        yield from _occurrence_order(t.domain, bound)
-        inner = bound | {t.binder}
-        for d in t.filter.disjuncts:
-            for c in d:
-                for a in c.args:
-                    yield from _occurrence_order(a, inner)
-        yield from _occurrence_order(t.pattern, inner)
+    return _free_names(_formula_args(f))
 
 
 def _walk_ris(t: Term):
@@ -321,17 +307,11 @@ def _walk_ris(t: Term):
 
 
 def _check_binders(f: Formula):
-    """Binder names must not collide with variables that occur free."""
-    frees = set()
-    binders = set()
-    empty = frozenset()
-    for d in f.disjuncts:
-        for c in d:
-            for a in c.args:
-                _term_vars(a, frees, empty)
-                for r in _walk_ris(a):
-                    binders.add(r.binder)
-    clash = binders & frees
+    """Binder names of the comprehensions outside any other comprehension
+    must not collide with variables that occur free."""
+    args = _formula_args(f)
+    binders = {r.binder for a in args for r in _walk_ris(a)}
+    clash = binders and binders.intersection(_free_names(args))
     if clash:
         raise FormulaError(f"comprehension binder shadows free variable(s): {sorted(clash)}")
 

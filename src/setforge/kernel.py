@@ -2,8 +2,8 @@
 
 These are the operators the schema predicates use.  All functions are pure,
 validate argument kinds, and raise the errors named in errors.py.  The hot
-element-level loops live in the selected backend (see _backend.py); this
-module owns the value-level contracts.
+element-level loops are the primitives in _backend.py; this module owns the
+value-level contracts.
 """
 
 from __future__ import annotations

@@ -48,6 +48,7 @@ from .formula import (
     Term,
     TupT,
     Var,
+    _free_names,
     conj_formulas,
     free_vars,
     negate,
@@ -1135,73 +1136,11 @@ def eval_ground_formula(f: Formula, assignment: dict, partial_ok: bool = False):
 # -- compilation: lift nested comprehensions and open extensions -------------------
 
 
-def _collect_var_names(constraints):
-    """Every variable name occurring syntactically, binders included."""
-    names = set()
-
-    def term(t):
-        if isinstance(t, Var):
-            names.add(t.name)
-        elif isinstance(t, (TupT, SeqT)):
-            for e in t.elems:
-                term(e)
-        elif isinstance(t, SetT):
-            for e in t.elems:
-                term(e)
-            if t.tail is not None:
-                term(t.tail)
-        elif isinstance(t, RisT):
-            names.add(t.binder)
-            term(t.domain)
-            for d in t.filter.disjuncts:
-                for c in d:
-                    for a in c.args:
-                        term(a)
-            term(t.pattern)
-
-    for c in constraints:
-        for a in c.args:
-            term(a)
-    return names
-
-
-def _free_names(terms):
-    """Free variables of the terms in first-occurrence order; the
-    binder-scoped occurrences inside comprehensions do not count."""
-    seen = set()
-    order = []
-
-    def term(t, bound):
-        if isinstance(t, Var):
-            if t.name not in bound and t.name not in seen:
-                seen.add(t.name)
-                order.append(t.name)
-        elif isinstance(t, (TupT, SeqT)):
-            for e in t.elems:
-                term(e, bound)
-        elif isinstance(t, SetT):
-            for e in t.elems:
-                term(e, bound)
-            if t.tail is not None:
-                term(t.tail, bound)
-        elif isinstance(t, RisT):
-            term(t.domain, bound)
-            inner = bound | {t.binder}
-            for d in t.filter.disjuncts:
-                for c in d:
-                    for a in c.args:
-                        term(a, inner)
-            term(t.pattern, inner)
-
-    for t in terms:
-        term(t, frozenset())
-    return order
-
-
 def _compile_conjunct(constraints):
     """Replace comprehensions and open extensions that sit in non-equation
     positions by fresh variables defined through equations."""
-    used = _collect_var_names(constraints)
+    binders = set()
+    used = set(_free_names([a for c in constraints for a in c.args], binders)) | binders
     counter = itertools.count(1)
 
     def fresh():

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 
+from . import _backend
 from .errors import KindError
 
 # Namespaces for atoms.  Given sets are pairwise disjoint, so every atom is
@@ -220,11 +221,6 @@ class SeqV(Value):
 
     def __repr__(self):
         return f"SeqV{self.elems!r}"
-
-
-# Backend selection happens at the bottom because SetV's constructor needs
-# it; see _kernel_py / _kernel_c for the operations themselves.
-from . import _backend  # noqa: E402  (import cycle broken by late import)
 
 
 def atom(name: str, ns: str | None = None) -> Atom:

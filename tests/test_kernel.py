@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from conftest import values_st
+from setforge import _backend
 from setforge import kernel as K
 from setforge.errors import (
     AmbiguousApplicationError,
@@ -23,52 +24,51 @@ def rel(*pairs):
     return vset([tup(x, y) for x, y in pairs])
 
 
-# -- the two kernel backends must agree ------------------------------------------
+# -- kernel primitives against definitional oracles -------------------------------
 
 
-def _backends():
-    from setforge import _kernel_py
-
-    mods = [_kernel_py]
-    try:
-        from setforge import _kernel_c
-
-        mods.append(_kernel_c)
-    except ImportError:
-        pass
-    return mods
+def _canonical(elems):
+    """True iff elems is a tuple strictly ascending by structural key."""
+    return isinstance(elems, tuple) and all(
+        x._key < y._key for x, y in zip(elems, elems[1:]))
 
 
-@pytest.mark.parametrize("impl", _backends(), ids=lambda m: m.BACKEND_NAME)
-def test_backend_primitives(impl, gen):
+def _dense_relation(gen, keys):
+    """A relation over a few first components: most keys carry several
+    pairs, so it is seldom a function."""
+    return SetV([tup(gen.rng.choice(keys), gen.value(1)) for _ in range(gen.rng.randrange(0, 9))])
+
+
+def test_backend_primitives(gen):
     for _ in range(200):
         a = gen.value_set()
         b = gen.value_set()
-        assert impl.canon(list(a.elems) + list(a.elems)) == a.elems
-        assert set(impl.union(a.elems, b.elems)) == set(a.elems) | set(b.elems)
-        assert set(impl.difference(a.elems, b.elems)) == set(a.elems) - set(b.elems)
-        assert set(impl.intersection(a.elems, b.elems)) == set(a.elems) & set(b.elems)
+        assert _backend.canon(list(a.elems) + list(a.elems)) == a.elems
+        assert _canonical(a.elems)
+        assert set(_backend.union(a.elems, b.elems)) == set(a.elems) | set(b.elems)
+        assert set(_backend.difference(a.elems, b.elems)) == set(a.elems) - set(b.elems)
+        assert set(_backend.intersection(a.elems, b.elems)) == set(a.elems) & set(b.elems)
         for v in list(a.elems) + list(b.elems):
-            assert impl.member(a.elems, v) == (v in set(a.elems))
-        r = gen.relation()
-        assert set(impl.dom_elems(r.elems)) == {p.elems[0] for p in r.elems}
-        assert impl.is_pfun_elems(r.elems) == (
-            len({p.elems[0] for p in r.elems}) == len(r.elems)
-        )
-
-
-def test_backends_agree_pairwise(gen):
-    mods = _backends()
-    if len(mods) < 2:
-        pytest.skip("compiled kernel not built")
-    py, c = mods
-    for _ in range(300):
-        r = gen.relation()
-        g = gen.relation()
-        d = gen.value_set()
-        assert py.override_elems(r.elems, g.elems) == c.override_elems(r.elems, g.elems)
-        assert py.dres_elems(d.elems, r.elems) == c.dres_elems(d.elems, r.elems)
-        assert py.ran_elems(r.elems) == c.ran_elems(r.elems)
+            assert _backend.member(a.elems, v) == (v in set(a.elems))
+        keys = [gen.value(1) for _ in range(3)]
+        for r, g in ((gen.relation(), gen.relation()),
+                     (_dense_relation(gen, keys), _dense_relation(gen, keys))):
+            pairs = [p.elems for p in r.elems]
+            dom_r = _backend.dom_elems(r.elems)
+            assert _canonical(dom_r) and set(dom_r) == {x for x, _ in pairs}
+            ran_r = _backend.ran_elems(r.elems)
+            assert _canonical(ran_r) and set(ran_r) == {y for _, y in pairs}
+            assert _backend.is_pfun_elems(r.elems) == (len({x for x, _ in pairs}) == len(pairs))
+            g_dom = {p.elems[0] for p in g.elems}
+            o = _backend.override_elems(r.elems, g.elems)
+            assert _canonical(o)
+            assert set(o) == {p for p in r.elems if p.elems[0] not in g_dom} | set(g.elems)
+            d = vset(gen.rng.sample(keys, gen.rng.randrange(0, 4)) + [gen.base()])
+            dr = _backend.dres_elems(d.elems, r.elems)
+            assert _canonical(dr) and set(dr) == {p for p in r.elems if p.elems[0] in set(d.elems)}
+            for x in keys + [gen.base()] + [x for x, _ in pairs]:
+                hits = _backend.lookup(r.elems, x)
+                assert _canonical(hits) and set(hits) == {y for k, y in pairs if k == x}
 
 
 # -- union / difference ------------------------------------------------------------

@@ -1,0 +1,65 @@
+"""What the benchmark's tracer (perfbench/tracer.py) relies on in the program.
+
+The tracer wraps the kernel primitives on ``setforge._backend`` by the names
+in its ``KERNEL_PRIMS``, and the benchmark records ``setforge.BACKEND_NAME``
+with every run.  Its per-primitive counts are right only if kernel.py and
+values.py call the primitives through that module and the primitives call
+one another without going through the wrapped names.
+"""
+
+import importlib.util
+import inspect
+from collections import Counter
+from pathlib import Path
+
+import setforge
+from setforge import _backend, kernel
+from setforge.values import atom, intv, tup, vset
+
+
+def _kernel_prims():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.KERNEL_PRIMS
+
+
+def test_backend_exposes_exactly_the_traced_primitives():
+    public = {
+        name for name, fn in vars(_backend).items()
+        if not name.startswith("_") and inspect.isfunction(fn)
+        and fn.__module__ == _backend.__name__
+    }
+    assert public == set(_kernel_prims())
+
+
+def test_backend_name():
+    assert setforge.BACKEND_NAME == "python"
+
+
+def test_wrapped_primitives_see_the_calls_from_outside_only(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(_backend, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    a1, a2 = atom("a1"), atom("a2")
+    r = vset([tup(a1, intv(1)), tup(a2, intv(2))])
+    g = vset([tup(a1, intv(3))])
+    want = vset([tup(a1, intv(3)), tup(a2, intv(2))])
+    for name in ("override_elems", "canon"):
+        monkeypatch.setattr(_backend, name, counting(name))
+
+    assert kernel.override(r, g) == want
+    assert calls == Counter(override_elems=1)
+    vset([a2, a1, a2])
+    assert calls == Counter(override_elems=1, canon=1)
+    assert kernel.dom(r) == kernel.dom(want)
+    assert calls["canon"] == 1
