@@ -155,11 +155,12 @@ def lookup(pairs, x):
 
 
 def is_pfun_elems(pairs):
-    """True iff no two pairs share a first component."""
-    seen = set()
+    """True iff no two pairs share a first component.  Pairs sharing one
+    are contiguous, so comparing neighbours suffices."""
+    prev = None
     for p in pairs:
         k = p.elems[0]._key
-        if k in seen:
+        if k == prev:
             return False
-        seen.add(k)
+        prev = k
     return True

@@ -12,9 +12,13 @@ work is moved ahead of search wherever possible:
   are only enumerated if some constraint actually looks at them;
 * set-membership and union constraints with a known result act as
   generators, proposing candidate decompositions in a fixed order;
-* before search, two comprehension-defined sets whose patterns can never
-  denote the same value are known to be disjoint, which refutes an
-  overlap between them outright, in every scope.
+* before search, a rewriting pass (_rewrite) applies rules that hold in
+  every scope: comprehensions whose patterns clash define disjoint sets,
+  variables joined by an equation or by dom of one relation are one
+  value, disj and subset against a singleton are membership facts, and
+  partial functions stay partial functions under one-pair extension,
+  override and domain restriction.  A conjunct these rules refute has no
+  model in any scope.
 
 Unsat therefore always means "no model within the scope's universes", and
 every Sat answer carries a witness that is re-checked by direct ground
@@ -1194,7 +1198,7 @@ def _compile_conjunct(constraints):
     return out
 
 
-# -- compilation: comprehensions whose patterns clash -------------------------------
+# -- compilation: the rewriting pass -------------------------------------------------
 
 
 def _pattern_shape(t):
@@ -1237,12 +1241,43 @@ def _clash(p: Term, q: Term) -> bool:
 _EMPTY = Lit(EMPTY_SET)
 
 
-def _refute_clashes(constraints):
-    """Rewrite what relates two variables defined by comprehensions whose
-    patterns clash.  No element can lie in both sets, in any scope, so
+def _pair_first(t):
+    """The first component term of a 2-tuple term, or None."""
+    if isinstance(t, TupT) and len(t.elems) == 2:
+        return t.elems[0]
+    if isinstance(t, Lit) and isinstance(t.value, TupV) and len(t.value.elems) == 2:
+        return Lit(t.value.elems[0])
+    return None
+
+
+def _only_member(t):
+    """The member of a tail-free set term that lists exactly one, or None."""
+    if isinstance(t, SetT) and t.tail is None and len(t.elems) == 1:
+        return t.elems[0]
+    if isinstance(t, Lit) and isinstance(t.value, SetV) and len(t.value.elems) == 1:
+        return Lit(t.value.elems[0])
+    return None
+
+
+def _rewrite(constraints):
+    """Rewrite one conjunct by rules that hold in every scope.  Returns the
+    rewritten constraints, or None when the conjunct is refuted.
+
+    Pattern clash, the one rule that rewrites: no element lies in both of
+    two variables defined by comprehensions whose patterns clash, so
     ndisj(X,Y) cannot hold, eq(X,Y) holds only as X = {} and Y = {}, and
-    subset(X,Y) only as X = {}.  Returns the rewritten constraints, or None
-    when the conjunct is refuted."""
+    subset(X,Y) only as X = {}.
+
+    The other rules only refute; the search runs what the clash rule left.
+    Terms with equal keys denote one value: eq(Var,Var) joins two classes,
+    and so does dom on one first argument (congruence).  The dom of a set
+    term listing one pair [k,v] is {k}.  Against a singleton {e},
+    disj(X,{e}) and nsubset({e},X) give nin(e,X), subset({e},X) and
+    ndisj(X,{e}) give in(e,X), and subset(X,{e}) with in(e,X) gives
+    X = {e}.  pfun(X) and a one-pair set term are partial functions, and
+    so is the result of oplus on two of them or of dres on one.  The
+    conjunct is refuted by in and nin of one element in one set, by neq of
+    one class or of one singleton, and by npfun of a partial function."""
     patterns = {}
     for c in constraints:
         if c.kind == "eq":
@@ -1269,6 +1304,85 @@ def _refute_clashes(constraints):
             out.append(Constraint("eq", (c.args[0], _EMPTY)))
             if c.kind == "eq":
                 out.append(Constraint("eq", (c.args[1], _EMPTY)))
+
+    parent = {}  # union-find over variable names: a name -> its parent
+
+    def find(name):
+        while name in parent:
+            name = parent[name]
+        return name
+
+    def key(t):
+        if isinstance(t, Var):
+            return "var", find(t.name)
+        if isinstance(t, TupT):
+            return ("tuple", *map(key, t.elems))
+        return t
+
+    merged = True
+    while merged:
+        merged = False
+        dom_of = {}
+        for c in out:
+            a, b = c.args[0], c.args[-1]
+            if c.kind == "dom" and isinstance(b, Var):
+                a = dom_of.setdefault(key(a), b)
+            elif c.kind != "eq" or not isinstance(a, Var) or not isinstance(b, Var):
+                continue
+            a, b = find(a.name), find(b.name)
+            if a != b:
+                parent[b] = a
+                merged = True
+
+    pfuns = set()  # keys of partial functions
+    singles = {}  # key of a set -> keys of the e whose {e} it equals
+    ins, nins = set(), set()  # (element key, set key)
+
+    def is_pfun(t):
+        return key(t) in pfuns or _pair_first(_only_member(t)) is not None
+
+    def singleton_members(t):
+        m = _only_member(t)
+        return singles.get(key(t), set()) | (set() if m is None else {key(m)})
+
+    size = None  # the number of facts: the loop ends when a pass adds none
+    while size != (size := len(pfuns) + len(ins) + len(nins) + sum(map(len, singles.values()))):
+        for c in out:
+            kind, args = c.kind, c.args
+            if kind == "pfun":
+                pfuns.add(key(args[0]))
+            elif kind == "oplus" and is_pfun(args[0]) and is_pfun(args[1]):
+                pfuns.add(key(args[2]))
+            elif kind == "dres" and is_pfun(args[1]):
+                pfuns.add(key(args[2]))
+            elif kind == "dom":
+                k = _pair_first(_only_member(args[0]))
+                if k is not None:
+                    singles.setdefault(key(args[1]), set()).add(key(k))
+            elif kind in ("in", "nin"):
+                (ins if kind == "in" else nins).add((key(args[0]), key(args[1])))
+            elif kind in ("disj", "ndisj"):
+                for x, s in (args, args[::-1]):
+                    for e in singleton_members(s):
+                        (nins if kind == "disj" else ins).add((e, key(x)))
+            elif kind in ("subset", "nsubset"):
+                a, b = args
+                for e in singleton_members(a):
+                    (ins if kind == "subset" else nins).add((e, key(b)))
+                if kind == "subset":
+                    for e in singleton_members(b):
+                        if (e, key(a)) in ins:
+                            singles.setdefault(key(a), set()).add(e)
+
+    if ins & nins:
+        return None
+    for c in out:
+        if c.kind == "npfun" and is_pfun(c.args[0]):
+            return None
+        if c.kind == "neq":
+            a, b = c.args
+            if key(a) == key(b) or singleton_members(a) & singleton_members(b):
+                return None
     return out
 
 
@@ -1690,11 +1804,11 @@ def _search(st):
 
 def _prepare(disjunct, declared_sorts):
     """The compiled conjunct, the constraints the search runs (the compiled
-    ones after _refute_clashes), their free names, the variable registry and
-    the caller's variables; None when the conjunct is refuted at compile
+    ones after _rewrite), their free names, the variable registry and the
+    caller's variables; None when the conjunct is refuted at compile
     time."""
     compiled = _compile_conjunct(list(disjunct))
-    constraints = _refute_clashes(compiled)
+    constraints = _rewrite(compiled)
     if constraints is None:
         return None
     original = free_vars(Formula((tuple(disjunct),)))
@@ -1737,9 +1851,9 @@ def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DE
 
     Enumeration order is fixed (atoms in namespace order, integers
     ascending, sets by cardinality then element order), so identical inputs
-    give identical answers.  Unsat is scope-relative (a refutation by
-    pattern clash holds in every scope).  The budget bounds
-    the decision nodes of all disjuncts together.
+    give identical answers.  Unsat is scope-relative, except that a
+    refutation by the compile-time rewriting pass holds in every scope.
+    The budget bounds the decision nodes of all disjuncts together.
     """
     declared = dict(sorts or {})
     budget = DEFAULT_BUDGET if budget is None else budget

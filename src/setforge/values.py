@@ -151,7 +151,7 @@ class TupV(Value):
             if not isinstance(e, Value):
                 raise KindError(f"tuple component is not a Value: {e!r}")
         object.__setattr__(self, "elems", elems)
-        object.__setattr__(self, "_key", (2, len(elems)) + tuple(e._key for e in elems))
+        object.__setattr__(self, "_key", (2, len(elems), *[e._key for e in elems]))
 
     def __setattr__(self, *a):
         raise AttributeError("TupV is immutable")
@@ -182,7 +182,7 @@ class SetV(Value):
                     raise KindError(f"set element is not a Value: {e!r}")
             elems = _backend.canon(elems)
         object.__setattr__(self, "elems", elems)
-        object.__setattr__(self, "_key", (3, len(elems)) + tuple(e._key for e in elems))
+        object.__setattr__(self, "_key", (3, len(elems), *[e._key for e in elems]))
 
     def __setattr__(self, *a):
         raise AttributeError("SetV is immutable")
@@ -211,7 +211,7 @@ class SeqV(Value):
             if not isinstance(e, Value):
                 raise KindError(f"sequence element is not a Value: {e!r}")
         object.__setattr__(self, "elems", elems)
-        object.__setattr__(self, "_key", (4, len(elems)) + tuple(e._key for e in elems))
+        object.__setattr__(self, "_key", (4, len(elems), *[e._key for e in elems]))
 
     def __setattr__(self, *a):
         raise AttributeError("SeqV is immutable")

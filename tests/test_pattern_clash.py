@@ -101,14 +101,14 @@ def _oracle(case):
 
 def test_clash_rule_matches_a_plain_python_oracle(monkeypatch):
     fired = [0]
-    rule = solver._refute_clashes
+    rule = solver._rewrite
 
     def counting(constraints):
         out = rule(constraints)
         fired[0] += out is None or out != constraints
         return out
 
-    monkeypatch.setattr(solver, "_refute_clashes", counting)
+    monkeypatch.setattr(solver, "_rewrite", counting)
     rng = random.Random(20170806)
     disagreements = []
     runs = 800

@@ -9,7 +9,13 @@ atoms=card=3.  Any change to the search order shows up here as a changed
 witness or node count.  Six rows have since dropped to 0 nodes: the
 `psd-psas-disjoint` refutations and `rcv_addr` un2 cases 4, 5, 7 and 8
 relate two comprehensions whose patterns clash, and the solver refutes
-them before search.
+them before search.  Eleven more have dropped to 0 nodes since the solver's
+compile-time rewriting pass refutes them in every scope:
+`checkpoint-pfun` at 3 and 4 (a one-pair override of a partial function
+is one, so npfun cannot hold), and `checkpoint-ttf` conditions 6, 7 and 8
+at 3 and 4, which are also `checkpoint_state` oplus1 cases 6, 7 and 8 (the
+sender is in dom Acc, which is the left domain, while the right domain is
+exactly {Sender}).
 """
 
 import pytest
@@ -21,7 +27,7 @@ from setforge.universe import Scope
 # label -> (verdict, witness as printed values or None, decision nodes)
 PINNED = {
     "psd-psas-disjoint@3": ("Unsat", None, 0),
-    "checkpoint-pfun@3": ("Unsat", None, 50),
+    "checkpoint-pfun@3": ("Unsat", None, 0),
     "checkpoint-ttf:1@3": ("Unsat", None, 0),
     "checkpoint-ttf:2@3": ("Unsat", None, 0),
     "checkpoint-ttf:3@3": ("Unsat", None, 0),
@@ -79,11 +85,11 @@ PINNED = {
         },
         16,
     ),
-    "checkpoint-ttf:6@3": ("Unsat", None, 50),
-    "checkpoint-ttf:7@3": ("Unsat", None, 50),
-    "checkpoint-ttf:8@3": ("Unsat", None, 50),
+    "checkpoint-ttf:6@3": ("Unsat", None, 0),
+    "checkpoint-ttf:7@3": ("Unsat", None, 0),
+    "checkpoint-ttf:8@3": ("Unsat", None, 0),
     "psd-psas-disjoint@4": ("Unsat", None, 0),
-    "checkpoint-pfun@4": ("Unsat", None, 210),
+    "checkpoint-pfun@4": ("Unsat", None, 0),
     "checkpoint-ttf:1@4": ("Unsat", None, 0),
     "checkpoint-ttf:2@4": ("Unsat", None, 0),
     "checkpoint-ttf:3@4": ("Unsat", None, 0),
@@ -141,9 +147,9 @@ PINNED = {
         },
         18,
     ),
-    "checkpoint-ttf:6@4": ("Unsat", None, 210),
-    "checkpoint-ttf:7@4": ("Unsat", None, 210),
-    "checkpoint-ttf:8@4": ("Unsat", None, 210),
+    "checkpoint-ttf:6@4": ("Unsat", None, 0),
+    "checkpoint-ttf:7@4": ("Unsat", None, 0),
+    "checkpoint-ttf:8@4": ("Unsat", None, 0),
     "rcv_addr:un1:1@3": (
         "Sat",
         {
@@ -465,9 +471,9 @@ PINNED = {
         },
         16,
     ),
-    "checkpoint_state:oplus1:6@3": ("Unsat", None, 50),
-    "checkpoint_state:oplus1:7@3": ("Unsat", None, 50),
-    "checkpoint_state:oplus1:8@3": ("Unsat", None, 50),
+    "checkpoint_state:oplus1:6@3": ("Unsat", None, 0),
+    "checkpoint_state:oplus1:7@3": ("Unsat", None, 0),
+    "checkpoint_state:oplus1:8@3": ("Unsat", None, 0),
 }
 
 
