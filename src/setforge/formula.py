@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import FormulaError
-from .values import Value
+from .values import Value, _add_atoms
 
 
 class Term:
@@ -248,17 +248,22 @@ class Formula:
         return hash(self.disjuncts)
 
 
-def _free_names(terms, binders=None):
+def _free_names(terms, binders=None, atoms=None):
     """Free variable names of the terms in first-occurrence order; an
     occurrence inside a comprehension whose binder it names does not count.
     When ``binders`` is a set, the binder of every comprehension passed,
-    nested ones included, is added to it."""
+    nested ones included, is added to it.  When ``atoms`` is a set, every
+    atom inside a literal is added to it, comprehension filters and
+    patterns included."""
     names = {}  # a dict keeps the order in which its keys were first set
 
     def term(t, bound):
         if isinstance(t, Var):
             if t.name not in bound:
                 names[t.name] = None
+        elif isinstance(t, Lit):
+            if atoms is not None:
+                _add_atoms(t.value, atoms)
         elif isinstance(t, (TupT, SeqT)):
             for e in t.elems:
                 term(e, bound)

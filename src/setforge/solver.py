@@ -18,7 +18,12 @@ work is moved ahead of search wherever possible:
   value, disj and subset against a singleton are membership facts, and
   partial functions stay partial functions under one-pair extension,
   override and domain restriction.  A conjunct these rules refute has no
-  model in any scope.
+  model in any scope;
+* atoms are symmetric until something names them: an atom, a set of atoms
+  or a relation keyed by atoms is tried only as the canonical renaming of
+  the scope atoms that no literal names and no enumerated binding of the
+  decision path holds, so the search never retries a subtree that mirrors
+  one already refuted.
 
 Unsat therefore always means "no model within the scope's universes", and
 every Sat answer carries a witness that is re-checked by direct ground
@@ -54,12 +59,12 @@ from .formula import (
     Var,
     _free_names,
     conj_formulas,
-    free_vars,
     negate,
 )
 from .universe import (
     DEFAULT_SCOPE,
     AnyS,
+    AtomS,
     IntS,
     RecordS,
     RelS,
@@ -70,9 +75,10 @@ from .universe import (
     TupleS,
     enumerate_sort,
     first_value,
+    scope_atoms,
     sort_contains,
 )
-from .values import EMPTY_SET, Atom, IntV, SeqV, SetV, TupV, Value, is_pair
+from .values import EMPTY_SET, Atom, IntV, SeqV, SetV, TupV, Value, _add_atoms, is_pair
 
 DEFAULT_BUDGET = 500_000
 
@@ -1481,13 +1487,14 @@ class _Stuck(Exception):
 
 class _State:
     """Search state of one disjunct: the compiled constraints and their free
-    names, the env, the watch lists and the comprehension memo."""
+    names, the env, the watch lists, the comprehension memo and the atoms
+    in use."""
 
     __slots__ = ("scope", "constraints", "free", "registry", "order", "budget", "nodes",
                  "fresh_counter", "used_names", "validate", "env", "watch", "sort_watch",
-                 "memo")
+                 "memo", "used_atoms", "atom_orders")
 
-    def __init__(self, scope, constraints, free, registry, budget, validate, nodes=0):
+    def __init__(self, scope, constraints, free, registry, budget, validate, atoms, nodes=0):
         self.scope = scope
         self.constraints = constraints
         self.free = free  # per constraint: its free names in first-occurrence order
@@ -1508,6 +1515,10 @@ class _State:
         # hole -> the declared variables that were not ground while it was open
         self.sort_watch = {name: {name: None} for name in validate}
         self.memo = _RisMemo()
+        # the literal atoms of the constraints and those held by the
+        # enumerated bindings of the current decision path
+        self.used_atoms = set(atoms)
+        self.atom_orders = {}  # (namespace, by value) -> scope atom -> position
 
     def tick(self):
         self.nodes += 1
@@ -1544,11 +1555,48 @@ def _open_holes(p, env, out):
             _open_holes(e, env, out)
 
 
+def _atom_pool(st, ns, by_value, n):
+    """The scope atoms of namespace ns that candidates are drawn from, in
+    the stream's own order (value order, where a10 sorts before a2, or
+    index order), and the unused ones among them in that order: every used
+    atom and the first n unused ones."""
+    order = st.atom_orders.get((ns, by_value))
+    if order is None:
+        atoms = scope_atoms(ns, st.scope)
+        order = st.atom_orders[ns, by_value] = {
+            a: i for i, a in enumerate(sorted(atoms) if by_value else atoms)
+        }
+    used = st.used_atoms
+    fresh = []
+    for a in order:
+        if len(fresh) == n:
+            break
+        if a not in used:
+            fresh.append(a)
+    pool = [a for a in used if a in order] + fresh
+    pool.sort(key=order.__getitem__)
+    return pool, fresh
+
+
+def _is_canonical(combo, fresh):
+    """Whether the unused atoms in combo, a candidate's atoms in pool
+    order, are the first unused ones."""
+    unused = list(dict.fromkeys(a for a in combo if a in fresh))
+    return unused == fresh[: len(unused)]
+
+
 def _sort_candidates(sort, st):
     """Yield (pval, ()) decisions for a variable of the given sort.  Record,
     tuple and relation sorts produce structural templates whose open slots
     are fresh registered variables, so only the parts a constraint actually
-    examines get enumerated."""
+    examines get enumerated.
+
+    Atoms, sets of atoms and relations keyed by atoms skip every candidate
+    that renames an earlier one by a permutation of unused atoms: scope
+    atoms that no literal names and no enumerated binding of the decision
+    path holds.  Such a renaming maps the constraints, the scope and the
+    bindings so far to themselves, and the stream lists the canonical
+    renaming, whose unused atoms come first, before the others."""
     scope = st.scope
     if isinstance(sort, RecordS):
         elems = []
@@ -1563,11 +1611,25 @@ def _sort_candidates(sort, st):
     if isinstance(sort, RelS):
         # key multisets: repeated keys with open values cover the relations
         # that are not partial functions
-        keys = list(enumerate_sort(sort.key, scope))
+        if isinstance(sort.key, AtomS):
+            keys, fresh = _atom_pool(st, sort.key.ns, False, scope.max_set_card)
+        else:
+            keys, fresh = list(enumerate_sort(sort.key, scope)), []
         for card in range(0, scope.max_set_card + 1):
             for combo in itertools.combinations_with_replacement(keys, card):
-                elems = [PTup((k, PHole(st.fresh(sort.val)))) for k in combo]
-                yield PSet(elems) if elems else SetV(())
+                if _is_canonical(combo, fresh):
+                    elems = [PTup((k, PHole(st.fresh(sort.val)))) for k in combo]
+                    yield PSet(elems) if elems else SetV(())
+        return
+    if isinstance(sort, AtomS):
+        yield from _atom_pool(st, sort.ns, False, 1)[0]
+        return
+    if isinstance(sort, SetS) and isinstance(sort.elem, AtomS):
+        base, fresh = _atom_pool(st, sort.elem.ns, True, scope.max_set_card)
+        for card in range(0, scope.max_set_card + 1):
+            for combo in itertools.combinations(base, card):
+                if _is_canonical(combo, fresh):
+                    yield SetV(combo, _canonical=True)
         return
     yield from enumerate_sort(sort, scope)
 
@@ -1763,11 +1825,19 @@ def _candidates(decision, st):
         _, var = decision
         # fresh vars registered by abandoned candidates stay in the registry:
         # they are unreachable, and keeping it append-only keeps runs identical
+        used = st.used_atoms
+        added = set()  # the atoms the current candidate brought into use
         for cand in _sort_candidates(st.registry.get(var) or AnyS(), st):
             st.tick()
             _undo(env, mark)
+            used -= added
+            added = set()
+            _add_atoms(cand, added)
+            added -= used
+            used |= added
             env[var] = cand
             yield True
+        used -= added
 
 
 def _search(st):
@@ -1804,21 +1874,22 @@ def _search(st):
 
 def _prepare(disjunct, declared_sorts):
     """The compiled conjunct, the constraints the search runs (the compiled
-    ones after _rewrite), their free names, the variable registry and the
-    caller's variables; None when the conjunct is refuted at compile
-    time."""
+    ones after _rewrite), their free names, the variable registry, the
+    caller's variables and the atoms the constraints' literals name; None
+    when the conjunct is refuted at compile time."""
     compiled = _compile_conjunct(list(disjunct))
     constraints = _rewrite(compiled)
     if constraints is None:
         return None
-    original = free_vars(Formula((tuple(disjunct),)))
+    original = _free_names([a for c in disjunct for a in c.args])
     sorts = _infer_sorts(constraints, declared_sorts)
-    free = [_free_names(c.args) for c in constraints]
+    atoms = set()
+    free = [_free_names(c.args, atoms=atoms) for c in constraints]
     registry = {}
     for v in itertools.chain(original, *free):
         if v not in registry:
             registry[v] = sorts.get(v) or AnyS()
-    return compiled, constraints, free, registry, original
+    return compiled, constraints, free, registry, original, atoms
 
 
 def _complete(st, original):
@@ -1863,8 +1934,8 @@ def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DE
         prepared = _prepare(disjunct, declared)
         if prepared is None:
             continue
-        compiled, constraints, free, registry, original = prepared
-        st = _State(scope, constraints, free, registry, budget, declared, nodes)
+        compiled, constraints, free, registry, original, atoms = prepared
+        st = _State(scope, constraints, free, registry, budget, declared, atoms, nodes)
         try:
             found = _search(st)
         except _Budget:

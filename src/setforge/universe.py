@@ -161,12 +161,15 @@ def sort_contains(sort: Sort, v, scope: Scope) -> bool:
     if isinstance(sort, AtomS):
         if not isinstance(v, Atom) or v.ns != sort.ns:
             return False
+        # only the names scope_atoms generates: no zero padding, ASCII digits
         prefix = NS_PREFIX[sort.ns]
         suffix = v.name[len(prefix):]
         return (
             v.name.startswith(prefix)
+            and suffix.isascii()
             and suffix.isdigit()
-            and 1 <= int(suffix) <= scope.atoms_per_namespace
+            and not suffix.startswith("0")
+            and int(suffix) <= scope.atoms_per_namespace
         )
     if isinstance(sort, IntS):
         return isinstance(v, IntV) and scope.int_lo <= v.n <= scope.int_hi

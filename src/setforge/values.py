@@ -247,6 +247,16 @@ EMPTY_SET = SetV(())
 EMPTY_SEQ = SeqV(())
 
 
+def _add_atoms(v, out: set) -> None:
+    """Add every atom inside v to out.  v is a value, or any structure that
+    keeps its parts in ``elems`` (the solver's partial values)."""
+    if isinstance(v, Atom):
+        out.add(v)
+    else:
+        for e in getattr(v, "elems", ()):
+            _add_atoms(e, out)
+
+
 def is_pair(v: Value) -> bool:
     return isinstance(v, TupV) and len(v.elems) == 2
 

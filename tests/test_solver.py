@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from setforge import solver
 from setforge import speclang as S
 from setforge.formula import (
     TRUE,
@@ -28,7 +29,7 @@ from setforge.solver import (
     prove_implication,
     solve,
 )
-from setforge.universe import AtomS, AnyS, IntS, RelS, Scope, SetS, enumerate_sort
+from setforge.universe import AtomS, AnyS, IntS, RelS, Scope, SetS, enumerate_sort, scope_atoms
 from setforge.values import atom, vset
 
 TINY = Scope(atoms_per_namespace=2, int_lo=0, int_hi=3, max_set_card=2, max_seq_len=2)
@@ -210,6 +211,8 @@ ORACLE_CORPUS = [
     ("in(X,{a1,a2}) & nin(X,{a2,a3})", {"X": AtomS("addr")}),
     ("oplus(R,G,R) & neq(G,{})", {"R": SetS(AnyS()), "G": SetS(AnyS())}),
     ("dom(R,D) & subset(D,{a1}) & ndisj(D,{a2})", {"R": SetS(AnyS()), "D": SetS(AtomS("addr"))}),
+    # a01 is not a scope atom: the stream names a1, never a zero-padded twin
+    ("eq(X,a01)", {"X": AtomS("addr")}),
 ]
 
 
@@ -423,3 +426,49 @@ def test_open_patterns_animate_a_two_step_receive():
 
 def test_open_pattern_with_non_set_tail_is_unsat():
     assert isinstance(solve(F("S = {a1/R} & R = 3")), Unsat)
+
+
+# -- symmetry breaking: skipped renamings of unused atoms ------------------------------
+
+
+def test_literal_atoms_count_as_used():
+    # a2 is named by a literal, so {a2} is no renaming of {a1}
+    r = solve(F("in(a2,X) & nin(a1,X)"), TINY, sorts={"X": SetS(AtomS("addr"))})
+    assert r == Sat({"X": vset([atom("a2")])})
+
+
+def test_literal_atoms_in_comprehension_filters_count_as_used():
+    # X keeps no a1 and is not empty; a1 is named only inside the filter
+    f = F("X = ris(Z in X,[],Z neq a1,Z) & X neq {}")
+    r = solve(f, TINY, sorts={"X": SetS(AtomS("addr"))})
+    assert r == Sat({"X": vset([atom("a2")])})
+
+
+def _every_atom_used(st, ns, by_value, n):
+    """Stands in for solver._atom_pool: every scope atom counts as used, so
+    no candidate is skipped and each stream is the full one."""
+    atoms = scope_atoms(ns, st.scope)
+    return (sorted(atoms) if by_value else atoms), []
+
+
+def test_skipping_renamings_keeps_verdicts_and_witnesses(monkeypatch, count_nodes):
+    """Against the full enumeration at atoms=3, where the generated literals
+    name only a1 and a2: the same answers, never more nodes, and fewer on
+    a good share of the formulas."""
+    scope = Scope(atoms_per_namespace=3, int_lo=0, int_hi=1, max_set_card=2, max_seq_len=1)
+    pruned = 0
+    for gen in (_RandomFormulas(seed=7), _WideFormulas(seed=7)):
+        for _ in range(200):
+            f = gen.formula()
+            sorts = {v: gen.SORTS[v] for v in free_vars(f)}
+            count_nodes[0] = 0
+            got = solve(f, scope, sorts=sorts)
+            nodes = count_nodes[0]
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_atom_pool", _every_atom_used)
+                count_nodes[0] = 0
+                full = solve(f, scope, sorts=sorts)
+            assert got == full, S.print_formula(f)
+            assert nodes <= count_nodes[0], S.print_formula(f)
+            pruned += nodes < count_nodes[0]
+    assert pruned >= 30, pruned
