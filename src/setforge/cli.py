@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import consensus, evm, goals, speclang, ttf
-from .errors import ParseError, SetforgeError, UnknownName
+from .errors import KindError, ParseError, SetforgeError, UnknownName
 from .solver import Sat, Unsat, UnknownOutcome, Verified, solve
 from .universe import DEFAULT_SCOPE, Scope
 from .values import vset
@@ -51,7 +51,10 @@ def parse_scope(text: str) -> Scope:
                 raise _UsageError(f"unknown scope key {key!r}")
         except ValueError:
             raise _UsageError(f"bad scope value {val!r} for {key}") from None
-    return Scope(**kw)
+    try:
+        return Scope(**kw)
+    except KindError as e:
+        raise _UsageError(f"bad scope {text!r}: {e}") from None
 
 
 def _read(path: str) -> str:
@@ -234,7 +237,10 @@ def cmd_mbt(args) -> int:
         if not args.occurrence:
             raise _UsageError("mbt needs --occurrence KIND[:ORDINAL] or --all")
         kind, _, ordinal = args.occurrence.partition(":")
-        ordinal = int(ordinal) if ordinal else 1
+        try:
+            ordinal = int(ordinal) if ordinal else 1
+        except ValueError:
+            raise _UsageError(f"bad occurrence ordinal {ordinal!r}") from None
         occs = [o for o in ttf.find_occurrences(t, kind) if o.ordinal == ordinal]
         if not occs:
             raise _UsageError(

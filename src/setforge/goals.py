@@ -49,28 +49,37 @@ class Transition:
         return self.before + self.inputs
 
 
+def _rcv_addr_packets():
+    """The receive transition's diff of announced and known peers and its
+    two packet comprehensions: greetings to the new peers, and the forward
+    of the updated peer set to every known one."""
+    return [
+        C("diff", Var("Asm"), Var("As"), Var("D")),
+        C(
+            "eq",
+            Var("PsD"),
+            RisT("A", Var("D"), Formula(((),)), TupT((_THIS, Var("A"), _CONNECT))),
+        ),
+        C(
+            "eq",
+            Var("PsAs"),
+            RisT(
+                "A",
+                Var("As"),
+                Formula(((),)),
+                TupT((_THIS, Var("A"), _addr_msg_term(Var("As_")))),
+            ),
+        ),
+    ]
+
+
 def rcv_addr_transition() -> Transition:
     """Receive-addresses transition over the fields it touches: the known
     peer set before/after, the announced set, and the emitted packets."""
     body = conj(
         [
             C("un", Var("As"), Var("Asm"), Var("As_")),
-            C("diff", Var("Asm"), Var("As"), Var("D")),
-            C(
-                "eq",
-                Var("PsD"),
-                RisT("A", Var("D"), Formula(((),)), TupT((_THIS, Var("A"), _CONNECT))),
-            ),
-            C(
-                "eq",
-                Var("PsAs"),
-                RisT(
-                    "A",
-                    Var("As"),
-                    Formula(((),)),
-                    TupT((_THIS, Var("A"), _addr_msg_term(Var("As_")))),
-                ),
-            ),
+            *_rcv_addr_packets(),
             C("un", Var("PsD"), Var("PsAs"), Var("Ps")),
         ]
     )
@@ -192,32 +201,8 @@ class ProvedGoal:
 def _psd_psas_goal() -> ProvedGoal:
     # the hypothesis deliberately leaves the forwarded peer set As_
     # unconstrained: the packet kinds alone keep the two sets apart
-    body = conj(
-        [
-            C("diff", Var("Asm"), Var("As"), Var("D")),
-            C(
-                "eq",
-                Var("PsD"),
-                RisT("A", Var("D"), Formula(((),)), TupT((_THIS, Var("A"), _CONNECT))),
-            ),
-            C(
-                "eq",
-                Var("PsAs"),
-                RisT(
-                    "A",
-                    Var("As"),
-                    Formula(((),)),
-                    TupT((_THIS, Var("A"), _addr_msg_term(Var("As_")))),
-                ),
-            ),
-        ]
-    )
-    sorts = {
-        "Asm": SetS(AtomS("addr")),
-        "As": SetS(AtomS("addr")),
-        "As_": SetS(AtomS("addr")),
-        "D": SetS(AtomS("addr")),
-    }
+    body = conj(_rcv_addr_packets())
+    sorts = rcv_addr_transition().sorts
     return ProvedGoal(
         name="psd-psas-disjoint",
         description="greeting packets and forward packets never overlap",
@@ -255,5 +240,4 @@ def get_goal(name: str) -> ProvedGoal:
 def prove_goal(name: str, scope: Scope = DEFAULT_SCOPE, budget=None):
     """Verified or Counterexample for a built-in goal at the given scope."""
     g = get_goal(name)
-    kwargs = {} if budget is None else {"budget": budget}
-    return prove_implication(g.hypothesis, g.conclusion, scope, sorts=g.sorts, **kwargs)
+    return prove_implication(g.hypothesis, g.conclusion, scope, sorts=g.sorts, budget=budget)

@@ -3,6 +3,10 @@
 The decision strategy is exhaustive enumeration inside a Scope, but ground
 work is moved ahead of search wherever possible:
 
+* each constraint kind has one propagation rule, looked up in a table,
+  and one row of argument kinds (set, relation, integer, sequence): a
+  ground argument of the wrong kind makes the constraint false before the
+  rule runs, and the same row gives unsorted variables their sorts;
 * functional constraints (un, diff, oplus, dom, apply, arithmetic, ...)
   compute their result as soon as their inputs are known;
 * structural facts are derived from partially known values: a relation
@@ -27,7 +31,9 @@ work is moved ahead of search wherever possible:
 
 Unsat therefore always means "no model within the scope's universes", and
 every Sat answer carries a witness that is re-checked by direct ground
-evaluation before it is returned.
+evaluation before it is returned.  A declared variable's value lies in its
+sort's universe: a binding is checked when it grounds the variable, and a
+leaf enumerates the holes a declared variable still has until it is ground.
 """
 
 from __future__ import annotations
@@ -35,7 +41,9 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import partial
 
 from . import kernel
 from .errors import (
@@ -307,11 +315,7 @@ def _unify_struct(a, b, env):
     bkind = _shape(b)
     if akind != bkind:
         return _FAIL
-    if akind == "tuple":
-        if len(a.elems) != len(b.elems):
-            return _FAIL
-        return _unify_pointwise(a.elems, b.elems, env)
-    if akind == "seq":
+    if akind in ("tuple", "seq"):
         if len(a.elems) != len(b.elems):
             return _FAIL
         return _unify_pointwise(a.elems, b.elems, env)
@@ -450,360 +454,353 @@ def _ground_int(p):
 
 
 # -- single-constraint evaluation -------------------------------------------------
+#
+# Every constraint kind has one rule, in _RULES.  _ARG_KINDS tags the
+# argument positions that hold a set, a relation, an integer or a sequence.
+# A ground argument of another kind at a tagged position makes the
+# constraint false before its rule runs, so no rule checks the kinds of its
+# arguments itself; the same tags give _infer_sorts its sorts.  eq and neq
+# have no tags: their rules take the terms, because a comprehension or an
+# open extension has no pval.  A dual kind (nin, ndisj, nsubset, npfun)
+# shares the rule of its positive kind.  Rules call kernel functions
+# through the module, so that wrappers installed on it see every call.
 
 _TRUE, _FALSE = "true", "false"
+
+
+@dataclass(frozen=True)
+class _Tag:
+    """An argument kind: the sort _infer_sorts gives a variable at such a
+    position, and the class a ground value there must have."""
+
+    sort: Sort
+    ground: type
+
+
+_SET = _Tag(SetS(AnyS()), SetV)
+_REL = _Tag(RelS(AnyS(), AnyS()), SetV)
+_INT = _Tag(IntS(), IntV)
+_SEQ = _Tag(SeqS(AnyS()), SeqV)
+
+_ARG_KINDS = {
+    **dict.fromkeys(("eq", "neq")),
+    **dict.fromkeys(("in", "nin"), (None, _SET)),
+    **dict.fromkeys(("un", "diff", "inters"), (_SET, _SET, _SET)),
+    **dict.fromkeys(("disj", "ndisj", "subset", "nsubset"), (_SET, _SET)),
+    **dict.fromkeys(("dom", "ran"), (_REL, None)),
+    "apply": (_REL, None, None),
+    "oplus": (_REL, _REL, _REL),
+    "dres": (_SET, _REL, _REL),
+    **dict.fromkeys(("pfun", "npfun"), (_REL,)),
+    "seq_head": (_SEQ, None),
+    "seq_tail": (_SEQ, _SEQ),
+    "seq_concat": (_SEQ, _SEQ, _SEQ),
+    "seq_nth": (_SEQ, _INT, None),
+    **dict.fromkeys(("plus", "minus", "times", "intdiv"), (_INT, _INT, _INT)),
+    **dict.fromkeys(("le", "lt"), (_INT, _INT)),
+}
 
 
 def _from_unify(r):
     return _TRUE if r == _OK else (_FALSE if r == _FAIL else _DEFER)
 
 
+def _from_decision(v):
+    """The verdict of a three-valued test: True, False or None (unknown)."""
+    return _DEFER if v is None else (_TRUE if v else _FALSE)
+
+
 def _eval_constraint(c: Constraint, env, memo):
     """Evaluate or propagate one constraint against the current bindings.
     Returns 'true' (satisfied, possibly after binding), 'false', or 'defer'.
     memo is the solve's _RisMemo."""
-    kind = c.kind
-    if kind == "eq":
-        return _eval_eq(c.args[0], c.args[1], env, memo)
-    if kind == "neq":
-        try:
-            a = term_pval(c.args[0], env)
-            b = term_pval(c.args[1], env)
-        except _Defer:
-            return _eval_eq_negated(c, env, memo)
-        v = _neq_decide(a, b, env)
-        if v is None:
-            return _DEFER
-        return _TRUE if v else _FALSE
-
+    tags = _ARG_KINDS[c.kind]
+    if tags is None:
+        return _RULES[c.kind](*c.args, env, memo)
     try:
         args = [term_pval(a, env) for a in c.args]
     except _Defer:
         return _DEFER
-
-    if kind in ("in", "nin"):
-        x, s = args
-        if isinstance(s, Value) and not isinstance(s, SetV):
+    for tag, v in zip(tags, args):
+        if tag is not None and isinstance(v, Value) and not isinstance(v, tag.ground):
             return _FALSE
-        if isinstance(s, SetV):
-            if isinstance(x, Value):
-                hit = x in s
-                return _TRUE if hit == (kind == "in") else _FALSE
-            if kind == "in" and len(s.elems) == 0:
-                return _FALSE
-            return _DEFER
-        listed = _listed(s)
-        if listed is not None and isinstance(x, Value):
-            grounds = [e for e in (resolve(e, env) for e in listed) if isinstance(e, Value)]
-            if kind == "in" and any(e == x for e in grounds):
-                return _TRUE
-            if kind == "nin" and any(e == x for e in grounds):
-                return _FALSE
-        return _DEFER
+    return _RULES[c.kind](args, env)
 
-    if kind in ("un", "diff", "inters"):
-        a, b, out = args
-        if isinstance(a, SetV) and isinstance(b, SetV):
-            try:
-                fn = {"un": kernel.union, "diff": kernel.difference, "inters": kernel.intersection}[kind]
-                return _from_unify(unify(out, fn(a, b), env))
-            except KindError:
-                return _FALSE
-        for s in (a, b):
-            if isinstance(s, Value) and not isinstance(s, SetV):
-                return _FALSE
-        return _DEFER
 
-    if kind in ("disj", "ndisj"):
-        a, b = args
-        for s in (a, b):
-            if isinstance(s, Value) and not isinstance(s, SetV):
-                return _FALSE
-        if isinstance(a, SetV) and isinstance(b, SetV):
-            d = kernel.disjoint(a, b)
-            return _TRUE if d == (kind == "disj") else _FALSE
-        if _is_empty_set(a) or _is_empty_set(b):
-            return _TRUE if kind == "disj" else _FALSE
-        la, lb = _listed(a), _listed(b)
-        if la is not None and lb is not None:
-            ga = {e for e in (resolve(e, env) for e in la) if isinstance(e, Value)}
-            gb = {e for e in (resolve(e, env) for e in lb) if isinstance(e, Value)}
-            if ga & gb:
-                return _FALSE if kind == "disj" else _TRUE
-        return _DEFER
-
-    if kind in ("subset", "nsubset"):
-        a, b = args
-        for s in (a, b):
-            if isinstance(s, Value) and not isinstance(s, SetV):
-                return _FALSE
-        if isinstance(a, SetV) and isinstance(b, SetV):
-            s = kernel.subset(a, b)
-            return _TRUE if s == (kind == "subset") else _FALSE
-        if _is_empty_set(a):
-            return _TRUE if kind == "subset" else _FALSE
-        return _DEFER
-
-    if kind == "dom":
-        r, d = args
-        if isinstance(r, Value) and not isinstance(r, SetV):
-            return _FALSE
-        pairs = _listed_pairs(r, env)
-        if pairs is _FAIL:
-            return _FALSE
-        if pairs is None:
-            return _DEFER
-        keys = SetV([k for k, _, _ in pairs])
-        return _from_unify(unify(d, keys, env))
-
-    if kind == "ran":
-        r, d = args
-        if isinstance(r, SetV):
-            try:
-                return _from_unify(unify(d, kernel.ran(r), env))
-            except KindError:
-                return _FALSE
-        elems = _listed(r)
-        if elems is not None:
-            vals = []
-            for e in elems:
-                w = _walk(e, env)
-                if not (is_pair(w) if isinstance(w, Value) else isinstance(w, PTup) and len(w.elems) == 2):
-                    return _FALSE if isinstance(w, Value) else _DEFER
-                v = resolve(w.elems[1], env)
-                if not isinstance(v, Value):
-                    return _DEFER
-                vals.append(v)
-            return _from_unify(unify(d, SetV(vals), env))
-        return _DEFER
-
-    if kind == "apply":
-        f, x, y = args
-        if isinstance(f, Value) and not isinstance(f, SetV):
-            return _FALSE
-        if not isinstance(x, Value):
-            return _DEFER
-        pairs = _listed_pairs(f, env)
-        if pairs is _FAIL:
-            return _FALSE
-        if pairs is None:
-            return _DEFER
-        hits = [v for k, v, _ in pairs if k == x]
-        if not hits:
-            return _FALSE
-        if len(hits) == 1:
-            return _from_unify(unify(y, hits[0], env))
-        roots = [_walk(h, env) for h in hits]
-        if all(
-            isinstance(r, PHole) and isinstance(roots[0], PHole) and r.var == roots[0].var
-            for r in roots
-        ):
-            return _from_unify(unify(y, roots[0], env))
-        grounds = [resolve(h, env) for h in hits]
-        if all(isinstance(g, Value) for g in grounds):
-            if all(g == grounds[0] for g in grounds):
-                return _from_unify(unify(y, grounds[0], env))
+def _member(positive, args, env):
+    x, s = args
+    if isinstance(s, SetV):
+        if isinstance(x, Value):
+            return _TRUE if (x in s) == positive else _FALSE
+        if positive and len(s.elems) == 0:
             return _FALSE
         return _DEFER
-
-    if kind == "oplus":
-        r, g, out = args
-        for s in (r, g):
-            if isinstance(s, Value) and not isinstance(s, SetV):
-                return _FALSE
-        rp = _listed_pairs(r, env)
-        gp = _listed_pairs(g, env)
-        if rp is _FAIL or gp is _FAIL:
-            return _FALSE
-        if rp is None or gp is None:
-            return _DEFER
-        gkeys = {k for k, _, _ in gp}
-        kept = [e for k, _, e in rp if k not in gkeys]
-        kept.extend(e for _, _, e in gp)
-        return _from_unify(unify(out, resolve(PSet(kept), env), env))
-
-    if kind == "dres":
-        d, r, out = args
-        if isinstance(d, Value) and not isinstance(d, SetV):
-            return _FALSE
-        if isinstance(r, Value) and not isinstance(r, SetV):
-            return _FALSE
-        if not isinstance(d, SetV):
-            return _DEFER
-        pairs = _listed_pairs(r, env)
-        if pairs is _FAIL:
-            return _FALSE
-        if pairs is None:
-            return _DEFER
-        kept = [e for k, _, e in pairs if k in d]
-        return _from_unify(unify(out, resolve(PSet(kept), env), env))
-
-    if kind in ("pfun", "npfun"):
-        (r,) = args
-        if isinstance(r, Value) and not isinstance(r, SetV):
-            return _FALSE
-        pairs = _listed_pairs(r, env)
-        if pairs is _FAIL:
-            return _FALSE
-        if pairs is None:
-            return _DEFER
-        groups = {}
-        for k, v, _ in pairs:
-            groups.setdefault(k, []).append(v)
-        if kind == "pfun":
-            # a listed member pair with a repeated key collapses exactly when
-            # the values coincide, so pfun forces the values in each key
-            # group to be equal: propagate that by unification
-            result = _TRUE
-            for vs in groups.values():
-                for other in vs[1:]:
-                    u = unify(vs[0], other, env)
-                    if u == _FAIL:
-                        return _FALSE
-                    if u == _DEFER:
-                        result = _DEFER
-            return result
-        all_collapse = True
-        for vs in groups.values():
-            if len(vs) == 1:
-                continue
-            verdicts = [
-                _neq_decide(x, y, env) for x, y in itertools.combinations(vs, 2)
-            ]
-            if any(v is True for v in verdicts):
-                return _TRUE  # two definitely-distinct values share a key
-            if not all(v is False for v in verdicts):
-                all_collapse = False
-        return _FALSE if all_collapse else _DEFER
-
-    if kind == "seq_head":
-        s, h = args
-        if isinstance(s, Value) and not isinstance(s, SeqV):
-            return _FALSE
-        elems = _seq_elems(s)
-        if elems is None:
-            return _DEFER
-        if len(elems) == 0:
-            return _FALSE
-        return _from_unify(unify(h, elems[0], env))
-
-    if kind == "seq_tail":
-        s, t = args
-        if isinstance(s, Value) and not isinstance(s, SeqV):
-            return _FALSE
-        elems = _seq_elems(s)
-        if elems is None:
-            return _DEFER
-        if len(elems) == 0:
-            return _FALSE
-        return _from_unify(unify(t, resolve(PSeq(elems[1:]), env), env))
-
-    if kind == "seq_concat":
-        a, b, out = args
-        for s in (a, b, out):
-            if isinstance(s, Value) and not isinstance(s, SeqV):
-                return _FALSE
-        ea, eb, ec = _seq_elems(a), _seq_elems(b), _seq_elems(out)
-        if ea is not None and eb is not None:
-            return _from_unify(unify(out, resolve(PSeq(ea + eb), env), env))
-        if ec is not None and ea is not None:
-            if len(ea) > len(ec):
-                return _FALSE
-            r = _unify_pointwise(ea, ec[: len(ea)], env)
-            if r == _FAIL:
-                return _FALSE
-            r2 = unify(b, resolve(PSeq(ec[len(ea):]), env), env)
-            if r2 == _FAIL:
-                return _FALSE
-            return _TRUE if (r, r2) == (_OK, _OK) else _DEFER
-        if ec is not None and eb is not None:
-            if len(eb) > len(ec):
-                return _FALSE
-            cut = len(ec) - len(eb)
-            r = _unify_pointwise(eb, ec[cut:], env)
-            if r == _FAIL:
-                return _FALSE
-            r2 = unify(a, resolve(PSeq(ec[:cut]), env), env)
-            if r2 == _FAIL:
-                return _FALSE
-            return _TRUE if (r, r2) == (_OK, _OK) else _DEFER
-        return _DEFER
-
-    if kind == "seq_nth":
-        s, i, y = args
-        if isinstance(s, Value) and not isinstance(s, SeqV):
-            return _FALSE
-        n = _ground_int(i)
-        if isinstance(i, Value) and n is None:
-            return _FALSE
-        elems = _seq_elems(s)
-        if elems is None or n is None:
-            return _DEFER
-        if not 1 <= n <= len(elems):
-            return _FALSE
-        return _from_unify(unify(y, elems[n - 1], env))
-
-    if kind in ("plus", "minus", "times", "intdiv"):
-        return _eval_arith(kind, args, env)
-
-    if kind in ("le", "lt"):
-        a, b = args
-        for v in (a, b):
-            if isinstance(v, Value) and _ground_int(v) is None:
-                return _FALSE
-        na, nb = _ground_int(a), _ground_int(b)
-        if na is None or nb is None:
-            return _DEFER
-        ok = na <= nb if kind == "le" else na < nb
-        return _TRUE if ok else _FALSE
-
-    raise FormulaError(f"no evaluation rule for kind {kind!r}")
-
-
-def _eval_arith(kind, args, env):
-    a, b, out = args
-    for v in args:
-        if isinstance(v, Value) and _ground_int(v) is None:
-            return _FALSE
-    na, nb, nc = _ground_int(a), _ground_int(b), _ground_int(out)
-    if kind == "plus":
-        if na is not None and nb is not None:
-            return _from_unify(unify(out, IntV(na + nb), env))
-        if nc is not None and na is not None:
-            return _from_unify(unify(b, IntV(nc - na), env))
-        if nc is not None and nb is not None:
-            return _from_unify(unify(a, IntV(nc - nb), env))
-        return _DEFER
-    if kind == "minus":
-        if na is not None and nb is not None:
-            return _from_unify(unify(out, IntV(na - nb), env))
-        if na is not None and nc is not None:
-            return _from_unify(unify(b, IntV(na - nc), env))
-        if nb is not None and nc is not None:
-            return _from_unify(unify(a, IntV(nb + nc), env))
-        return _DEFER
-    if kind == "times":
-        if na is not None and nb is not None:
-            return _from_unify(unify(out, IntV(na * nb), env))
-        if nc is not None and na is not None:
-            if na == 0:
-                return _FALSE if nc != 0 else _DEFER
-            if nc % na != 0:
-                return _FALSE
-            return _from_unify(unify(b, IntV(nc // na), env))
-        if nc is not None and nb is not None:
-            if nb == 0:
-                return _FALSE if nc != 0 else _DEFER
-            if nc % nb != 0:
-                return _FALSE
-            return _from_unify(unify(a, IntV(nc // nb), env))
-        return _DEFER
-    # intdiv: floor division, undefined for divisor 0
-    if na is not None and nb is not None:
-        if nb == 0:
-            return _FALSE
-        return _from_unify(unify(out, IntV(na // nb), env))
+    listed = _listed(s)
+    if listed is not None and isinstance(x, Value):
+        grounds = [e for e in (resolve(e, env) for e in listed) if isinstance(e, Value)]
+        if any(e == x for e in grounds):
+            return _TRUE if positive else _FALSE
     return _DEFER
+
+
+def _set_op(op, args, env):
+    """un, diff or inters: op names the kernel function."""
+    a, b, out = args
+    if isinstance(a, SetV) and isinstance(b, SetV):
+        return _from_unify(unify(out, getattr(kernel, op)(a, b), env))
+    return _DEFER
+
+
+def _empty_beside_set(a, b):
+    """Whether one side is the empty set and the other is set-shaped, so
+    that the empty side alone decides disj and subset."""
+    return _is_empty_set(a) and isinstance(b, (SetV, PSet))
+
+
+def _disjoint(positive, args, env):
+    a, b = args
+    if isinstance(a, SetV) and isinstance(b, SetV):
+        return _TRUE if kernel.disjoint(a, b) == positive else _FALSE
+    if _empty_beside_set(a, b) or _empty_beside_set(b, a):
+        return _TRUE if positive else _FALSE
+    la, lb = _listed(a), _listed(b)
+    if la is not None and lb is not None:
+        ga = {e for e in (resolve(e, env) for e in la) if isinstance(e, Value)}
+        gb = {e for e in (resolve(e, env) for e in lb) if isinstance(e, Value)}
+        if ga & gb:
+            return _FALSE if positive else _TRUE
+    return _DEFER
+
+
+def _subset(positive, args, env):
+    a, b = args
+    if isinstance(a, SetV) and isinstance(b, SetV):
+        return _TRUE if kernel.subset(a, b) == positive else _FALSE
+    if _empty_beside_set(a, b):
+        return _TRUE if positive else _FALSE
+    return _DEFER
+
+
+def _dom(args, env):
+    r, d = args
+    pairs = _listed_pairs(r, env)
+    if pairs is _FAIL:
+        return _FALSE
+    if pairs is None:
+        return _DEFER
+    return _from_unify(unify(d, SetV([k for k, _, _ in pairs]), env))
+
+
+def _ran(args, env):
+    r, d = args
+    if isinstance(r, SetV):
+        try:
+            return _from_unify(unify(d, kernel.ran(r), env))
+        except KindError:
+            return _FALSE
+    elems = _listed(r)
+    if elems is None:
+        return _DEFER
+    vals = []
+    for e in elems:
+        w = _walk(e, env)
+        if not (is_pair(w) if isinstance(w, Value) else isinstance(w, PTup) and len(w.elems) == 2):
+            return _FALSE if isinstance(w, Value) else _DEFER
+        v = resolve(w.elems[1], env)
+        if not isinstance(v, Value):
+            return _DEFER
+        vals.append(v)
+    return _from_unify(unify(d, SetV(vals), env))
+
+
+def _apply(args, env):
+    f, x, y = args
+    if not isinstance(x, Value):
+        return _DEFER
+    pairs = _listed_pairs(f, env)
+    if pairs is _FAIL:
+        return _FALSE
+    if pairs is None:
+        return _DEFER
+    hits = [v for k, v, _ in pairs if k == x]
+    if not hits:
+        return _FALSE
+    if len(hits) == 1:
+        return _from_unify(unify(y, hits[0], env))
+    roots = [_walk(h, env) for h in hits]
+    if all(
+        isinstance(r, PHole) and isinstance(roots[0], PHole) and r.var == roots[0].var
+        for r in roots
+    ):
+        return _from_unify(unify(y, roots[0], env))
+    grounds = [resolve(h, env) for h in hits]
+    if all(isinstance(g, Value) for g in grounds):
+        if all(g == grounds[0] for g in grounds):
+            return _from_unify(unify(y, grounds[0], env))
+        return _FALSE
+    return _DEFER
+
+
+def _oplus(args, env):
+    r, g, out = args
+    rp = _listed_pairs(r, env)
+    gp = _listed_pairs(g, env)
+    if rp is _FAIL or gp is _FAIL:
+        return _FALSE
+    if rp is None or gp is None:
+        return _DEFER
+    gkeys = {k for k, _, _ in gp}
+    kept = [e for k, _, e in rp if k not in gkeys]
+    kept.extend(e for _, _, e in gp)
+    return _from_unify(unify(out, resolve(PSet(kept), env), env))
+
+
+def _dres(args, env):
+    d, r, out = args
+    if not isinstance(d, SetV):
+        return _DEFER
+    pairs = _listed_pairs(r, env)
+    if pairs is _FAIL:
+        return _FALSE
+    if pairs is None:
+        return _DEFER
+    kept = [e for k, _, e in pairs if k in d]
+    return _from_unify(unify(out, resolve(PSet(kept), env), env))
+
+
+def _pfun(positive, args, env):
+    (r,) = args
+    pairs = _listed_pairs(r, env)
+    if pairs is _FAIL:
+        return _FALSE
+    if pairs is None:
+        return _DEFER
+    groups = {}
+    for k, v, _ in pairs:
+        groups.setdefault(k, []).append(v)
+    if positive:
+        # a listed member pair with a repeated key collapses exactly when
+        # the values coincide, so pfun forces the values in each key
+        # group to be equal: propagate that by unification
+        result = _TRUE
+        for vs in groups.values():
+            for other in vs[1:]:
+                u = unify(vs[0], other, env)
+                if u == _FAIL:
+                    return _FALSE
+                if u == _DEFER:
+                    result = _DEFER
+        return result
+    all_collapse = True
+    for vs in groups.values():
+        if len(vs) == 1:
+            continue
+        verdicts = [_neq_decide(x, y, env) for x, y in itertools.combinations(vs, 2)]
+        if any(v is True for v in verdicts):
+            return _TRUE  # two definitely-distinct values share a key
+        if not all(v is False for v in verdicts):
+            all_collapse = False
+    return _FALSE if all_collapse else _DEFER
+
+
+def _seq_head(args, env):
+    s, h = args
+    elems = _seq_elems(s)
+    if elems is None:
+        return _DEFER
+    if len(elems) == 0:
+        return _FALSE
+    return _from_unify(unify(h, elems[0], env))
+
+
+def _seq_tail(args, env):
+    s, t = args
+    elems = _seq_elems(s)
+    if elems is None:
+        return _DEFER
+    if len(elems) == 0:
+        return _FALSE
+    return _from_unify(unify(t, resolve(PSeq(elems[1:]), env), env))
+
+
+def _seq_concat(args, env):
+    a, b, out = args
+    ea, eb, ec = _seq_elems(a), _seq_elems(b), _seq_elems(out)
+    if ea is not None and eb is not None:
+        return _from_unify(unify(out, resolve(PSeq(ea + eb), env), env))
+    if ec is None or (ea is None and eb is None):
+        return _DEFER
+    # one part is known: it matches its end of out, and the rest is the other
+    cut = len(ea) if ea is not None else len(ec) - len(eb)
+    if not 0 <= cut <= len(ec):
+        return _FALSE
+    if ea is not None:
+        xs, ys = [*ea, b], [*ec[:cut], PSeq(ec[cut:])]
+    else:
+        xs, ys = [*eb, a], [*ec[cut:], PSeq(ec[:cut])]
+    return _from_unify(_unify_pointwise(xs, ys, env))
+
+
+def _seq_nth(args, env):
+    s, i, y = args
+    elems = _seq_elems(s)
+    n = _ground_int(i)
+    if elems is None or n is None:
+        return _DEFER
+    if not 1 <= n <= len(elems):
+        return _FALSE
+    return _from_unify(unify(y, elems[n - 1], env))
+
+
+def _plus(args, env):
+    a, b, out = args
+    na, nb, nc = map(_ground_int, args)
+    if na is not None and nb is not None:
+        return _from_unify(unify(out, IntV(na + nb), env))
+    if nc is not None:
+        for n, other in ((na, b), (nb, a)):
+            if n is not None:
+                return _from_unify(unify(other, IntV(nc - n), env))
+    return _DEFER
+
+
+def _minus(args, env):
+    # a - b = c is b + c = a
+    a, b, c = args
+    return _plus((b, c, a), env)
+
+
+def _times(args, env):
+    a, b, out = args
+    na, nb, nc = map(_ground_int, args)
+    if na is not None and nb is not None:
+        return _from_unify(unify(out, IntV(na * nb), env))
+    if nc is not None:
+        for n, other in ((na, b), (nb, a)):
+            if n is not None:
+                if n == 0:
+                    return _FALSE if nc != 0 else _DEFER
+                if nc % n != 0:
+                    return _FALSE
+                return _from_unify(unify(other, IntV(nc // n), env))
+    return _DEFER
+
+
+def _intdiv(args, env):
+    # floor division, undefined for divisor 0
+    na, nb, _ = map(_ground_int, args)
+    if na is None or nb is None:
+        return _DEFER
+    if nb == 0:
+        return _FALSE
+    return _from_unify(unify(args[2], IntV(na // nb), env))
+
+
+def _compare(holds, args, env):
+    na, nb = map(_ground_int, args)
+    if na is None or nb is None:
+        return _DEFER
+    return _TRUE if holds(na, nb) else _FALSE
 
 
 def _eval_eq(lhs: Term, rhs: Term, env, memo):
@@ -820,22 +817,55 @@ def _eval_eq(lhs: Term, rhs: Term, env, memo):
     return _from_unify(unify(a, b, env))
 
 
-def _eval_eq_negated(c, env, memo):
-    # neq whose operand is a comprehension or open extension: decide only
-    # once the operand side is ground
-    lhs, rhs = c.args
-    for one, other in ((lhs, rhs), (rhs, lhs)):
-        if isinstance(one, RisT):
-            got = _ris_value(one, env, memo)
-            if got is _FAIL:
-                return _TRUE
-            if got is None:
-                return _DEFER
-            v = _neq_decide(got, _try_pval(other, env), env)
-            if v is None:
-                return _DEFER
-            return _TRUE if v else _FALSE
-    return _DEFER
+def _eval_neq(lhs: Term, rhs: Term, env, memo):
+    try:
+        a = term_pval(lhs, env)
+        b = term_pval(rhs, env)
+    except _Defer:
+        # a comprehension operand is decided once its value is known; an
+        # open extension never is
+        for one, other in ((lhs, rhs), (rhs, lhs)):
+            if isinstance(one, RisT):
+                got = _ris_value(one, env, memo)
+                if got is _FAIL:
+                    return _TRUE
+                if got is None:
+                    return _DEFER
+                return _from_decision(_neq_decide(got, _try_pval(other, env), env))
+        return _DEFER
+    return _from_decision(_neq_decide(a, b, env))
+
+
+_RULES = {
+    "eq": _eval_eq,
+    "neq": _eval_neq,
+    "in": partial(_member, True),
+    "nin": partial(_member, False),
+    "un": partial(_set_op, "union"),
+    "diff": partial(_set_op, "difference"),
+    "inters": partial(_set_op, "intersection"),
+    "disj": partial(_disjoint, True),
+    "ndisj": partial(_disjoint, False),
+    "subset": partial(_subset, True),
+    "nsubset": partial(_subset, False),
+    "dom": _dom,
+    "ran": _ran,
+    "apply": _apply,
+    "oplus": _oplus,
+    "dres": _dres,
+    "pfun": partial(_pfun, True),
+    "npfun": partial(_pfun, False),
+    "seq_head": _seq_head,
+    "seq_tail": _seq_tail,
+    "seq_concat": _seq_concat,
+    "seq_nth": _seq_nth,
+    "plus": _plus,
+    "minus": _minus,
+    "times": _times,
+    "intdiv": _intdiv,
+    "le": partial(_compare, operator.le),
+    "lt": partial(_compare, operator.lt),
+}
 
 
 def _try_pval(t, env):
@@ -950,16 +980,10 @@ def _eval_open_eq(pat: SetT, other: Term, env):
             for k in keyed:
                 if k not in s_keyed:
                     return _FALSE
-            r = _unify_pointwise(
-                list(keyed.values()), [s_keyed[k] for k in keyed], env
-            )
-            if r == _FAIL:
-                return _FALSE
             rest = SetV([e for e in s.elems if _pair_key(e, env) not in keyed])
-            r2 = unify(tail_pval, rest, env)
-            if r2 == _FAIL:
-                return _FALSE
-            return _TRUE if (r, r2) == (_OK, _OK) else _DEFER
+            return _from_unify(_unify_pointwise(
+                [*keyed.values(), tail_pval], [*(s_keyed[k] for k in keyed), rest], env
+            ))
         grounds = [e for e in elem_pvals if isinstance(e, Value)]
         if len(grounds) == len(elem_pvals):
             for e in grounds:
@@ -968,13 +992,9 @@ def _eval_open_eq(pat: SetT, other: Term, env):
             rest = kernel.difference(s, SetV(grounds))
             return _from_unify(unify(tail_pval, rest, env))
         if len(s.elems) == 1 and len(elem_pvals) == 1:
-            r = unify(elem_pvals[0], s.elems[0], env)
-            if r == _FAIL:
-                return _FALSE
-            r2 = unify(tail_pval, SetV(()), env)
-            if r2 == _FAIL:
-                return _FALSE
-            return _TRUE if (r, r2) == (_OK, _OK) else _DEFER
+            return _from_unify(_unify_pointwise(
+                [elem_pvals[0], tail_pval], [s.elems[0], EMPTY_SET], env
+            ))
         return _DEFER
 
     if isinstance(s, PHole) or isinstance(s, PSet):
@@ -1394,43 +1414,6 @@ def _rewrite(constraints):
 
 # -- sort inference -----------------------------------------------------------------
 
-_SET_POSITIONS = {
-    "un": (0, 1, 2),
-    "diff": (0, 1, 2),
-    "inters": (0, 1, 2),
-    "disj": (0, 1),
-    "ndisj": (0, 1),
-    "subset": (0, 1),
-    "nsubset": (0, 1),
-    "in": (1,),
-    "nin": (1,),
-    "dres": (0,),
-}
-_REL_POSITIONS = {
-    "dom": (0,),
-    "ran": (0,),
-    "oplus": (0, 1, 2),
-    "dres": (1, 2),
-    "apply": (0,),
-    "pfun": (0,),
-    "npfun": (0,),
-}
-_INT_POSITIONS = {
-    "plus": (0, 1, 2),
-    "minus": (0, 1, 2),
-    "times": (0, 1, 2),
-    "intdiv": (0, 1, 2),
-    "le": (0, 1),
-    "lt": (0, 1),
-    "seq_nth": (1,),
-}
-_SEQ_POSITIONS = {
-    "seq_head": (0,),
-    "seq_tail": (0, 1),
-    "seq_concat": (0, 1, 2),
-    "seq_nth": (0,),
-}
-
 
 def _infer_sorts(constraints, declared):
     sorts = dict(declared)
@@ -1454,14 +1437,13 @@ def _infer_sorts(constraints, declared):
             walk_patterns(t.domain)
 
     for c in constraints:
-        for pos in _REL_POSITIONS.get(c.kind, ()):
-            note(c.args[pos], RelS(AnyS(), AnyS()))
-        for pos in _SET_POSITIONS.get(c.kind, ()):
-            note(c.args[pos], SetS(AnyS()))
-        for pos in _INT_POSITIONS.get(c.kind, ()):
-            note(c.args[pos], IntS())
-        for pos in _SEQ_POSITIONS.get(c.kind, ()):
-            note(c.args[pos], SeqS(AnyS()))
+        tags = _ARG_KINDS[c.kind] or ()
+        # a variable at two differently tagged positions takes the first
+        # of relation, set, integer and sequence
+        for tag in (_REL, _SET, _INT, _SEQ):
+            for t, a in zip(tags, c.args):
+                if t is tag:
+                    note(a, tag.sort)
         for a in c.args:
             walk_patterns(a)
     return sorts
@@ -1546,13 +1528,15 @@ def _bound_since(env, mark):
 
 
 def _open_holes(p, env, out):
-    """Append to out the unbound holes that pval p reaches through env."""
+    """Append to out the unbound holes that pval p reaches through env;
+    returns out."""
     p = _walk(p, env)
     if isinstance(p, PHole):
         out.append(p.var)
     elif isinstance(p, (PTup, PSet, PSeq)):
         for e in p.elems:
             _open_holes(e, env, out)
+    return out
 
 
 def _atom_pool(st, ns, by_value, n):
@@ -1641,8 +1625,7 @@ def _in_declared_universe(st, mark):
     env, sort_watch = st.env, st.sort_watch
     for name in _bound_since(env, mark):
         for var in sort_watch.get(name, ()):
-            holes = []
-            _open_holes(PHole(var), env, holes)
+            holes = _open_holes(PHole(var), env, [])
             if holes:
                 for h in holes:
                     sort_watch.setdefault(h, {})[var] = None
@@ -1747,15 +1730,23 @@ def _pending_holes(st, pending):
             if isinstance(root, PHole):
                 note(root.var)
             else:
-                holes = []
-                _open_holes(root, env, holes)
+                holes = _open_holes(root, env, [])
                 for h in sorted(set(holes)):
                     note(h)
     return out
 
 
 def _pick_decision(st, pending):
-    env = st.env
+    env, order = st.env, st.order
+    if not pending:
+        # a declared variable is checked when it grounds, so a leaf searches
+        # the holes one still has instead of leaving them to _complete
+        for var in st.validate:
+            if var in env:
+                holes = _open_holes(env[var], env, [])
+                if holes:
+                    return ("fill", min(holes, key=lambda h: order.get(h, len(order))))
+        return None
     for i in pending:
         c = st.constraints[i]
         if c.kind == "in":
@@ -1775,7 +1766,6 @@ def _pick_decision(st, pending):
                 continue
             if isinstance(out, SetV) and not (isinstance(a, Value) and isinstance(b, Value)):
                 return ("split", a, b, out)
-    order = st.order
     live = [v for v in _pending_holes(st, pending) if v in order]
     if not live:
         return None
@@ -1802,7 +1792,8 @@ def _pick_decision(st, pending):
 def _candidates(decision, st):
     """Bind the decision's candidates in env one after another, undoing the
     previous one first; yields after each binding.  Every candidate tried
-    is a decision node."""
+    is a decision node, except the first fill of a hole a leaf left open:
+    that one stands in for _complete's default fill, which needs no search."""
     env = st.env
     mark = len(env)
     if decision[0] == "member":
@@ -1822,13 +1813,14 @@ def _candidates(decision, st):
             if unify(a, left, env) != _FAIL and unify(b, right, env) != _FAIL:
                 yield True
     else:
-        _, var = decision
+        kind, var = decision
         # fresh vars registered by abandoned candidates stay in the registry:
         # they are unreachable, and keeping it append-only keeps runs identical
         used = st.used_atoms
         added = set()  # the atoms the current candidate brought into use
-        for cand in _sort_candidates(st.registry.get(var) or AnyS(), st):
-            st.tick()
+        for n, cand in enumerate(_sort_candidates(st.registry.get(var) or AnyS(), st)):
+            if n or kind == "enumerate":
+                st.tick()
             _undo(env, mark)
             used -= added
             added = set()
@@ -1843,17 +1835,18 @@ def _candidates(decision, st):
 def _search(st):
     """Depth-first search over decisions, kept on an explicit stack of
     (trail mark, open constraints, candidates) frames.  True when env ends
-    up satisfying every constraint, False when no branch does."""
+    up satisfying every constraint with every declared variable in its
+    universe, False when no branch does."""
     env = st.env
     everything = list(range(len(st.constraints)))
     pending = _propagate(st, everything, 0, list(everything))
     stack = []
     while True:
         if pending is not None:
-            if not pending:
-                return True
             decision = _pick_decision(st, pending)
             if decision is None:
+                if not pending:
+                    return True
                 raise _Stuck(
                     "constraints left undecided with no enumerable variable: "
                     + ", ".join(st.constraints[i].kind for i in pending)
@@ -1906,8 +1899,7 @@ def _complete(st, original):
     while changed:
         changed = False
         for v in todo:
-            holes = []
-            _open_holes(PHole(v), env, holes)
+            holes = _open_holes(PHole(v), env, [])
             for h in sorted(set(holes)):
                 root = _walk(PHole(h), env)
                 if isinstance(root, PHole):

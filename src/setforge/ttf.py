@@ -201,8 +201,7 @@ def prune(conds, scope: Scope = DEFAULT_SCOPE, budget=None):
     undecided conditions stay in the output marked unknown."""
     out = []
     for cond in conds:
-        kwargs = {} if budget is None else {"budget": budget}
-        r = solve(cond.formula, scope, sorts=cond.sorts, **kwargs)
+        r = solve(cond.formula, scope, sorts=cond.sorts, budget=budget)
         if isinstance(r, Sat):
             status = ("satisfiable", r.witness)
         elif isinstance(r, Unsat):

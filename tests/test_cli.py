@@ -181,6 +181,32 @@ def test_mbt_needs_occurrence_or_all(capsys):
     assert code == 2 and "--occurrence" in err
 
 
+def test_mbt_bad_occurrence_ordinal_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "mbt", "--transition", "rcv_addr", "--occurrence", "un:x")
+    assert (code, out) == (2, "")
+    assert err == "error: bad occurrence ordinal 'x'\n"
+
+
+def test_out_of_range_scope_is_a_usage_error(capsys, tmp_path):
+    p = tmp_path / "f.slog"
+    p.write_text("X = a1\n")
+    for scope in ("atoms=-1", "ints=5..1", "card=-2", "atoms=x"):
+        code, out, err = run_cli(capsys, "eval", str(p), "--scope", scope)
+        assert (code, out) == (2, ""), scope
+        assert err.startswith("error: bad scope"), (scope, err)
+
+
+def test_empty_side_of_disj_and_subset_waits_for_a_set(capsys, tmp_path):
+    # the empty side alone decided these before the other side was known to
+    # be a set, and the witness then failed its re-check
+    p = tmp_path / "f.slog"
+    for src in ("disj({},B) & B = 3", "B = 3 & disj({},B)", "subset({},B) & B = a1"):
+        p.write_text(src + ".\n")
+        code, out, err = run_cli(capsys, "eval", str(p))
+        assert (code, err) == (1, ""), src
+        assert out.startswith("Unsat (scope: "), src
+
+
 def test_unknown_goal_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "prove", "--goal", "nope")
     assert (code, out) == (2, "")

@@ -4,7 +4,9 @@ import pytest
 
 from setforge import solver
 from setforge import speclang as S
+from setforge.errors import SetforgeError
 from setforge.formula import (
+    KINDS,
     TRUE,
     C,
     Formula,
@@ -29,8 +31,19 @@ from setforge.solver import (
     prove_implication,
     solve,
 )
-from setforge.universe import AtomS, AnyS, IntS, RelS, Scope, SetS, enumerate_sort, scope_atoms
-from setforge.values import atom, vset
+from setforge.universe import (
+    AnyS,
+    AtomS,
+    IntS,
+    RelS,
+    Scope,
+    SeqS,
+    SetS,
+    enumerate_sort,
+    scope_atoms,
+    sort_contains,
+)
+from setforge.values import IntV, atom, vset
 
 TINY = Scope(atoms_per_namespace=2, int_lo=0, int_hi=3, max_set_card=2, max_seq_len=2)
 
@@ -192,10 +205,11 @@ def test_implication_counterexample_carries_witness():
 
 
 def brute_force_sat(f, scope, sorts):
-    """Independent oracle: enumerate every assignment of the declared
-    variables and evaluate directly."""
+    """Independent oracle: enumerate every assignment of the variables and
+    evaluate directly.  An undeclared variable ranges over AnyS, as in the
+    solver."""
     names = free_vars(f)
-    universes = [list(enumerate_sort(sorts[n], scope)) for n in names]
+    universes = [list(enumerate_sort(sorts.get(n) or AnyS(), scope)) for n in names]
     for combo in itertools.product(*universes):
         if eval_ground_formula(f, dict(zip(names, combo))) is True:
             return True
@@ -213,6 +227,14 @@ ORACLE_CORPUS = [
     ("dom(R,D) & subset(D,{a1}) & ndisj(D,{a2})", {"R": SetS(AnyS()), "D": SetS(AtomS("addr"))}),
     # a01 is not a scope atom: the stream names a1, never a zero-padded twin
     ("eq(X,a01)", {"X": AtomS("addr")}),
+    # a declared variable left open at a leaf must still lie in its universe
+    # once the search fills its holes: dres gives a set, never a sequence,
+    # and a relation of integers holds no sequence
+    ("dres({a1},R,Q)", {"R": RelS(AtomS("addr"), IntS()), "Q": SeqS(IntS())}),
+    ("apply(R,V,seq([0,1]))", {"R": RelS(AtomS("addr"), IntS()), "V": AtomS("addr")}),
+    # Y is undeclared, so its default fill is an atom: X = {a1} lies outside
+    # X's universe, but X = {0} is a model
+    ("X = {Y}", {"X": SetS(IntS())}),
 ]
 
 
@@ -225,6 +247,16 @@ def test_bounded_completeness_matches_brute_force(src, sorts):
     assert isinstance(got, Sat) == expected, src
     if expected:
         assert eval_ground_formula(f, got.witness) is True
+        assert all(sort_contains(s, got.witness[v], scope) for v, s in sorts.items()), src
+
+
+def test_leaf_holes_of_a_declared_variable_are_searched():
+    """A hole of a declared variable left open at a leaf is enumerated, not
+    filled once by default: the first fill of Y puts X out of its universe."""
+    sorts = {"X": SetS(IntS())}
+    r = prove_implication(F("X = {Y}"), F("X = {}"), TINY, sorts=sorts)
+    assert r == Counterexample({"X": vset([IntV(0)]), "Y": IntV(0)})
+    assert prove_implication(F("X = {Y}"), F("X neq {}"), TINY, sorts=sorts) == Verified(TINY)
 
 
 def test_unsat_means_no_model_in_scope():
@@ -406,6 +438,60 @@ def test_random_relation_and_comprehension_formulas_match_enumeration():
     assert disagreements == [], disagreements[:5]
 
 
+class _MixedFormulas(_RandomFormulas):
+    """Seeded stream of small formulas over every constraint kind but eq and
+    neq, whose arguments are drawn without regard to the kind: a variable of
+    any of five sorts or a literal of any value kind.  Ill-kinded arguments,
+    ran, dres and the sequence constraints are the point."""
+
+    SORTS = {
+        "N": IntS(),
+        "A": SetS(AtomS("addr")),
+        "R": RelS(AtomS("addr"), IntS()),
+        "Q": SeqS(IntS()),
+        "V": AtomS("addr"),
+    }
+    LITERALS = ["a1", "0", "1", "2", "3", "{}", "{a1}", "{[a1,0],[a1,1]}", "seq([0,1])", "[a1,0]"]
+    DRAWN = sorted(k for k in KINDS if k not in ("eq", "neq"))
+
+    def constraint(self):
+        r = self.rng
+        kind = r.choice(self.DRAWN)
+        args = []
+        for _ in range(KINDS[kind][0]):
+            if r.random() < 0.5:
+                args.append(Var(r.choice(sorted(self.SORTS))))
+            else:
+                args.append(S.parse_term(r.choice(self.LITERALS)))
+        return C(kind, *args)
+
+    def formula(self):
+        return conj([self.constraint() for _ in range(self.rng.randrange(1, 3))])
+
+
+def test_mixed_kind_formulas_match_enumeration():
+    scope = Scope(atoms_per_namespace=2, int_lo=0, int_hi=3, max_set_card=2, max_seq_len=2)
+    gen = _MixedFormulas(seed=5)
+    disagreements = []
+    for i in range(600):
+        f = gen.formula()
+        sorts = {v: gen.SORTS[v] for v in free_vars(f)}
+        expected = brute_force_sat(f, scope, sorts)
+        try:
+            got = solve(f, scope, sorts=sorts)
+        except SetforgeError as e:
+            disagreements.append((i, f"raised {e}", S.print_formula(f)))
+            continue
+        if isinstance(got, Unknown):
+            disagreements.append((i, got.reason, S.print_formula(f)))
+        elif isinstance(got, Sat) != expected:
+            disagreements.append((i, "wrong", S.print_formula(f)))
+        elif expected:
+            assert eval_ground_formula(f, got.witness) is True
+            assert all(sort_contains(sorts[v], got.witness[v], scope) for v in sorts)
+    assert disagreements == [], disagreements
+
+
 def test_open_patterns_animate_a_two_step_receive():
     """The chained walkthrough formula solves by propagation alone: open
     record patterns pin the states, everything else is derived."""
@@ -426,6 +512,29 @@ def test_open_patterns_animate_a_two_step_receive():
 
 def test_open_pattern_with_non_set_tail_is_unsat():
     assert isinstance(solve(F("S = {a1/R} & R = 3")), Unsat)
+
+
+def test_every_kind_has_one_rule_and_its_argument_kinds():
+    assert set(solver._RULES) == set(KINDS)
+    assert set(solver._ARG_KINDS) == set(KINDS)
+    for kind, tags in solver._ARG_KINDS.items():
+        assert tags is None or len(tags) == KINDS[kind][0], kind
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["ran(3,X)", "ran(seq([0]),X)", "dom(3,X)", "un(A,B,3)", "seq_tail(S,a1)", "lt(a1,X)"],
+)
+def test_ground_argument_of_the_wrong_kind_is_false(src):
+    assert solve(F(src), TINY) == Unsat()
+
+
+@pytest.mark.parametrize("kind", ["disj", "subset"])
+def test_empty_side_decides_only_against_a_set(kind):
+    for other in ("3", "a1", "seq([0])"):
+        assert solve(F(f"{kind}({{}},B) & B = {other}"), TINY) == Unsat(), other
+        assert solve(F(f"B = {other} & {kind}({{}},B)"), TINY) == Unsat(), other
+    assert solve(F(f"{kind}({{}},B) & B = {{a1}}"), TINY) == Sat({"B": vset([atom("a1")])})
 
 
 # -- symmetry breaking: skipped renamings of unused atoms ------------------------------
