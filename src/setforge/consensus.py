@@ -9,9 +9,8 @@ registered receiver, so further transitions plug in without engine changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import kernel
+from ._frozen import Frozen
 from .errors import (
     KindError,
     NoSuchPacket,
@@ -167,8 +166,7 @@ def register_receiver(kind: str, handler) -> None:
     _RECEIVERS[kind] = handler
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
+class DeliveryRecord(Frozen):
     packet: Value
     node: Atom
     enabled: bool
@@ -203,8 +201,7 @@ def deliver_step(c: Value, p: Value):
     return conf2, DeliveryRecord(p, dst, enabled, emitted, state2)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Frozen):
     confs: tuple  # length = number of steps + 1
     steps: tuple  # DeliveryRecord per step
 

@@ -9,9 +9,8 @@ transaction phase is modeled: the step field moves from `initial` to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import kernel
+from ._frozen import Frozen
 from .errors import (
     BalanceUnderflow,
     KindError,
@@ -238,8 +237,7 @@ def toprog(cells: Value) -> TupV:
     return TupV((Atom("prog", "opaque"), cells))
 
 
-@dataclass(frozen=True)
-class CreateArgs:
+class CreateArgs(Frozen):
     """Arguments handed to the (out-of-scope) contract-creation phase."""
 
     s: Value  # owner of the executing code
@@ -309,15 +307,13 @@ def create_calls_cc(w: Value, q: Value, k: Value):
     return args, q2, STEP_CCBEGINS
 
 
-@dataclass(frozen=True)
-class Created:
+class Created(Frozen):
     args: CreateArgs
     machine: Value
     world_step: Value
 
 
-@dataclass(frozen=True)
-class NotCreated:
+class NotCreated(Frozen):
     machine: Value
 
 

@@ -9,8 +9,7 @@ variables carry sorts so bounded enumeration knows its universes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .errors import UnknownName
 from .formula import C, Formula, Lit, RisT, SetT, TupT, Var, conj
 from .solver import prove_implication
@@ -32,8 +31,7 @@ def _addr_msg_term(payload) -> TupT:
 ACC_RECORD_SORT = RecordS((("bal", IntS()), ("code", AtomS("opaque")), ("nonce", IntS())))
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Frozen):
     """A named formula with role-tagged parameters; simultaneously the
     prototype the test generator works on and the proof obligation body."""
 
@@ -189,8 +187,7 @@ def get_transition(name: str) -> Transition:
         raise UnknownName(f"unknown transition {name!r}; known: {known}") from None
 
 
-@dataclass(frozen=True)
-class ProvedGoal:
+class ProvedGoal(Frozen):
     name: str
     description: str
     hypothesis: Formula

@@ -42,10 +42,10 @@ import bisect
 import heapq
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import partial
 
 from . import kernel
+from ._frozen import Frozen
 from .errors import (
     AmbiguousApplicationError,
     FormulaError,
@@ -94,35 +94,30 @@ DEFAULT_BUDGET = 500_000
 # -- results ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sat:
+class Sat(Frozen):
     witness: dict
 
     def __bool__(self):
         return True
 
 
-@dataclass(frozen=True)
-class Unsat:
+class Unsat(Frozen):
     def __bool__(self):
         return False
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(Frozen):
     reason: str
 
     def __bool__(self):
         return False
 
 
-@dataclass(frozen=True)
-class Verified:
+class Verified(Frozen):
     scope: Scope
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Frozen):
     witness: dict
 
 
@@ -468,8 +463,7 @@ def _ground_int(p):
 _TRUE, _FALSE = "true", "false"
 
 
-@dataclass(frozen=True)
-class _Tag:
+class _Tag(Frozen):
     """An argument kind: the sort _infer_sorts gives a variable at such a
     position, and the class a ground value there must have."""
 
@@ -822,8 +816,8 @@ def _eval_neq(lhs: Term, rhs: Term, env, memo):
         a = term_pval(lhs, env)
         b = term_pval(rhs, env)
     except _Defer:
-        # a comprehension operand is decided once its value is known; an
-        # open extension never is
+        # a comprehension operand is decided once its value is known, an
+        # open extension once its parts and the other operand are ground
         for one, other in ((lhs, rhs), (rhs, lhs)):
             if isinstance(one, RisT):
                 got = _ris_value(one, env, memo)
@@ -832,8 +826,27 @@ def _eval_neq(lhs: Term, rhs: Term, env, memo):
                 if got is None:
                     return _DEFER
                 return _from_decision(_neq_decide(got, _try_pval(other, env), env))
+            if isinstance(one, SetT) and one.tail is not None:
+                return _eval_open_neq(one, other, env)
         return _DEFER
     return _from_decision(_neq_decide(a, b, env))
+
+
+def _eval_open_neq(pat: SetT, other: Term, env):
+    """S neq {e1,...,ek / T}: false only when T is a set that lists no ei
+    and S is the union of T and the ei.  Undecided until all are ground,
+    except that a ground S or T that is no set makes it true."""
+    s = _try_pval(other, env)
+    tail = _try_pval(pat.tail, env)
+    for p in (s, tail):
+        if isinstance(p, Value) and not isinstance(p, SetV):
+            return _TRUE
+    elems = [_try_pval(e, env) for e in pat.elems]
+    if not (isinstance(s, SetV) and isinstance(tail, SetV)
+            and all(isinstance(e, Value) for e in elems)):
+        return _DEFER
+    equal = s == kernel.union(SetV(elems), tail) and all(e not in tail for e in elems)
+    return _FALSE if equal else _TRUE
 
 
 _RULES = {
@@ -1285,7 +1298,7 @@ def _only_member(t):
     return None
 
 
-def _rewrite(constraints):
+def _rewrite(constraints, declared):
     """Rewrite one conjunct by rules that hold in every scope.  Returns the
     rewritten constraints, or None when the conjunct is refuted.
 
@@ -1303,7 +1316,10 @@ def _rewrite(constraints):
     X = {e}.  pfun(X) and a one-pair set term are partial functions, and
     so is the result of oplus on two of them or of dres on one.  The
     conjunct is refuted by in and nin of one element in one set, by neq of
-    one class or of one singleton, and by npfun of a partial function."""
+    one class or of one singleton, by npfun of a partial function, and by
+    an apply whose argument can never be a key of its function
+    (_apply_outside_keys).  declared maps the caller's variables to their
+    sorts."""
     patterns = {}
     for c in constraints:
         if c.kind == "eq":
@@ -1400,7 +1416,7 @@ def _rewrite(constraints):
                         if (e, key(a)) in ins:
                             singles.setdefault(key(a), set()).add(e)
 
-    if ins & nins:
+    if ins & nins or _apply_outside_keys(out, declared):
         return None
     for c in out:
         if c.kind == "npfun" and is_pfun(c.args[0]):
@@ -1410,6 +1426,53 @@ def _rewrite(constraints):
             if key(a) == key(b) or singleton_members(a) & singleton_members(b):
                 return None
     return out
+
+
+# the classes of the values of each sort, the same in every scope
+_SORT_CLASSES = {
+    AnyS: {Atom, IntV},
+    AtomS: {Atom},
+    IntS: {IntV},
+    SetS: {SetV},
+    RelS: {SetV},
+    RecordS: {SetV},
+    SeqS: {SeqV},
+    TupleS: {TupV},
+}
+
+
+def _apply_outside_keys(constraints, declared):
+    """Whether some apply(F,X,Y) cannot hold in any scope because X and the
+    keys of F share no value class.  X is a literal or a declared variable.
+    F's keys are those of its declared relation sort, or, for an undeclared
+    F that occurs nowhere else, atoms and integers: only enumeration binds
+    such an F, from the relation sort inference gives it.  An undeclared F
+    that occurs elsewhere can be bound to any value."""
+    applies = [c for c in constraints if c.kind == "apply"]
+    only_applied = {
+        c.args[0].name for c in applies
+        if isinstance(c.args[0], Var) and c.args[0].name not in declared
+    }
+    if only_applied:
+        only_applied -= set(_free_names([
+            a for c in constraints
+            for a in (c.args[1:] if c.kind == "apply" and isinstance(c.args[0], Var) else c.args)
+        ]))
+    for c in applies:
+        f, x = c.args[0], c.args[1]
+        if not isinstance(f, Var):
+            continue
+        sort = _REL.sort if f.name in only_applied else declared.get(f.name)
+        keys = _SORT_CLASSES.get(type(sort.key)) if isinstance(sort, RelS) else None
+        if isinstance(x, Lit):
+            xs = {type(x.value)}
+        elif isinstance(x, Var) and x.name in declared:
+            xs = _SORT_CLASSES.get(type(declared[x.name]))
+        else:
+            xs = None
+        if keys is not None and xs is not None and not keys & xs:
+            return True
+    return False
 
 
 # -- sort inference -----------------------------------------------------------------
@@ -1871,7 +1934,7 @@ def _prepare(disjunct, declared_sorts):
     caller's variables and the atoms the constraints' literals name; None
     when the conjunct is refuted at compile time."""
     compiled = _compile_conjunct(list(disjunct))
-    constraints = _rewrite(compiled)
+    constraints = _rewrite(compiled, declared_sorts)
     if constraints is None:
         return None
     original = _free_names([a for c in disjunct for a in c.args])
@@ -1945,11 +2008,11 @@ def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DE
             if isinstance(val, Value):
                 assignment[name] = val
         witness = {}
-        for name in original:
-            val = resolve(PHole(name), env)
-            if not isinstance(val, Value):
+        for name in original:  # the caller's names are registered too
+            if name not in assignment:
+                val = resolve(PHole(name), env)
                 raise SetforgeError(f"internal: witness for {name} is not ground: {val!r}")
-            witness[name] = val
+            witness[name] = assignment[name]
         ok = eval_ground_formula(Formula((tuple(compiled),)), assignment, partial_ok=True)
         if ok is not True:
             raise SetforgeError(

@@ -9,9 +9,8 @@ are ready-made test fixtures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import kernel
+from ._frozen import Frozen
 from .errors import SetforgeError
 from .formula import C, Constraint, Formula, Lit, Term, Var
 from .goals import Transition
@@ -24,8 +23,7 @@ SUPPORTED_OPERATORS = ("oplus", "un", "diff")
 _EMPTY = Lit(EMPTY_SET)
 
 
-@dataclass(frozen=True)
-class PartitionCase:
+class PartitionCase(Frozen):
     index: int  # 1-based position in the standard table
     label: str
 
@@ -114,8 +112,7 @@ def case_holds(op: str, index: int, a: Value, b: Value) -> bool:
     raise SetforgeError(f"no case {index}")
 
 
-@dataclass(frozen=True)
-class OperatorOccurrence:
+class OperatorOccurrence(Frozen):
     transition: str
     constraint_index: int  # position in the transition body
     ordinal: int  # 1-based among occurrences of the same operator
@@ -143,8 +140,7 @@ def find_occurrences(t: Transition, op: str | None = None):
     return out
 
 
-@dataclass(frozen=True)
-class TestCondition:
+class TestCondition(Frozen):
     transition: str
     occurrence: OperatorOccurrence
     case: PartitionCase
@@ -208,7 +204,7 @@ def prune(conds, scope: Scope = DEFAULT_SCOPE, budget=None):
             status = ("infeasible", None)
         else:
             status = ("unknown", r.reason)
-        out.append(replace(cond, status=status))
+        out.append(cond.replace(status=status))
     return out
 
 

@@ -11,14 +11,13 @@ element order, sequences by length then element order).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .errors import KindError
 from .values import ENUMERABLE_NS, NS_PREFIX, Atom, IntV, SeqV, SetV, TupV
 
 
-@dataclass(frozen=True)
-class Scope:
+class Scope(Frozen):
     atoms_per_namespace: int = 3
     int_lo: int = 0
     int_hi: int = 8
@@ -41,11 +40,10 @@ class Scope:
 DEFAULT_SCOPE = Scope()
 
 
-class Sort:
-    __slots__ = ()
+class Sort(Frozen):
+    """Base of the sorts below."""
 
 
-@dataclass(frozen=True)
 class AtomS(Sort):
     ns: str
 
@@ -54,22 +52,18 @@ class AtomS(Sort):
             raise KindError(f"namespace {self.ns!r} is not enumerable")
 
 
-@dataclass(frozen=True)
 class IntS(Sort):
     pass
 
 
-@dataclass(frozen=True)
 class AnyS(Sort):
     """Unsorted base universe: every enumerable atom plus every integer."""
 
 
-@dataclass(frozen=True)
 class SetS(Sort):
     elem: Sort
 
 
-@dataclass(frozen=True)
 class RelS(Sort):
     """Binary relation; enumerated key-structure-first during search."""
 
@@ -77,12 +71,10 @@ class RelS(Sort):
     val: Sort
 
 
-@dataclass(frozen=True)
 class SeqS(Sort):
     elem: Sort
 
 
-@dataclass(frozen=True)
 class TupleS(Sort):
     elems: tuple
 
@@ -91,7 +83,6 @@ class TupleS(Sort):
             raise KindError("tuple sorts need at least 2 components")
 
 
-@dataclass(frozen=True)
 class RecordS(Sort):
     """Fixed field set; fields given as a tuple of (name, sort) pairs."""
 

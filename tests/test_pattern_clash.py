@@ -103,8 +103,8 @@ def test_clash_rule_matches_a_plain_python_oracle(monkeypatch):
     fired = [0]
     rule = solver._rewrite
 
-    def counting(constraints):
-        out = rule(constraints)
+    def counting(constraints, declared):
+        out = rule(constraints, declared)
         fired[0] += out is None or out != constraints
         return out
 

@@ -178,6 +178,45 @@ def test_each_rule_refutes_its_own_case(src):
     assert _refuted_at_compile_time(S.parse_formula(src))
 
 
+@pytest.mark.parametrize("src,refuted", [
+    ("apply(R,N,V)", True),  # R's keys are atoms, N is an integer
+    ("apply(R,X,N)", True),
+    ("apply(R,V,N)", False),
+    ("apply(R,{a1},N)", True),
+    ("apply(R,a1,N)", False),
+    # Z is undeclared and only applied: its keys are atoms or integers
+    ("apply(Z,X,N)", True),
+    ("apply(Z,R,N)", True),
+    ("apply(Z,{a1},N)", True),
+    ("apply(Z,V,N)", False),
+    ("apply(Z,3,N)", False),
+    ("apply(Z,X,N) & in(N,{0})", True),
+    # Z occurs elsewhere, so a binding can give it keys of any kind
+    ("apply(Z,X,N) & eq(Z,R)", False),
+    ("apply(Z,Z,N)", False),
+    ("apply(Z,X,N) & subset(Z,Y)", False),
+])
+def test_apply_outside_the_key_sort_is_refuted(src, refuted):
+    f = S.parse_formula(src)
+    (disjunct,) = f.disjuncts
+    sorts = {v: SORTS[v] for v in free_vars(f) if v in SORTS}
+    assert (solver._prepare(disjunct, sorts) is None) == refuted
+    if refuted:
+        assert not brute_force_sat(f, SCOPE, sorts)
+
+
+def test_an_undeclared_function_bound_by_an_equation_keeps_its_model():
+    f = S.parse_formula("F = {[{a1},1]} & apply(F,{a1},1)")
+    got = solver.solve(f, SCOPE)
+    assert got == Sat({"F": SetV([TupV((SetV([Atom("a1", "addr")]), IntV(1)))])})
+
+
+def test_apply_refutation_takes_no_decision_nodes(count_nodes):
+    f = S.parse_formula("apply(Z,R,2)")
+    assert solver.solve(f, SCOPE, sorts={"R": SORTS["R"]}) == solver.Unsat()
+    assert count_nodes[0] == 0
+
+
 # -- the plain-Python oracle ----------------------------------------------------------------
 
 # atoms are their names, integers are ints, tuples are tuples and sets and
