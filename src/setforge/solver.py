@@ -56,6 +56,7 @@ from .errors import (
     SetforgeError,
 )
 from .formula import (
+    DUALS,
     Constraint,
     Formula,
     Lit,
@@ -481,7 +482,7 @@ _ARG_KINDS = {
     **dict.fromkeys(("in", "nin"), (None, _SET)),
     **dict.fromkeys(("un", "diff", "inters"), (_SET, _SET, _SET)),
     **dict.fromkeys(("disj", "ndisj", "subset", "nsubset"), (_SET, _SET)),
-    **dict.fromkeys(("dom", "ran"), (_REL, None)),
+    **dict.fromkeys(("dom", "ran"), (_REL, _SET)),
     "apply": (_REL, None, None),
     "oplus": (_REL, _REL, _REL),
     "dres": (_SET, _REL, _REL),
@@ -504,13 +505,12 @@ def _from_decision(v):
     return _DEFER if v is None else (_TRUE if v else _FALSE)
 
 
-def _eval_constraint(c: Constraint, env, memo):
+def _eval_constraint(c: Constraint, env):
     """Evaluate or propagate one constraint against the current bindings.
-    Returns 'true' (satisfied, possibly after binding), 'false', or 'defer'.
-    memo is the solve's _RisMemo."""
+    Returns 'true' (satisfied, possibly after binding), 'false', or 'defer'."""
     tags = _ARG_KINDS[c.kind]
     if tags is None:
-        return _RULES[c.kind](*c.args, env, memo)
+        return _RULES[c.kind](*c.args, env)
     try:
         args = [term_pval(a, env) for a in c.args]
     except _Defer:
@@ -797,12 +797,30 @@ def _compare(holds, args, env):
     return _TRUE if holds(na, nb) else _FALSE
 
 
-def _eval_eq(lhs: Term, rhs: Term, env, memo):
+def _is_set_term(t):
+    """Whether t is a comprehension or an open extension: a term with no
+    pval, whose value is known once its inputs are ground."""
+    return isinstance(t, RisT) or (isinstance(t, SetT) and t.tail is not None)
+
+
+def _set_value(t, env):
+    """The value of a comprehension or an open extension once its inputs
+    are ground, else None; _FAIL when it denotes no set."""
+    return _ris_value(t, env) if isinstance(t, RisT) else _open_value(t, env)
+
+
+def _operand(t, env):
+    """The pval of an eq or neq operand, or the _set_value of a
+    comprehension or an open extension."""
+    return _set_value(t, env) if _is_set_term(t) else term_pval(t, env)
+
+
+def _eval_eq(lhs: Term, rhs: Term, env):
     for one, other in ((lhs, rhs), (rhs, lhs)):
         if isinstance(one, RisT):
-            return _eval_ris_eq(one, other, env, memo)
+            return _eval_ris_eq(one, other, env)
         if isinstance(one, SetT) and one.tail is not None:
-            return _eval_open_eq(one, other, env)
+            return _eval_open_eq(one, _operand(other, env), env)
     try:
         a = term_pval(lhs, env)
         b = term_pval(rhs, env)
@@ -811,42 +829,21 @@ def _eval_eq(lhs: Term, rhs: Term, env, memo):
     return _from_unify(unify(a, b, env))
 
 
-def _eval_neq(lhs: Term, rhs: Term, env, memo):
+def _eval_neq(lhs: Term, rhs: Term, env):
     try:
         a = term_pval(lhs, env)
         b = term_pval(rhs, env)
     except _Defer:
-        # a comprehension operand is decided once its value is known, an
-        # open extension once its parts and the other operand are ground
-        for one, other in ((lhs, rhs), (rhs, lhs)):
-            if isinstance(one, RisT):
-                got = _ris_value(one, env, memo)
-                if got is _FAIL:
-                    return _TRUE
-                if got is None:
-                    return _DEFER
-                return _from_decision(_neq_decide(got, _try_pval(other, env), env))
-            if isinstance(one, SetT) and one.tail is not None:
-                return _eval_open_neq(one, other, env)
-        return _DEFER
-    return _from_decision(_neq_decide(a, b, env))
-
-
-def _eval_open_neq(pat: SetT, other: Term, env):
-    """S neq {e1,...,ek / T}: false only when T is a set that lists no ei
-    and S is the union of T and the ei.  Undecided until all are ground,
-    except that a ground S or T that is no set makes it true."""
-    s = _try_pval(other, env)
-    tail = _try_pval(pat.tail, env)
-    for p in (s, tail):
-        if isinstance(p, Value) and not isinstance(p, SetV):
+        # an operand is a comprehension or an open extension, whose value is
+        # a set once known: decided then, and at once when a side is no set
+        a, b = _operand(lhs, env), _operand(rhs, env)
+        if a is _FAIL or b is _FAIL or any(
+            isinstance(v, Value) and not isinstance(v, SetV) for v in (a, b)
+        ):
             return _TRUE
-    elems = [_try_pval(e, env) for e in pat.elems]
-    if not (isinstance(s, SetV) and isinstance(tail, SetV)
-            and all(isinstance(e, Value) for e in elems)):
-        return _DEFER
-    equal = s == kernel.union(SetV(elems), tail) and all(e not in tail for e in elems)
-    return _FALSE if equal else _TRUE
+        if a is None or b is None:
+            return _DEFER
+    return _from_decision(_neq_decide(a, b, env))
 
 
 _RULES = {
@@ -888,35 +885,7 @@ def _try_pval(t, env):
         return PHole("~")
 
 
-class _RisMemo:
-    """Comprehension values of one solve, keyed on the comprehension and the
-    ground values of its free variables, which include those that make up
-    its domain.  Only ground values are stored.  Keys use the
-    comprehension's identity: the compiled constraints that hold it live as
-    long as the memo."""
-
-    __slots__ = ("inputs", "values")
-
-    def __init__(self):
-        self.inputs = {}  # id(comprehension) -> its free names
-        self.values = {}
-
-    def key(self, t: RisT, env):
-        names = self.inputs.get(id(t))
-        if names is None:
-            names = self.inputs[id(t)] = _free_names([t])
-        vals = []
-        for name in names:
-            v = env.get(name)
-            if v is not None:
-                v = resolve(v, env)
-            if not isinstance(v, Value):
-                return None  # an input is still open: evaluate without the memo
-            vals.append(v)
-        return (id(t), *vals)
-
-
-def _ris_value(t: RisT, env, memo=None):
+def _ris_value(t: RisT, env):
     """Value of a comprehension whose domain is ground, else None; _FAIL
     when the domain is ground but not a set.  The binder is set in env
     while the filter and pattern are evaluated, and restored after."""
@@ -928,11 +897,6 @@ def _ris_value(t: RisT, env, memo=None):
         return _FAIL
     if not isinstance(domain, SetV):
         return None
-    key = memo.key(t, env) if memo is not None else None
-    if key is not None:
-        got = memo.values.get(key)
-        if got is not None:
-            return got
     out = []
     binder = t.binder
     saved = env.get(binder)
@@ -956,32 +920,47 @@ def _ris_value(t: RisT, env, memo=None):
             env.pop(binder, None)
         else:
             env[binder] = saved
-    got = SetV(out)
-    if key is not None:
-        memo.values[key] = got
-    return got
+    return SetV(out)
 
 
-def _eval_ris_eq(ris: RisT, other: Term, env, memo):
-    got = _ris_value(ris, env, memo)
+def _eval_ris_eq(ris: RisT, other: Term, env):
+    got = _ris_value(ris, env)
     if got is _FAIL:
         return _FALSE
     if got is None:
         return _DEFER
-    try:
-        o = term_pval(other, env)
-    except _Defer:
+    if isinstance(other, SetT) and other.tail is not None:
+        return _eval_open_eq(other, got, env)
+    o = _operand(other, env)
+    if o is None:
         return _DEFER
-    return _from_unify(unify(o, got, env))
+    return _FALSE if o is _FAIL else _from_unify(unify(o, got, env))
 
 
-def _eval_open_eq(pat: SetT, other: Term, env):
-    """S = {e1,...,ek / T}: the listed elements are members of S and the
-    tail is exactly S without them (set-unification normal form)."""
-    try:
-        s = term_pval(other, env)
-    except _Defer:
+def _open_value(pat: SetT, env):
+    """The value of {e1,...,ek / T}: the union of T and the ei once they are
+    ground, when T is a set that lists no ei; _FAIL when T is no set or
+    lists an ei; None before."""
+    tail = _try_pval(pat.tail, env)
+    if isinstance(tail, Value) and not isinstance(tail, SetV):
+        return _FAIL
+    elems = [_try_pval(e, env) for e in pat.elems]
+    if not isinstance(tail, SetV) or not all(isinstance(e, Value) for e in elems):
+        return None
+    if any(e in tail for e in elems):
+        return _FAIL
+    return kernel.union(SetV(elems), tail)
+
+
+def _eval_open_eq(pat: SetT, s, env):
+    """S = {e1,...,ek / T}, where s is the pval of S, or its _set_value when
+    S is a comprehension or an open extension: the listed elements are
+    members of S and the tail is exactly S without them (set-unification
+    normal form)."""
+    if s is None:
         return _DEFER
+    if s is _FAIL:
+        return _FALSE
     elem_pvals = [_try_pval(e, env) for e in pat.elems]
     tail_pval = _try_pval(pat.tail, env)
 
@@ -1010,17 +989,11 @@ def _eval_open_eq(pat: SetT, other: Term, env):
             ))
         return _DEFER
 
-    if isinstance(s, PHole) or isinstance(s, PSet):
-        tail = resolve(tail_pval, env)
-        if isinstance(tail, Value) and not isinstance(tail, SetV):
-            return _FALSE
-        if all(isinstance(e, Value) for e in elem_pvals) and isinstance(tail, SetV):
-            for e in elem_pvals:
-                if e in tail:
-                    return _FALSE
-            whole = kernel.union(SetV(elem_pvals), tail)
-            return _from_unify(unify(s, whole, env))
-        return _DEFER
+    if isinstance(s, (PHole, PSet)):
+        whole = _open_value(pat, env)
+        if whole is None:
+            return _DEFER
+        return _FALSE if whole is _FAIL else _from_unify(unify(s, whole, env))
     if isinstance(s, Value):  # ground but not a set
         return _FALSE
     return _DEFER
@@ -1038,121 +1011,89 @@ _EVAL_ERRORS = (
 
 
 def _ground_term(t: Term, env):
-    if isinstance(t, Lit):
-        return t.value
-    if isinstance(t, Var):
-        v = env.get(t.name)
-        if v is None:
-            raise _Defer()
-        v = resolve(v, env)
-        if not isinstance(v, Value):
-            raise _Defer()
-        return v
-    if isinstance(t, TupT):
-        return TupV([_ground_term(e, env) for e in t.elems])
-    if isinstance(t, SeqT):
-        return SeqV([_ground_term(e, env) for e in t.elems])
-    if isinstance(t, SetT):
-        if t.tail is not None:
-            raise _Defer()
-        return SetV([_ground_term(e, env) for e in t.elems])
-    raise _Defer()
+    """The value of a term that env grounds; _Defer when it does not, and
+    for a comprehension or an open extension."""
+    v = term_pval(t, env)
+    if not isinstance(v, Value):
+        raise _Defer()
+    return v
+
+
+def _ground_operand(t: Term, env):
+    """The value of an eq or neq operand, None when it denotes no set."""
+    if not _is_set_term(t):
+        return _ground_term(t, env)
+    v = _set_value(t, env)
+    if v is None:
+        raise _Defer()
+    return None if v is _FAIL else v
+
+
+def _need(cls, v):
+    """v, when it is an instance of cls; KindError otherwise."""
+    if not isinstance(v, cls):
+        raise KindError(f"needs {cls.__name__}, got {type(v).__name__}")
+    return v
+
+
+def _ground_apply(f, x, y):
+    # as a constraint, application is functional at the point: the kernel
+    # operation's global-function precondition is not imposed
+    if not kernel.is_relation(f):
+        return False
+    matches = [p.elems[1] for p in f.elems if p.elems[0] == x]
+    return len(matches) == 1 and matches[0] == y
+
+
+def _on_integers(holds):
+    """The check of a relation between integers."""
+    return lambda *args: holds(*(_need(IntV, a).n for a in args))
+
+
+# One ground check per positive kind; a dual kind (formula.DUALS) is the
+# negation of its positive kind's check.  A check raises one of
+# _EVAL_ERRORS when an argument has the wrong kind, which makes the kind
+# and its dual false.  The checks share nothing with the propagation rules
+# in _RULES, and they call kernel functions through the module, so that
+# wrappers installed on it see every call.
+_GROUND_RULES = {
+    "eq": lambda a, b: a is not None and a == b,
+    "in": lambda x, s: x in _need(SetV, s),
+    "un": lambda a, b, out: kernel.union(a, b) == out,
+    "diff": lambda a, b, out: kernel.difference(a, b) == out,
+    "inters": lambda a, b, out: kernel.intersection(a, b) == out,
+    "disj": lambda a, b: kernel.disjoint(a, b),
+    "subset": lambda a, b: kernel.subset(a, b),
+    "dom": lambda r, d: kernel.dom(r) == d,
+    "ran": lambda r, d: kernel.ran(r) == d,
+    "apply": _ground_apply,
+    "oplus": lambda r, g, out: kernel.override(r, g) == out,
+    "dres": lambda d, r, out: kernel.dres(d, r) == out,
+    "pfun": lambda r: kernel.is_pfun(r),
+    "seq_head": lambda s, h: kernel.seq_head(s) == h,
+    "seq_tail": lambda s, t: kernel.seq_tail(s) == t,
+    "seq_concat": lambda a, b, out: kernel.seq_concat(a, b) == out,
+    "seq_nth": lambda s, i, y: kernel.seq_nth(s, _need(IntV, i).n) == y,
+    "plus": _on_integers(lambda a, b, c: a + b == c),
+    "minus": _on_integers(lambda a, b, c: a - b == c),
+    "times": _on_integers(lambda a, b, c: a * b == c),
+    "intdiv": _on_integers(lambda a, b, c: b != 0 and a // b == c),
+    "le": _on_integers(operator.le),
+    "lt": _on_integers(operator.lt),
+}
 
 
 def _ground_constraint(c: Constraint, env) -> bool:
-    kind = c.kind
-    if kind in ("eq", "neq"):
-        want = kind == "eq"
-        for one, other in ((c.args[0], c.args[1]), (c.args[1], c.args[0])):
-            if isinstance(one, RisT):
-                got = _ris_value(one, env)
-                if got is _FAIL:
-                    return not want
-                if got is None:
-                    raise _Defer()
-                return (got == _ground_term(other, env)) == want
-            if isinstance(one, SetT) and one.tail is not None:
-                s = _ground_term(other, env)
-                elems = SetV([_ground_term(e, env) for e in one.elems])
-                tail = _ground_term(one.tail, env)
-                if not isinstance(s, SetV) or not isinstance(tail, SetV):
-                    return not want
-                holds = (
-                    s == kernel.union(elems, tail)
-                    and all(e not in tail for e in elems.elems)
-                )
-                return holds == want
-        a = _ground_term(c.args[0], env)
-        b = _ground_term(c.args[1], env)
-        return (a == b) == want
-    args = [_ground_term(a, env) for a in c.args]
+    check = _GROUND_RULES.get(c.kind)
+    negated = check is None
+    if negated:
+        check = _GROUND_RULES[DUALS[c.kind]]
+    ground = _ground_operand if c.kind in ("eq", "neq") else _ground_term
+    args = [ground(a, env) for a in c.args]
     try:
-        if kind == "in":
-            return isinstance(args[1], SetV) and args[0] in args[1]
-        if kind == "nin":
-            return isinstance(args[1], SetV) and args[0] not in args[1]
-        if kind == "un":
-            return kernel.union(args[0], args[1]) == args[2]
-        if kind == "diff":
-            return kernel.difference(args[0], args[1]) == args[2]
-        if kind == "inters":
-            return kernel.intersection(args[0], args[1]) == args[2]
-        if kind == "disj":
-            return kernel.disjoint(args[0], args[1])
-        if kind == "ndisj":
-            return not kernel.disjoint(args[0], args[1])
-        if kind == "subset":
-            return kernel.subset(args[0], args[1])
-        if kind == "nsubset":
-            return not kernel.subset(args[0], args[1])
-        if kind == "dom":
-            return kernel.dom(args[0]) == args[1]
-        if kind == "ran":
-            return kernel.ran(args[0]) == args[1]
-        if kind == "apply":
-            # as a constraint, application is functional at the point: the
-            # kernel operation's global-function precondition is not imposed
-            f, x, y = args
-            if not kernel.is_relation(f):
-                return False
-            matches = [p.elems[1] for p in f.elems if p.elems[0] == x]
-            return len(matches) == 1 and matches[0] == y
-        if kind == "oplus":
-            return kernel.override(args[0], args[1]) == args[2]
-        if kind == "dres":
-            return kernel.dres(args[0], args[1]) == args[2]
-        if kind == "pfun":
-            return kernel.is_pfun(args[0])
-        if kind == "npfun":
-            return not kernel.is_pfun(args[0])
-        if kind == "seq_head":
-            return kernel.seq_head(args[0]) == args[1]
-        if kind == "seq_tail":
-            return kernel.seq_tail(args[0]) == args[1]
-        if kind == "seq_concat":
-            return kernel.seq_concat(args[0], args[1]) == args[2]
-        if kind == "seq_nth":
-            if not isinstance(args[1], IntV):
-                return False
-            return kernel.seq_nth(args[0], args[1].n) == args[2]
-        if kind in ("plus", "minus", "times", "intdiv", "le", "lt"):
-            if not all(isinstance(a, IntV) for a in args):
-                return False
-            ns = [a.n for a in args]
-            if kind == "plus":
-                return ns[0] + ns[1] == ns[2]
-            if kind == "minus":
-                return ns[0] - ns[1] == ns[2]
-            if kind == "times":
-                return ns[0] * ns[1] == ns[2]
-            if kind == "intdiv":
-                return ns[1] != 0 and ns[0] // ns[1] == ns[2]
-            if kind == "le":
-                return ns[0] <= ns[1]
-            return ns[0] < ns[1]
+        return check(*args) != negated
     except _EVAL_ERRORS:
         return False
-    raise FormulaError(f"no ground rule for kind {kind!r}")
 
 
 def eval_ground_formula(f: Formula, assignment: dict, partial_ok: bool = False):
@@ -1316,10 +1257,11 @@ def _rewrite(constraints, declared):
     X = {e}.  pfun(X) and a one-pair set term are partial functions, and
     so is the result of oplus on two of them or of dres on one.  The
     conjunct is refuted by in and nin of one element in one set, by neq of
-    one class or of one singleton, by npfun of a partial function, and by
-    an apply whose argument can never be a key of its function
-    (_apply_outside_keys).  declared maps the caller's variables to their
-    sorts."""
+    one class or of one singleton, by npfun of a partial function, by a
+    declared variable whose sort holds no value of the kind of its argument
+    position (_outside_arg_kinds), and by an apply whose argument can never
+    be a key of its function (_apply_outside_keys).  declared maps the
+    caller's variables to their sorts."""
     patterns = {}
     for c in constraints:
         if c.kind == "eq":
@@ -1416,7 +1358,7 @@ def _rewrite(constraints, declared):
                         if (e, key(a)) in ins:
                             singles.setdefault(key(a), set()).add(e)
 
-    if ins & nins or _apply_outside_keys(out, declared):
+    if ins & nins or _outside_arg_kinds(out, declared) or _apply_outside_keys(out, declared):
         return None
     for c in out:
         if c.kind == "npfun" and is_pfun(c.args[0]):
@@ -1439,6 +1381,20 @@ _SORT_CLASSES = {
     SeqS: {SeqV},
     TupleS: {TupV},
 }
+
+
+def _outside_arg_kinds(constraints, declared):
+    """Whether a declared variable sits at an argument position of
+    _ARG_KINDS whose class no value of its sort has."""
+    for c in constraints:
+        tags = _ARG_KINDS[c.kind]
+        if tags is not None:
+            for tag, a in zip(tags, c.args):
+                if tag is not None and type(a) is Var:
+                    classes = _SORT_CLASSES.get(type(declared.get(a.name)))
+                    if classes is not None and tag.ground not in classes:
+                        return True
+    return False
 
 
 def _apply_outside_keys(constraints, declared):
@@ -1532,12 +1488,11 @@ class _Stuck(Exception):
 
 class _State:
     """Search state of one disjunct: the compiled constraints and their free
-    names, the env, the watch lists, the comprehension memo and the atoms
-    in use."""
+    names, the env, the watch lists and the atoms in use."""
 
     __slots__ = ("scope", "constraints", "free", "registry", "order", "budget", "nodes",
                  "fresh_counter", "used_names", "validate", "env", "watch", "sort_watch",
-                 "memo", "used_atoms", "atom_orders")
+                 "used_atoms", "atom_orders")
 
     def __init__(self, scope, constraints, free, registry, budget, validate, atoms, nodes=0):
         self.scope = scope
@@ -1559,7 +1514,6 @@ class _State:
         self.watch = {}
         # hole -> the declared variables that were not ground while it was open
         self.sort_watch = {name: {name: None} for name in validate}
-        self.memo = _RisMemo()
         # the literal atoms of the constraints and those held by the
         # enumerated bindings of the current decision path
         self.used_atoms = set(atoms)
@@ -1721,7 +1675,7 @@ def _propagate(st, pending, mark, queue):
     that can neither bind nor decide anything, so bindings happen in the
     same order.  Returns the constraints left open, or None when one fails
     or a declared variable grounds outside its universe."""
-    env, constraints, watch, memo = st.env, st.constraints, st.watch, st.memo
+    env, constraints, watch = st.env, st.constraints, st.watch
     closed = set()
 
     def is_open(j):
@@ -1740,7 +1694,7 @@ def _propagate(st, pending, mark, queue):
         while queue:
             i = heapq.heappop(queue)
             before = len(env)
-            r = _eval_constraint(constraints[i], env, memo)
+            r = _eval_constraint(constraints[i], env)
             if r == _FALSE:
                 return None
             if r == _DEFER:

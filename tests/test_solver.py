@@ -6,6 +6,7 @@ from setforge import solver
 from setforge import speclang as S
 from setforge.errors import SetforgeError
 from setforge.formula import (
+    DUALS,
     KINDS,
     TRUE,
     C,
@@ -228,8 +229,8 @@ ORACLE_CORPUS = [
     # a01 is not a scope atom: the stream names a1, never a zero-padded twin
     ("eq(X,a01)", {"X": AtomS("addr")}),
     # a declared variable left open at a leaf must still lie in its universe
-    # once the search fills its holes: dres gives a set, never a sequence,
-    # and a relation of integers holds no sequence
+    # once the search fills its holes: dres gives a set, never a sequence
+    # (refuted at compile time), and a relation of integers holds no sequence
     ("dres({a1},R,Q)", {"R": RelS(AtomS("addr"), IntS()), "Q": SeqS(IntS())}),
     ("apply(R,V,seq([0,1]))", {"R": RelS(AtomS("addr"), IntS()), "V": AtomS("addr")}),
     # Y is undeclared, so its default fill is an atom: X = {a1} lies outside
@@ -241,6 +242,16 @@ ORACLE_CORPUS = [
     # the keys of the undeclared Z are atoms or integers, never the relation
     # R: refuted at compile time, where the search spent its whole budget
     ("apply(Z,R,2)", {"R": RelS(AtomS("addr"), IntS())}),
+    # an open extension against another one or against a comprehension is
+    # decided once both values are known
+    ("{a1/A} neq {a2/B}", {"A": SetS(AtomS("addr")), "B": SetS(AtomS("addr"))}),
+    ("{a1/A} neq ris(X in S, [], true, X)", {"A": SetS(AtomS("addr"))}),
+    # the output of ran is a set, which Q's sort never holds: refuted at
+    # compile time, where the search enumerated every candidate for W
+    ("ran(W,Q)", {"Q": SeqS(IntS())}),
+    # the holes Q takes from R are integers, which Q's relation of atoms
+    # never holds: the leaf check, not compile time, rejects every Q but {}
+    ("dres({a1},R,Q) & neq(Q,{})", {"R": RelS(AtomS("addr"), IntS()), "Q": RelS(AtomS("addr"), AtomS("addr"))}),
 ]
 
 
@@ -526,6 +537,66 @@ def test_every_kind_has_one_rule_and_its_argument_kinds():
     assert set(solver._ARG_KINDS) == set(KINDS)
     for kind, tags in solver._ARG_KINDS.items():
         assert tags is None or len(tags) == KINDS[kind][0], kind
+
+
+# kind -> a true instance, a false one and one with an argument of the wrong
+# kind, for each kind with a ground check; a dual kind is checked on its
+# positive kind's instances.  eq has no wrong kind: its third instance is an
+# open extension whose tail lists its element, which denotes no set.
+GROUND_CASES = {
+    "eq": ("{a1/{a2}} = {a1,a2}", "[1,a1] = [a1,1]", "{a1/{a1}} = {a1}"),
+    "in": ("in(a1,{a1,a2})", "in(a3,{a1,a2})", "in(1,2)"),
+    "un": ("un({a1},{a2},{a1,a2})", "un({a1},{a2},{a1})", "un({a1},3,{a1})"),
+    "diff": ("diff({a1,a2},{a2},{a1})", "diff({a1,a2},{a2},{a2})", "diff(seq([0]),{},{})"),
+    "inters": ("inters({a1,a2},{a2},{a2})", "inters({a1},{a2},{a1})", "inters({a1},a1,{})"),
+    "disj": ("disj({a1},{a2})", "disj({a1},{a1,a2})", "disj({a1},1)"),
+    "subset": ("subset({a1},{a1,a2})", "subset({a1,a2},{a1})", "subset(a1,{a1})"),
+    "dom": ("dom({[a1,1],[a2,2]},{a1,a2})", "dom({[a1,1]},{1})", "dom({a1},{})"),
+    "ran": ("ran({[a1,1],[a2,1]},{1})", "ran({[a1,1]},{a1})", "ran(seq([0]),{0})"),
+    "apply": ("apply({[a1,1],[a2,2]},a2,2)", "apply({[a1,1],[a1,2]},a1,1)", "apply(3,a1,1)"),
+    "oplus": (
+        "oplus({[a1,1],[a2,2]},{[a1,3]},{[a1,3],[a2,2]})",
+        "oplus({[a1,1]},{[a2,2]},{[a2,2]})",
+        "oplus({[a1,1]},{a2},{[a1,1]})",
+    ),
+    "dres": ("dres({a1},{[a1,1],[a2,2]},{[a1,1]})", "dres({a2},{[a1,1]},{[a1,1]})", "dres(a1,{[a1,1]},{})"),
+    "pfun": ("pfun({[a1,1],[a2,1]})", "pfun({[a1,1],[a1,2]})", "pfun({1})"),
+    "seq_head": ("seq_head(seq([1,2]),1)", "seq_head(seq([1,2]),2)", "seq_head({1},1)"),
+    "seq_tail": ("seq_tail(seq([1,2]),seq([2]))", "seq_tail(seq([1]),seq([1]))", "seq_tail([1,2],seq([2]))"),
+    "seq_concat": (
+        "seq_concat(seq([1]),seq([2]),seq([1,2]))",
+        "seq_concat(seq([1]),seq([2]),seq([2,1]))",
+        "seq_concat(seq([1]),{2},seq([1,2]))",
+    ),
+    "seq_nth": ("seq_nth(seq([0,5]),2,5)", "seq_nth(seq([0]),2,0)", "seq_nth(seq([0]),a1,0)"),
+    "plus": ("plus(1,2,3)", "plus(1,2,4)", "plus(a1,1,2)"),
+    "minus": ("minus(3,1,2)", "minus(1,3,2)", "minus(3,{},3)"),
+    "times": ("times(2,3,6)", "times(2,3,5)", "times(2,seq([3]),6)"),
+    "intdiv": ("intdiv(7,2,3)", "intdiv(7,0,0)", "intdiv(a1,1,a1)"),
+    "le": ("le(2,2)", "le(3,2)", "le(a1,2)"),
+    "lt": ("lt(1,2)", "lt(2,2)", "lt(1,{})"),
+}
+
+
+def test_every_kind_has_a_ground_check_or_is_the_dual_of_one():
+    assert set(GROUND_CASES) == set(solver._GROUND_RULES)
+    for kind in KINDS:
+        assert kind in solver._GROUND_RULES or DUALS[kind] in solver._GROUND_RULES, kind
+
+
+@pytest.mark.parametrize("kind", GROUND_CASES)
+def test_ground_check_against_literal_expectations(kind):
+    """The true, false and wrong-kind instances give True, False and False;
+    the dual gives False, True and False, except that neq is the negation
+    of eq throughout."""
+    dual = DUALS.get(kind)
+    dual_expected = (False, True, True) if kind == "eq" else (False, True, False)
+    for src, expected, expected_of_dual in zip(GROUND_CASES[kind], (True, False, False), dual_expected):
+        f = F(src)
+        assert eval_ground_formula(f, {}) is expected, src
+        if dual is not None:
+            [[c]] = f.disjuncts
+            assert eval_ground_formula(Formula(((C(dual, *c.args),),)), {}) is expected_of_dual, src
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ The tracer wraps the kernel primitives on ``setforge._backend`` by the names
 in its ``KERNEL_PRIMS``, and the benchmark records ``setforge.BACKEND_NAME``
 with every run.  Its per-primitive counts are right only if kernel.py and
 values.py call the primitives through that module and the primitives call
-one another without going through the wrapped names.
+one another without going through the wrapped names.  It wraps the public
+kernel functions the same way, so the solver must look them up on the
+kernel module at each call.
 """
 
 import importlib.util
@@ -14,6 +16,8 @@ from pathlib import Path
 
 import setforge
 from setforge import _backend, kernel
+from setforge import speclang as S
+from setforge.solver import eval_ground_formula
 from setforge.values import atom, intv, tup, vset
 
 
@@ -63,3 +67,26 @@ def test_wrapped_primitives_see_the_calls_from_outside_only(monkeypatch):
     assert calls == Counter(override_elems=1, canon=1)
     assert kernel.dom(r) == kernel.dom(want)
     assert calls["canon"] == 1
+
+
+def test_the_ground_check_calls_kernel_functions_through_the_module(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(kernel, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    formulas = [S.parse_formula(src) for src in (
+        "un({a1},{a2},{a1,a2})", "disj({a1},{a2})", "ndisj({a1},{a2})",
+        "pfun({[a1,1]})", "npfun({[a1,1]})",
+    )]
+    for name in ("union", "disjoint", "is_pfun"):
+        monkeypatch.setattr(kernel, name, counting(name))
+
+    assert [eval_ground_formula(f, {}) for f in formulas] == [True, True, False, True, False]
+    assert calls == Counter(union=1, disjoint=2, is_pfun=2)
