@@ -5,12 +5,16 @@ precomputed structural key in ``_key`` (see values.py) and, for pairs, the
 components in ``.elems``.  Set arguments are assumed deduplicated and
 sorted by key; results preserve that form.  A pair's key orders pairs by
 first component, then by second, so a relation's pairs with one first
-component are contiguous.  kernel.py and values.py call these through the
+component are contiguous.  A union or a difference bisects each element
+of its shorter side into the longer one and copies the runs between them
+by slicing, so removing one packet from a soup of hundreds compares a few
+keys, not all of them.  kernel.py and values.py call these through the
 module (``_backend.<name>``), so a wrapper set on a name here sees every
 call from outside.
 """
 
 from bisect import bisect_left
+from operator import attrgetter
 
 BACKEND_NAME = "python"
 
@@ -48,44 +52,52 @@ def member(elems, v):
 _canon = canon
 _member = member
 
+_KEY = attrgetter("_key")
 
-def union(a, b):
-    """Merge two canonical tuples."""
-    i = j = 0
-    na, nb = len(a), len(b)
+
+def _merge_shorter(short, longer, keep_short):
+    """Union of two canonical tuples, short no longer than longer: each
+    element of short is bisected into longer, and the runs of longer
+    between them are copied by slicing.  On equal keys the element of short
+    is kept when keep_short holds, else that of longer."""
     out = []
-    while i < na and j < nb:
-        ka, kb = a[i]._key, b[j]._key
-        if ka < kb:
-            out.append(a[i])
-            i += 1
-        elif kb < ka:
-            out.append(b[j])
+    lo, n = 0, len(longer)
+    for v in short:
+        k = v._key
+        j = bisect_left(longer, k, lo, n, key=_KEY)
+        out += longer[lo:j]
+        if j < n and longer[j]._key == k:
+            out.append(v if keep_short else longer[j])
             j += 1
         else:
-            out.append(a[i])
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
+            out.append(v)
+        lo = j
+    out += longer[lo:]
     return tuple(out)
 
 
+def union(a, b):
+    """Union of two canonical tuples; on equal keys the element of a is kept."""
+    if len(a) <= len(b):
+        return _merge_shorter(a, b, True)
+    return _merge_shorter(b, a, False)
+
+
 def difference(a, b):
-    i = j = 0
-    na, nb = len(a), len(b)
+    """Elements of a whose key is not in b, bisecting the shorter side into
+    the other."""
+    na = len(a)
+    if len(b) >= na:
+        return tuple(v for v in a if not _member(b, v))
+    # cut each element of b out of a, copying the runs between by slicing
     out = []
-    while i < na and j < nb:
-        ka, kb = a[i]._key, b[j]._key
-        if ka < kb:
-            out.append(a[i])
-            i += 1
-        elif kb < ka:
-            j += 1
-        else:
-            i += 1
-            j += 1
-    out.extend(a[i:])
+    lo = 0
+    for v in b:
+        k = v._key
+        j = bisect_left(a, k, lo, na, key=_KEY)
+        out += a[lo:j]
+        lo = j + 1 if j < na and a[j]._key == k else j
+    out += a[lo:]
     return tuple(out)
 
 
@@ -111,7 +123,17 @@ def _first_key(p):
 
 
 def dom_elems(pairs):
-    return _canon([p.elems[0] for p in pairs])
+    """First components of a canonical tuple of pairs.  Pairs sharing one
+    are contiguous and sorted by it, so dropping repeats in a row suffices."""
+    out = []
+    last = None
+    for p in pairs:
+        x = p.elems[0]
+        k = x._key
+        if k != last:
+            out.append(x)
+            last = k
+    return tuple(out)
 
 
 def ran_elems(pairs):

@@ -34,11 +34,16 @@ _NOT_REL, _REL, _NOT_PFUN, _PFUN = range(4)
 
 
 def _relation_fact(s: SetV) -> int:
-    """_NOT_REL, or one of the relation facts once every element is a pair."""
+    """_NOT_REL, or one of the relation facts once every element is a pair.
+
+    Elements are sorted by key and a pair's key starts with (2, 2), so every
+    element is a pair exactly when the first and the last one are."""
     try:
         return s._facts
     except AttributeError:
-        fact = _REL if all(map(is_pair, s.elems)) else _NOT_REL
+        elems = s.elems
+        pair = not elems or elems[0]._key[:2] == (2, 2) == elems[-1]._key[:2]
+        fact = _REL if pair else _NOT_REL
         object.__setattr__(s, "_facts", fact)
         return fact
 

@@ -16,15 +16,17 @@ Grammar sketch:
              | "[" termlist "]"
              | "{" [termlist] ["/" term] "}"
 
-Comments run from "%" to end of line.  Variables start with an uppercase
-letter or underscore; a bare "_" is a fresh anonymous variable.  Printing
-is canonical: set elements in structural-key order, which also sorts record
-fields alphabetically; parse(print(x)) is the identity on formulas and
-ground values.
+Comments run from "%" to end of line.  INT is one or more decimal digits
+(str.isdecimal), no more than the interpreter converts to an int.  Variables
+start with an uppercase letter or underscore; a bare "_" is a fresh
+anonymous variable.  Printing is canonical: set elements in structural-key
+order, which also sorts record fields alphabetically; parse(print(x)) is
+the identity on formulas and ground values.
 """
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 
 from .errors import NotGroundError, ParseError
@@ -106,9 +108,9 @@ def _lex(src: str):
             i += 2
             col += 2
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and src[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "-" and i + 1 < n and src[i + 1].isdecimal()):
             j = i + 1
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             toks.append(_Tok("INT", src[i:j], line, col))
             col += j - i
@@ -228,7 +230,12 @@ class _Parser:
         t = self.peek()
         if t.kind == "INT":
             self.next()
-            return Lit(IntV(int(t.text)))
+            try:
+                return Lit(IntV(int(t.text)))
+            except ValueError:  # more digits than the interpreter converts
+                raise ParseError(
+                    "integer literal has too many digits", t.line, t.col, t.text[:12] + "..."
+                ) from None
         if t.kind == "UIDENT":
             self.next()
             if t.text == "_":
@@ -362,8 +369,94 @@ def parse_term(src: str) -> Term:
 
 
 def parse_value(src: str) -> Value:
-    t = parse_term(src)
-    return term_value(t)
+    """The ground value src spells.  Text that the direct reader does not
+    take goes through parse_term and term_value, which build the same value
+    or raise the error for it."""
+    v = _read_value(src)
+    if v is None:
+        v = term_value(parse_term(src))
+    return v
+
+
+# One token of a ground value after the blanks before it: an integer, a
+# name, or any other single character.  Names and integers are ASCII only.
+_VALUE_TOKEN = re.compile(r"[ \t\r\n]*(-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[^ \t\r\n])")
+# Deeper text goes to the recursive parser, which decides whether it is
+# nested too deeply to read.
+_READ_DEPTH = 64
+
+
+def _read_value(src: str):
+    """Build the value src spells as its tokens come, without a term tree;
+    None when src is anything but a well-formed ground value of ASCII names
+    and integers nested at most _READ_DEPTH deep."""
+    toks = _VALUE_TOKEN.findall(src)
+    n = len(toks)
+    # open containers, innermost last: closing token(s) and elements so far;
+    # "}" a set, "]" a tuple, ")" a constructor, "])" a sequence
+    open_ = []
+    i = 0
+    while i < n and len(open_) <= _READ_DEPTH:
+        t = toks[i]
+        i += 1
+        c = t[0]
+        if "a" <= c <= "z":
+            paren = i < n and toks[i] == "("
+            if t == "seq" and paren and toks[i + 1:i + 2] == ["["]:
+                i += 2
+                if toks[i:i + 2] != ["]", ")"]:
+                    open_.append(("])", []))
+                    continue
+                i += 2
+                v = SeqV(())
+            elif t in RESERVED or (paren and t in KINDS):
+                return None
+            else:
+                v = Atom(t)
+                if paren:
+                    i += 1
+                    open_.append((")", [v]))
+                    continue
+        elif "0" <= c <= "9" or (c == "-" and len(t) > 1):
+            try:
+                v = IntV(int(t))
+            except ValueError:
+                return None
+        elif c == "{" and i < n and toks[i] == "}":
+            i += 1
+            v = SetV(())
+        elif c == "{" or c == "[":
+            open_.append(("}" if c == "{" else "]", []))
+            continue
+        else:
+            return None
+        # v is complete: add it to its container, closing those that end here
+        while open_:
+            closer, elems = open_[-1]
+            elems.append(v)
+            if i == n:
+                return None
+            t = toks[i]
+            i += 1
+            if t == ",":
+                break
+            if t != closer[0]:
+                return None
+            open_.pop()
+            if closer == "}":
+                v = SetV(elems)
+            elif closer == "])":
+                if i == n or toks[i] != ")":
+                    return None
+                i += 1
+                v = SeqV(elems)
+            elif len(elems) < 2:
+                return None
+            else:
+                v = TupV(elems)
+        else:
+            return v if i == n else None
+    return None
 
 
 def term_value(t: Term) -> Value:

@@ -266,3 +266,25 @@ def test_evm_fixture_missing_field(capsys, tmp_path):
     code, _, err = run_cli(capsys, "evm", "step", "--op", "checkpoint", "--fixture", str(p))
     assert code == 2
     assert "transaction" in err
+
+
+def test_eval_hostile_integers_are_parse_errors(capsys, tmp_path):
+    p = tmp_path / "f.slog"
+    cases = [("in(a1,{²}).\n", "(line 1, column 8 at '²')")]
+    if hasattr(sys, "get_int_max_str_digits"):  # Python 3.10.7 on limit int() digits
+        cases.append(("X = " + "1" * 5000 + ".\n", "(line 1, column 5 at '111111111111...')"))
+    for src, where in cases:
+        p.write_text(src, encoding="utf-8")
+        code, out, err = run_cli(capsys, "eval", str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.rstrip().endswith(where)
+
+
+def test_simulate_non_decimal_digit_is_a_parse_error(capsys, tmp_path):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"nodes": ["this", "a1"], "this": "this",
+                             "soup": ["[env,this,addrMsg({a1,²})]"], "schedule": [1]}),
+                 encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", str(p))
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected character (line 1, column 23 at '²')\n"

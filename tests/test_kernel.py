@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given
@@ -13,7 +14,10 @@ from setforge.errors import (
     OutsideDomainError,
     RangeError,
 )
-from setforge.values import EMPTY_SET, SetV, atom, intv, tup, vseq, vset
+from setforge.solver import solve
+from setforge.speclang import parse_formula
+from setforge.universe import AtomS, IntS, RelS, Scope, SetS, enumerate_sort
+from setforge.values import EMPTY_SET, IntV, SetV, atom, intv, is_pair, tup, vseq, vset
 
 a1, a2, a3 = atom("a1"), atom("a2"), atom("a3")
 s_, t_, acc1 = atom("s"), atom("t"), atom("acc1")
@@ -304,3 +308,108 @@ def test_union_difference_oracle(x, y):
     assert set(K.union(A, B).elems) == set(A.elems) | set(B.elems)
     assert set(K.difference(A, B).elems) == set(A.elems) - set(B.elems)
     assert set(K.intersection(A, B).elems) == set(A.elems) & set(B.elems)
+
+
+# -- bisecting merges, the O(1) relation fact and dom: fast paths against models ---
+
+
+def _plain_union(a, b):
+    """Sorted, duplicate-free a + b; on equal keys the element of a, which
+    the stable sort puts first."""
+    return _backend.canon(list(a) + list(b))
+
+
+def _same_objects(x, y):
+    return len(x) == len(y) and all(u is v for u, v in zip(x, y))
+
+
+def _merge_cases(rng):
+    """Pairs of canonical tuples: short and long sides, the short side first
+    and second, equal sizes, empty sides, overlapping keys, and equal keys
+    held by distinct objects."""
+    pool = ([intv(i) for i in range(90)] + [atom(f"a{i}") for i in range(30)]
+            + [tup(atom(f"a{i}"), intv(i % 4)) for i in range(30)])
+    sizes = [0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 23, 24, 25, 40]
+    for small in (0, 1, 2, 3):
+        for large in sizes:
+            for _ in range(3):
+                a = SetV(rng.sample(pool, small)).elems
+                b = SetV(rng.sample(pool, large)).elems
+                yield a, b
+                yield b, a
+    for large in sizes:
+        a = SetV(rng.sample(pool, large)).elems
+        twins = SetV([intv(v.n) if isinstance(v, IntV) else v for v in a]).elems
+        yield a, a
+        yield a, twins
+        yield a[::9], twins
+        yield twins, a[::9]
+        yield a, a[::3]
+        yield a[1::4], a
+
+
+def test_union_and_difference_match_models_on_both_paths(gen):
+    for a, b in _merge_cases(gen.rng):
+        u, d = _backend.union(a, b), _backend.difference(a, b)
+        assert set(u) == set(a) | set(b)
+        assert set(d) == set(a) - set(b)
+        assert _same_objects(u, _plain_union(a, b))
+        assert _same_objects(d, tuple(v for v in a if v not in set(b)))
+
+
+def _mixed_pool():
+    pairs = [tup(a1, a2), tup(a1, intv(0)), tup(intv(3), EMPTY_SET), tup(vset([a1]), a3)]
+    others = [a1, a3, intv(-1), intv(2), tup(a1, a2, a3), tup(a1, a1, a1, a1),
+              EMPTY_SET, vset([a1, a2]), vseq([]), vseq([a1, a2])]
+    return pairs + others
+
+
+def test_relation_fact_matches_every_element_a_pair(gen):
+    pool = _mixed_pool()
+    cases = [(tup(a1, a2), tup(a1, a2, a3)), (tup(a1, a2), a1), (intv(0), tup(a1, a2)),
+             (tup(a1, a2), vset([a1])), (tup(a1, a2), vseq([a1, a2]))]
+    for k in range(len(pool) + 1):
+        cases += [gen.rng.sample(pool, k) for _ in range(20)]
+    for elems in cases:
+        s = vset(elems)
+        fact = K._relation_fact(vset(elems)) != K._NOT_REL
+        assert fact == all(map(is_pair, s.elems)), s
+        assert K.is_relation(vset(elems)) == fact
+    assert not K.is_relation(vset([tup(a1, a2), tup(a1, a2, a3)]))
+
+
+def test_dom_elems_is_canon_of_first_components(gen):
+    keys = [gen.value(1) for _ in range(4)]
+    for _ in range(300):
+        for r in (gen.relation(max_card=8), _dense_relation(gen, keys)):
+            firsts = [p.elems[0] for p in r.elems]
+            assert _same_objects(_backend.dom_elems(r.elems), _backend.canon(firsts))
+    accounts = rel(*[(atom(f"a{i:03d}"), intv(i)) for i in range(300)])
+    assert _backend.dom_elems(accounts.elems) == tuple(atom(f"a{i:03d}") for i in range(300))
+
+
+def test_every_canonical_set_outside_the_backend_is_sorted_and_distinct(monkeypatch):
+    """The O(1) relation fact reads only a set's first and last element, so
+    it holds only if sets built with _canonical=True really are canonical."""
+    real_init = SetV.__init__
+    sites = set()
+
+    def checked_init(self, elems=(), _canonical=False):
+        if _canonical:
+            elems = tuple(elems)
+            caller = sys._getframe(1)
+            sites.add((caller.f_globals["__name__"], caller.f_code.co_name))
+            ascending = all(x._key < y._key for x, y in zip(elems, elems[1:]))
+            assert ascending, (caller.f_code.co_name, elems)
+        real_init(self, elems, _canonical)
+
+    monkeypatch.setattr(SetV, "__init__", checked_init)
+    scope = Scope(atoms_per_namespace=3, int_lo=0, int_hi=2, max_set_card=2)
+    for sort in (SetS(AtomS("addr")), SetS(IntS()), SetS(SetS(AtomS("hash"))),
+                 RelS(AtomS("addr"), IntS()), RelS(IntS(), AtomS("tx"))):
+        list(enumerate_sort(sort, scope))
+    sorts = {"X": SetS(AtomS("addr")), "A": SetS(AtomS("addr")), "B": SetS(AtomS("addr"))}
+    for src in ("X neq {} & subset(X,{a1,a2})", "un(A,B,{a1,a2,a3}) & A neq B & disj(A,B)"):
+        solve(parse_formula(src), scope, sorts)
+    assert {("setforge.universe", "enumerate_sort"), ("setforge.solver", "_sort_candidates"),
+            ("setforge.solver", "_candidates")} <= sites

@@ -21,11 +21,21 @@ def _workloads():
     return mod
 
 
-def test_simulate_pass_matches_independent_model():
+def _check_pass(seed):
     wl = _workloads()
-    sim = wl.Simulate(str(REPO), 1)
+    sim = wl.Simulate(str(REPO), seed)
     rec = wl.Recorder()
     sim.run_pass(rec)
     assert len(rec.ops) == wl.SIM_DELIVERIES + wl.EVM_TRANSACTIONS
     failed = [(op.label, op.error) for op, ok in zip(rec.ops, sim.check(rec.ops)) if not ok]
     assert failed == []
+
+
+def test_simulate_pass_matches_independent_model():
+    _check_pass(1)
+
+
+def test_simulate_pass_at_another_seed_matches_independent_model():
+    # other soup contents for the kernel's bisecting merges; seed 2's
+    # scenario draw is several times slower than this one's
+    _check_pass(3)

@@ -1,11 +1,19 @@
+import json
+import random
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import values_st
 from setforge import speclang as S
 from setforge.errors import NotGroundError, ParseError
 from setforge.formula import FALSE, TRUE, Lit, RisT, SetT, TupT, Var
 from setforge.values import atom, intv, tup, vseq, vset
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 RCVADDR_SRC = """
 rcvAddr(S,P,Ps,S_) :-
@@ -150,3 +158,140 @@ def test_value_round_trip(v):
 def test_printing_is_injective_modulo_equality(v):
     # canonical form: printing twice gives the same text
     assert S.print_value(v) == S.print_value(S.parse_value(S.print_value(v)))
+
+
+# -- the direct value reader against the term path -----------------------------------
+
+
+def _term_path(src):
+    return S.term_value(S.parse_term(src))
+
+
+def _result(fn, src):
+    """The value fn(src) builds, or the type, message, line and column of
+    the error it raises."""
+    try:
+        return ("value", fn(src))
+    except (ParseError, NotGroundError) as e:
+        return (type(e), str(e), getattr(e, "line", None), getattr(e, "col", None))
+
+
+def _assert_read_directly(src):
+    """The direct reader takes src itself and builds the term path's value."""
+    v = S._read_value(src)
+    assert v is not None, src
+    assert v == _term_path(src) == S.parse_value(src)
+    assert S.print_value(v) == S.print_value(_term_path(src))
+
+
+def _strings(obj):
+    if isinstance(obj, str):
+        yield obj
+    elif isinstance(obj, list):
+        for x in obj:
+            yield from _strings(x)
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            yield from _strings(x)
+
+
+def test_reader_matches_term_path_on_scenario_values():
+    texts = [s for path in sorted(SCENARIOS.glob("*.json"))
+             for s in _strings(json.loads(path.read_text()))]
+    assert len(texts) >= 20
+    for src in texts:
+        _assert_read_directly(src)
+
+
+def test_reader_matches_term_path_on_a_300_account_world():
+    rng = random.Random(11)
+    names = [f"a{i:03d}" for i in range(1, 301)]
+    acc = ",".join(f"[{a},{{[bal,{rng.randint(0, 10**6)}],[code,prog({{}})],"
+                   f"[nonce,{rng.randint(0, 9)}]}}]" for a in names)
+    _assert_read_directly(f"{{[acc,{{{acc}}}],[accCC,{{}}],[newaddr,null],[step,initial]}}")
+    for _ in range(50):
+        _assert_read_directly(
+            f"{{[sender,{rng.choice(names)}],[td,seq([])],[tg,{rng.randint(1, 100)}],"
+            f"[ti,prog({{}})],[tn,{rng.randint(0, 9)}],[tp,{rng.randint(1, 20)}],"
+            f"[tt,contractCreation],[tv,{rng.randint(-5, 1000)}]}}")
+
+
+@given(values_st())
+def test_reader_matches_term_path_on_printed_values(v):
+    _assert_read_directly(S.print_value(v))
+
+
+def test_reader_leaves_only_deeper_nesting_to_the_term_path():
+    for depth in (S._READ_DEPTH, S._READ_DEPTH + 1):
+        src = "[" * (depth - 1) + "{a1}" + ",a2]" * (depth - 1)  # depth containers
+        assert (S._read_value(src) is None) == (depth == S._READ_DEPTH + 1)
+        assert S.parse_value(src) == _term_path(src)
+
+
+MALFORMED = [
+    "", " ", "{a1,}", "[a1,a2,]", "{,a1}", "{a1,,a2}", "[a1]", "[]", "seq([a1,])",
+    "{a1/T}", "{a1 / }", "X", "_", "[a1,X]", "{[a1,_]}", "seq([X])", "addrMsg(X)",
+    "ris(X in {a1},[],true,X)", "{ris(X in {a1},[],true,X)}", "seq(", "seq([a1]",
+    "seq[a1]", "seq", "seq([])]", "seq([a1]]", "[seq([a1]],a2]", "{a1} % comment", "% only a comment",
+    "{a1,\n% note\na2}", "{a1,\n\n  B}", "{a1,\n\n  a2", "\n\n}", "{a1}}", "}",
+    "a1 a2", "[a1 a2]", "a1.", "-", "- 1", "--1", "1a", "a1 = a2", "f()",
+    "un(a1,a2)", "or", "{in}", "true", "prog({})", "addrMsg({a1,a2})", "a1²", "²",
+    "{a1,²}", "1" * 5000, "-" + "1" * 5000, "{" + "9" * 5000 + "}", "é", "{é,a1}",
+    "\t{a1}\r\n", "{a1}\x0b", " {a1}", "[" * 70 + "a1,a2" + "]" * 70,
+    "{" * 3000 + "}" * 3000, "[" * 3000 + "a1", "seq([" * 3000,
+]
+
+
+def test_reader_raises_like_term_path_on_malformed_input():
+    for src in MALFORMED:
+        assert _result(S.parse_value, src) == _result(_term_path, src), src
+
+
+@given(st.text())
+def test_reader_matches_term_path_on_random_text(src):
+    assert _result(S.parse_value, src) == _result(_term_path, src)
+
+
+@given(st.text(alphabet="{}[](),/ \n%_-09a1XseqprogMsg²é\u0661"))
+def test_reader_matches_term_path_on_random_value_like_text(src):
+    assert _result(S.parse_value, src) == _result(_term_path, src)
+
+
+# -- integer literals: decimal digits, no more than the interpreter converts ---
+
+
+def test_unicode_decimal_digits_are_integers():
+    assert S.parse_value("\u0661") == intv(1)
+    assert S.parse_value("-\u0661\u0662") == intv(-12)
+    assert S.parse_value("{\u0661,a1}") == vset([intv(1), atom("a1")])
+    assert S.parse_formula("X = \u0663") == S.parse_formula("X = 3")
+    for src in ("\u0661", "-\u0661\u0662", "{\u0661,a1}", "[a1,\u0669\u0669]"):
+        assert _result(S.parse_value, src) == _result(_term_path, src), src
+
+
+def test_non_decimal_digit_is_a_parse_error():
+    for fn, src, col in ((S.parse_value, "²", 1), (S.parse_value, "{a1,²}", 5),
+                         (S.parse_formula, "in(a1,{²})", 8)):
+        with pytest.raises(ParseError) as e:
+            fn(src)
+        assert (e.value.line, e.value.col, e.value.token) == (1, col, "²")
+        assert str(e.value).startswith("unexpected character")
+    with pytest.raises(ParseError) as e:
+        S.parse_value("{a1,\n  ²}")
+    assert (e.value.line, e.value.col) == (2, 3)
+    assert S.parse_value("a²") == atom("a²")
+
+
+# Python 3.10.7 and later limit the digits int() converts; earlier ones convert any length.
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() converts any number of digits")
+def test_overlong_integer_literal_is_a_parse_error():
+    digits = "1" * 5000
+    for fn, src, col in ((S.parse_value, digits, 1), (S.parse_value, "{a1,-" + digits + "}", 5),
+                         (S.parse_formula, "X = " + digits, 5),
+                         (S.parse_formula, "in(" + digits + ",{})", 4)):
+        with pytest.raises(ParseError) as e:
+            fn(src)
+        assert (e.value.line, e.value.col) == (1, col)
+        assert str(e.value).startswith("integer literal has too many digits")
+    assert S.parse_value("9" * 4000) == intv(int("9" * 4000))
