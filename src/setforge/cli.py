@@ -111,18 +111,27 @@ def cmd_eval(args) -> int:
     return 1
 
 
+def _parse_entry(src: str, where: str):
+    """parse_value, with a ParseError prefixed by the JSON entry that holds
+    src; its line and column stay those within src."""
+    try:
+        return speclang.parse_value(src)
+    except ParseError as e:
+        raise ParseError(f"{where}: {e.message}", e.line, e.col, e.token) from None
+
+
 def _load_scenario(path: str):
     try:
         obj = json.loads(_read(path))
     except json.JSONDecodeError as e:
         raise ParseError(f"bad scenario JSON: {e.msg}", e.lineno, e.colno) from None
     try:
-        nodes = vset([speclang.parse_value(n) for n in obj["nodes"]])
-        soup = vset([speclang.parse_value(p) for p in obj.get("soup", [])])
+        nodes = vset([_parse_entry(n, f"nodes[{i}]") for i, n in enumerate(obj["nodes"])])
+        soup = vset([_parse_entry(p, f"soup[{i}]") for i, p in enumerate(obj.get("soup", []))])
         schedule = []
-        for sel in obj.get("schedule", []):
-            schedule.append(sel if isinstance(sel, int) else speclang.parse_value(sel))
-        this = speclang.parse_value(obj["this"]) if "this" in obj else None
+        for i, sel in enumerate(obj.get("schedule", [])):
+            schedule.append(sel if isinstance(sel, int) else _parse_entry(sel, f"schedule[{i}]"))
+        this = _parse_entry(obj["this"], "this") if "this" in obj else None
     except (KeyError, TypeError) as e:
         raise _UsageError(f"scenario is missing or mistypes a field: {e}") from None
     if this is not None and this not in nodes:
@@ -281,7 +290,7 @@ def _load_fixture(path: str) -> dict:
         raise ParseError(f"bad fixture JSON: {e.msg}", e.lineno, e.colno) from None
     out = {}
     for key, val in obj.items():
-        out[key] = speclang.parse_value(val) if isinstance(val, str) else val
+        out[key] = _parse_entry(val, key) if isinstance(val, str) else val
     return out
 
 

@@ -146,9 +146,10 @@ def rcv_addr(self_addr: Atom, s: Value, p: Value):
     greetings = kernel.ris_eval(
         newcomers, lambda a: True, lambda a: TupV((self_addr, a, CONNECT_MSG))
     )
-    forwards = kernel.ris_eval(
-        known, lambda a: True, lambda a: TupV((self_addr, a, addr_msg(known_new)))
-    )
+    # one message for every forward; with no peer known none is built, so
+    # the payload then needs no address check
+    fwd = addr_msg(known_new) if known.elems else None
+    forwards = kernel.ris_eval(known, lambda a: True, lambda a: TupV((self_addr, a, fwd)))
     if not kernel.disjoint(greetings, forwards):
         # proved impossible (see the bundled disjointness goal); re-checked
         # concretely on every call
@@ -182,8 +183,7 @@ def deliver_step(c: Value, p: Value):
     if p not in soup:
         raise NoSuchPacket(f"packet not in soup: {p!r}")
     _src, dst, msg = packet_parts(p)
-    keys = kernel.dom(delta)
-    if dst not in keys:
+    if not kernel.in_dom(dst, delta):
         raise UnknownNode(f"packet destination {dst.name} is not a known node")
     state = kernel.apply(delta, dst)
     handler = _RECEIVERS.get(msg_kind(msg))

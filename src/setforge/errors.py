@@ -33,6 +33,7 @@ class ParseError(SetforgeError):
     """Syntax error in spec-language source text."""
 
     def __init__(self, message, line, col, token=None):
+        self.message = message
         self.line = line
         self.col = col
         self.token = token

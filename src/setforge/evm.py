@@ -142,7 +142,7 @@ def transaction_validity(w: Value, t: Value) -> bool:
     the worst-case gas purchase plus the transferred value."""
     acc = _get(w, "acc")
     sender = _get(t, "sender")
-    if sender not in kernel.dom(acc):
+    if not kernel.in_dom(sender, acc):
         return False
     sender_acc = kernel.apply(acc, sender)
     if _get_nat(t, "tn") != _get_nat(sender_acc, "nonce"):

@@ -114,6 +114,12 @@ def dom(r: Value) -> SetV:
     return SetV(_backend.dom_elems(r.elems), _canonical=True)
 
 
+def in_dom(x: Value, r: Value) -> bool:
+    """x ∈ dom r, by bisection into r's pairs: the domain is not built."""
+    r = _need_rel(r, "dom")
+    return len(_backend.lookup(r.elems, x)) > 0
+
+
 def ran(r: Value) -> SetV:
     """Set of second components of a binary relation."""
     r = _need_rel(r, "ran")
@@ -193,9 +199,12 @@ def seq_nth(s: Value, i: int) -> Value:
 
 def _record_pairs(r: Value, op: str):
     r = _need_rel(r, op)
-    for e in r.elems:
-        if not isinstance(e.elems[0], Atom):
-            raise KindError(f"{op}: record field is not an atom: {e.elems[0]!r}")
+    elems = r.elems
+    # pairs sort by first component and atom keys sort first, so every
+    # field is an atom exactly when the last one is
+    if elems and not isinstance(elems[-1].elems[0], Atom):
+        bad = next(e.elems[0] for e in elems if not isinstance(e.elems[0], Atom))
+        raise KindError(f"{op}: record field is not an atom: {bad!r}")
     if not _is_pfun(r):
         raise KindError(f"{op}: duplicate field atoms in record")
     return r

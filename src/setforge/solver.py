@@ -887,7 +887,8 @@ def _try_pval(t, env):
 
 def _ris_value(t: RisT, env):
     """Value of a comprehension whose domain is ground, else None; _FAIL
-    when the domain is ground but not a set.  The binder is set in env
+    when the domain is ground but not a set, or a pattern denotes no set
+    (a set term in it is lifted, _lift).  The binder is set in env
     while the filter and pattern are evaluated, and restored after."""
     try:
         domain = term_pval(t.domain, env)
@@ -911,7 +912,12 @@ def _ris_value(t: RisT, env):
             try:
                 y = term_pval(t.pattern, env)
             except _Defer:
-                return None
+                try:
+                    y = term_pval(_lift(t.pattern, env), env)
+                except _Defer:
+                    return None
+                except KindError:
+                    return _FAIL
             if not isinstance(y, Value):
                 return None
             out.append(y)
@@ -1010,10 +1016,38 @@ _EVAL_ERRORS = (
 )
 
 
+def _lift(t: Term, env) -> Term:
+    """t with each comprehension and open extension inside it replaced by
+    its value, read as _compile_conjunct reads it, an equation on a fresh
+    variable: _Defer while one has no value yet, and KindError, which makes
+    the constraint and its dual false, when one denotes no set."""
+    if isinstance(t, (TupT, SeqT, SetT)) and not _is_set_term(t):
+        return type(t)([_lift(e, env) for e in t.elems])
+    if not _is_set_term(t):
+        return t
+    v = _lifted_set_value(t, env)
+    if v is None:
+        raise _Defer()
+    if v is _FAIL:
+        raise KindError("a nested set term denotes no set")
+    return Lit(v)
+
+
+def _lifted_set_value(t, env):
+    """_set_value of a comprehension or an open extension whose own parts
+    are lifted first."""
+    if isinstance(t, RisT):
+        return _ris_value(RisT(t.binder, _lift(t.domain, env), t.filter, t.pattern), env)
+    return _open_value(SetT([_lift(e, env) for e in t.elems], _lift(t.tail, env)), env)
+
+
 def _ground_term(t: Term, env):
-    """The value of a term that env grounds; _Defer when it does not, and
-    for a comprehension or an open extension."""
-    v = term_pval(t, env)
+    """The value of a term that env grounds, _Defer when it does not; a
+    comprehension or an open extension in it is lifted (_lift)."""
+    try:
+        v = term_pval(t, env)
+    except _Defer:
+        v = term_pval(_lift(t, env), env)
     if not isinstance(v, Value):
         raise _Defer()
     return v
@@ -1023,7 +1057,7 @@ def _ground_operand(t: Term, env):
     """The value of an eq or neq operand, None when it denotes no set."""
     if not _is_set_term(t):
         return _ground_term(t, env)
-    v = _set_value(t, env)
+    v = _lifted_set_value(t, env)
     if v is None:
         raise _Defer()
     return None if v is _FAIL else v
@@ -1089,9 +1123,8 @@ def _ground_constraint(c: Constraint, env) -> bool:
     if negated:
         check = _GROUND_RULES[DUALS[c.kind]]
     ground = _ground_operand if c.kind in ("eq", "neq") else _ground_term
-    args = [ground(a, env) for a in c.args]
     try:
-        return check(*args) != negated
+        return check(*[ground(a, env) for a in c.args]) != negated
     except _EVAL_ERRORS:
         return False
 

@@ -37,25 +37,19 @@ FIELD_ATOMS = frozenset(
     "cs ees ia io ip ie".split()
 )
 
-_ADDR_RE = re.compile(r"(?:a|n)\d+$")
-_HASH_RE = re.compile(r"h\d+$")
-_PROOF_RE = re.compile(r"pr\d+$")
-_TX_RE = re.compile(r"tx\d+$")
-_OPAQUE_RE = re.compile(r"u\d+$")
+# A prefix and digits name an atom of the namespace its group is called by.
+_NUMBERED_RE = re.compile(
+    r"(?:(?P<addr>a|n)|(?P<hash>h)|(?P<proof>pr)|(?P<tx>tx)|(?P<opaque>u))\d+$"
+)
 
 
 def infer_namespace(name: str) -> str:
     """Namespace of a lowercase atom name, by lexical convention."""
-    if name in ("this", "env", "null") or _ADDR_RE.match(name):
+    if name in ("this", "env", "null"):
         return "addr"
-    if _HASH_RE.match(name):
-        return "hash"
-    if _PROOF_RE.match(name):
-        return "proof"
-    if _TX_RE.match(name):
-        return "tx"
-    if _OPAQUE_RE.match(name):
-        return "opaque"
+    m = _NUMBERED_RE.match(name)
+    if m is not None:
+        return m.lastgroup
     if name.endswith("Msg"):
         return "msg"
     if name in FIELD_ATOMS:

@@ -287,4 +287,28 @@ def test_simulate_non_decimal_digit_is_a_parse_error(capsys, tmp_path):
                  encoding="utf-8")
     code, out, err = run_cli(capsys, "simulate", str(p))
     assert (code, out) == (2, "")
-    assert err == "error: unexpected character (line 1, column 23 at '²')\n"
+    assert err == "error: soup[0]: unexpected character (line 1, column 23 at '²')\n"
+
+
+def test_scenario_parse_error_names_its_entry(capsys, tmp_path):
+    p = tmp_path / "s.json"
+    for scenario, where in (
+        ({"nodes": ["this", "a1,"]}, "nodes[1]: "),
+        ({"nodes": ["this"], "this": "th is"}, "this: "),
+        ({"nodes": ["this"], "schedule": [0, "[env,this"]}, "schedule[1]: "),
+    ):
+        p.write_text(json.dumps(scenario), encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + where) and "(line 1, column " in err, err
+
+
+def test_evm_fixture_parse_error_names_its_key(capsys, tmp_path):
+    fx = json.loads(EVM_CHECKPOINT.read_text())
+    fx["transaction"] = fx["transaction"].replace("[tn,0]", "[tn,²]")
+    col = fx["transaction"].index("²") + 1
+    p = tmp_path / "fx.json"
+    p.write_text(json.dumps(fx), encoding="utf-8")
+    code, out, err = run_cli(capsys, "evm", "step", "--op", "checkpoint", "--fixture", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"error: transaction: unexpected character (line 1, column {col} at '²')\n"

@@ -10,7 +10,7 @@ from setforge.errors import (
     ScheduleError,
     UnknownNode,
 )
-from setforge.values import EMPTY_SET, atom, tup, vseq, vset
+from setforge.values import EMPTY_SET, atom, intv, tup, vseq, vset
 
 this = atom("this")
 a1, a2, a3, a9 = atom("a1"), atom("a2"), atom("a3"), atom("a9")
@@ -59,6 +59,24 @@ def test_rcv_addr_with_nothing_new():
     assert s2 == s
 
 
+def test_rcv_addr_without_peers_forwards_nothing():
+    # no peer is known, so the payload is never wrapped in a forward and
+    # needs no address check
+    p = CN.make_packet(CN.ENV_ADDR, this, tup(CN.ADDR_MSG, vset([intv(5)])))
+    ps, s2 = CN.rcv_addr(this, CN.make_loc_state(), p)
+    assert ps == vset([tup(this, intv(5), CN.CONNECT_MSG)])
+    assert CN.state_known(s2) == vset([intv(5)])
+    with pytest.raises(KindError):
+        CN.rcv_addr(this, CN.make_loc_state(known=vset([a1])), p)
+
+
+def test_rcv_addr_forwards_one_message_to_every_peer():
+    s = CN.make_loc_state(known=vset([a1, a2]))
+    ps, _ = CN.rcv_addr(this, s, announce(this, [a3]))
+    fwds = [q for q in ps.elems if CN.is_addr_msg(q.elems[2])]
+    assert fwds == [forward(this, a1, [a1, a2, a3]), forward(this, a2, [a1, a2, a3])]
+
+
 def test_rcv_addr_not_addressed_here():
     s = CN.make_loc_state()
     with pytest.raises(NotEnabled):
@@ -102,6 +120,15 @@ def test_deliver_unknown_destination():
     c = CN.init_conf(vset([n1]))
     p = CN.make_packet(n1, a9, CN.addr_msg(vset([a1])))
     c = CN.make_conf(CN.conf_delta(c), vset([p]))
+    with pytest.raises(UnknownNode):
+        CN.deliver_step(c, p)
+
+
+def test_deliver_unknown_destination_before_the_function_question():
+    # a node map that is no function cannot come from make_conf
+    delta = vset([tup(n1, CN.make_loc_state()), tup(n1, CN.make_loc_state(known=vset([a1])))])
+    p = CN.make_packet(n1, a9, CN.CONNECT_MSG)
+    c = vset([tup(atom("delta", "field"), delta), tup(atom("soup", "field"), vset([p]))])
     with pytest.raises(UnknownNode):
         CN.deliver_step(c, p)
 

@@ -39,6 +39,14 @@ def test_validity_needs_known_sender():
     assert E.transaction_validity(world_one(), txn(sender=a2)) is False
 
 
+def test_validity_of_an_absent_sender_asks_no_function_question():
+    # acc is no function, but the sender is not in its domain at all
+    acc = vset([tup(a1, E.make_acc(0, 100, PROG0)), tup(a1, E.make_acc(1, 100, PROG0))])
+    w = E._rec([("acc", acc), ("accCC", vset()), ("newaddr", atom("null")),
+                ("step", E.STEP_INITIAL)])
+    assert E.transaction_validity(w, txn(sender=a2)) is False
+
+
 def test_validity_balance_coverage():
     assert E.transaction_validity(world_one(bal=100), txn(tg=10, tp=2)) is True
     assert E.transaction_validity(world_one(bal=19), txn(tg=10, tp=2)) is False

@@ -254,6 +254,27 @@ def test_record_examples():
         K.record_get(r, atom("acc"))
 
 
+def test_record_field_error_names_the_first_non_atom_field():
+    # atom keys sort first, so the first field that is no atom is named
+    for r in (vset([tup(a1, intv(1)), tup(intv(5), intv(2))]),
+              vset([tup(intv(5), intv(2)), tup(EMPTY_SET, intv(3))])):
+        assert _outcome(K.record_get, r, a1) == (
+            KindError, f"record_get: record field is not an atom: {IntV(5)!r}")
+        assert _outcome(K.record_set, r, a1, intv(0)) == (
+            KindError, f"record_set: record field is not an atom: {IntV(5)!r}")
+
+
+def test_in_dom_agrees_with_dom():
+    rels = [EMPTY_SET, rel((a1, intv(1))), rel((a1, intv(1)), (a1, intv(2)), (a3, a2)),
+            vset([tup(intv(1), a1), tup(a2, a3), tup(vset([a1]), a1)])]
+    for r in rels:
+        for x in (a1, a2, a3, intv(1), vset([a1]), tup(a1, intv(1))):
+            assert K.in_dom(x, r) is (x in K.dom(r)), (x, r)
+    non_pair = vset([tup(s_, acc1), a1])
+    assert _outcome(K.in_dom, s_, non_pair) == _outcome(K.dom, non_pair)
+    assert _outcome(K.in_dom, s_, a1) == _outcome(K.dom, a1)
+
+
 def test_record_set_preserves_other_fields(gen):
     for _ in range(50):
         fields = [atom("as"), atom("bf"), atom("tp")]

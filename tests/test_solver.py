@@ -599,6 +599,43 @@ def test_ground_check_against_literal_expectations(kind):
             assert eval_ground_formula(Formula(((C(dual, *c.args),),)), {}) is expected_of_dual, src
 
 
+# Comprehensions and open extensions nested in a constraint's arguments,
+# with T's value -> the formula's value.  The ground check reads them as the
+# compile step lifts them, an equation on a fresh variable, so {a1/T}, which
+# denotes no set when T lists a1, makes the constraint and its dual false.
+NESTED_SET_TERMS = {
+    "in(a1,{a1/T})": {"{}": True, "{a1}": False, "{a2}": True, "{a1,a2}": False},
+    "nin(a2,{a1/T})": {"{}": True, "{a1}": False, "{a2}": False, "{a1,a2}": False},
+    "un({a1/T},{},{a1})": {"{}": True, "{a1}": False, "{a2}": False, "{a1,a2}": False},
+    "[1,{a1/T}] neq [1,{a1}]": {"{}": False, "{a1}": False, "{a2}": True, "{a1,a2}": False},
+    "[1,{a1/T}] = [1,{a1,a2}]": {"{}": False, "{a1}": False, "{a2}": True, "{a1,a2}": False},
+    "in(a1,{{a1/T}/{a2}})": {"{}": False, "{a1}": False, "{a2}": False, "{a1,a2}": False},
+    "in({a1},{{a1/T}/{a2}})": {"{}": True, "{a1}": False, "{a2}": False, "{a1,a2}": False},
+    "{{a1/T}/{a2}} neq {a2,{a1}}": {"{}": False, "{a1}": False, "{a2}": True, "{a1,a2}": False},
+    "in(a1,ris(X in {a1/T},[],true,X))": {"{}": True, "{a1}": False, "{a2}": True, "{a1,a2}": False},
+    "nin(a1,ris(X in {a1/T},[],true,X))": {"{}": False, "{a1}": False, "{a2}": False, "{a1,a2}": False},
+    "{{a1/T}/3} neq {}": {"{}": True, "{a1}": False, "{a2}": True, "{a1,a2}": False},
+    "in({a1},ris(X in {a1},[],true,{X/T}))": {"{}": True, "{a1}": False, "{a2}": False, "{a1,a2}": False},
+    "in([1,{a1}],ris(X in {a1},[],true,[1,{X/T}]))": {"{}": True, "{a1}": False, "{a2}": False, "{a1,a2}": False},
+}
+
+
+@pytest.mark.parametrize("src", NESTED_SET_TERMS)
+def test_nested_set_terms_are_evaluated(src):
+    for t, expected in NESTED_SET_TERMS[src].items():
+        assert eval_ground_formula(F(src), {"T": S.parse_value(t)}) is expected, (src, t)
+
+
+@pytest.mark.parametrize("src", NESTED_SET_TERMS)
+def test_nested_set_terms_evaluate_as_the_solver_answers(src):
+    sorts = {"T": SetS(AtomS("addr"))}
+    for t in enumerate_sort(sorts["T"], TINY):
+        got = eval_ground_formula(F(src), {"T": t})
+        pinned = solve(F(f"T = {S.print_value(t)} & {src}"), TINY, sorts=sorts)
+        assert got is isinstance(pinned, Sat), (src, t)
+    assert brute_force_sat(F(src), TINY, sorts) is isinstance(solve(F(src), TINY, sorts=sorts), Sat)
+
+
 @pytest.mark.parametrize(
     "src",
     ["ran(3,X)", "ran(seq([0]),X)", "dom(3,X)", "un(A,B,3)", "seq_tail(S,a1)", "lt(a1,X)"],

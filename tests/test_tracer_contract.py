@@ -16,9 +16,11 @@ from pathlib import Path
 
 import setforge
 from setforge import _backend, kernel
+from setforge import consensus as CN
+from setforge import evm as E
 from setforge import speclang as S
 from setforge.solver import eval_ground_formula
-from setforge.values import atom, intv, tup, vset
+from setforge.values import atom, intv, tup, vseq, vset
 
 
 def _kernel_prims():
@@ -42,11 +44,12 @@ def test_backend_name():
     assert setforge.BACKEND_NAME == "python"
 
 
-def test_wrapped_primitives_see_the_calls_from_outside_only(monkeypatch):
+def _count_calls(monkeypatch, module, names):
+    """A Counter of the calls to each of names on module, made through it."""
     calls = Counter()
 
     def counting(name):
-        fn = getattr(_backend, name)
+        fn = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -54,12 +57,17 @@ def test_wrapped_primitives_see_the_calls_from_outside_only(monkeypatch):
 
         return wrapper
 
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name))
+    return calls
+
+
+def test_wrapped_primitives_see_the_calls_from_outside_only(monkeypatch):
     a1, a2 = atom("a1"), atom("a2")
     r = vset([tup(a1, intv(1)), tup(a2, intv(2))])
     g = vset([tup(a1, intv(3))])
     want = vset([tup(a1, intv(3)), tup(a2, intv(2))])
-    for name in ("override_elems", "canon"):
-        monkeypatch.setattr(_backend, name, counting(name))
+    calls = _count_calls(monkeypatch, _backend, ("override_elems", "canon"))
 
     assert kernel.override(r, g) == want
     assert calls == Counter(override_elems=1)
@@ -70,23 +78,29 @@ def test_wrapped_primitives_see_the_calls_from_outside_only(monkeypatch):
 
 
 def test_the_ground_check_calls_kernel_functions_through_the_module(monkeypatch):
-    calls = Counter()
-
-    def counting(name):
-        fn = getattr(kernel, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
     formulas = [S.parse_formula(src) for src in (
         "un({a1},{a2},{a1,a2})", "disj({a1},{a2})", "ndisj({a1},{a2})",
         "pfun({[a1,1]})", "npfun({[a1,1]})",
     )]
-    for name in ("union", "disjoint", "is_pfun"):
-        monkeypatch.setattr(kernel, name, counting(name))
+    calls = _count_calls(monkeypatch, kernel, ("union", "disjoint", "is_pfun"))
 
     assert [eval_ground_formula(f, {}) for f in formulas] == [True, True, False, True, False]
     assert calls == Counter(union=1, disjoint=2, is_pfun=2)
+
+
+def test_domain_membership_bisects_and_builds_no_domain(monkeypatch):
+    calls = _count_calls(monkeypatch, _backend, ("lookup", "dom_elems"))
+    a1, a2, this = atom("a1"), atom("a2"), atom("this")
+    r = vset([tup(a1, intv(1)), tup(a2, intv(2))])
+    assert kernel.in_dom(a1, r) and not kernel.in_dom(this, r)
+    assert calls == Counter(lookup=2)
+
+    prog = E.toprog(vset())
+    w = E.make_world(vset([tup(a1, E.make_acc(0, 100, prog))]))
+    for sender in (a1, a2):
+        t = E.make_transaction(0, 10, 2, 0, prog, vseq(), sender, E.TT_CONTRACT_CREATION)
+        E.transaction_validity(w, t)
+    c = CN.init_conf(vset([this]))
+    p = CN.make_packet(CN.ENV_ADDR, this, CN.addr_msg(vset([a1])))
+    CN.deliver_step(CN.make_conf(CN.conf_delta(c), vset([p])), p)
+    assert calls["dom_elems"] == 0

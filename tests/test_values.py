@@ -1,10 +1,25 @@
+import random
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import values_st
 from setforge.errors import KindError
-from setforge.values import Atom, IntV, SeqV, SetV, TupV, atom, intv, tup, vset
+from setforge.values import (
+    FIELD_ATOMS,
+    Atom,
+    IntV,
+    SeqV,
+    SetV,
+    TupV,
+    atom,
+    infer_namespace,
+    intv,
+    tup,
+    vset,
+)
 
 a1, a2, a3 = atom("a1"), atom("a2"), atom("a3")
 
@@ -19,6 +34,38 @@ def test_namespace_inference():
     assert atom("addrMsg").ns == "msg"
     assert atom("as").ns == "field"
     assert atom("whatever").ns == "opaque"
+
+
+def _five_pattern_namespace(name):
+    """The namespace rule as five separate anchored patterns, checked in turn."""
+    if name in ("this", "env", "null") or re.match(r"(?:a|n)\d+$", name):
+        return "addr"
+    for ns, pattern in (("hash", r"h\d+$"), ("proof", r"pr\d+$"), ("tx", r"tx\d+$"),
+                        ("opaque", r"u\d+$")):
+        if re.match(pattern, name):
+            return ns
+    if name.endswith("Msg"):
+        return "msg"
+    if name in FIELD_ATOMS:
+        return "field"
+    return "opaque"
+
+
+def test_namespace_rule_matches_five_separate_patterns():
+    # \d takes any Unicode decimal digit and $ allows one trailing newline
+    names = sorted(FIELD_ATOMS) + [
+        "this", "env", "null", "fooMsg", "a1x", "n01", "pr", "tx7", "u3", "h1\n", "a\u0661",
+        "a", "n", "h", "u", "tx", "prx1", "pr1\n\n", "this\n", "a1Msg", "tx1Msg", "\u0661",
+    ]
+    rng = random.Random(12)
+    alphabet = "anhprtxuMsgbe01\u0661\u00b2\n_"
+    names += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+              for _ in range(3000)]
+    names += [rng.choice(["a", "n", "h", "pr", "tx", "u", "x"]) + str(rng.randint(0, 999))
+              + rng.choice(["", "", "\n", "x", "Msg"]) for _ in range(1000)]
+    for name in names:
+        assert infer_namespace(name) == _five_pattern_namespace(name), repr(name)
+    assert infer_namespace("h1\n") == "hash" and infer_namespace("a\u0661") == "addr"
 
 
 def test_given_sets_pairwise_disjoint():
