@@ -140,17 +140,19 @@ def make_call_stack(cs: Value = EMPTY_SEQ, ees: Value = EMPTY_SEQ) -> SetV:
 def transaction_validity(w: Value, t: Value) -> bool:
     """Sender is a known account, the nonce matches, and the balance covers
     the worst-case gas purchase plus the transferred value."""
-    acc = _get(w, "acc")
-    sender = _get(t, "sender")
+    return _valid_sender_account(_get(w, "acc"), _get(t, "sender"), t) is not None
+
+
+def _valid_sender_account(acc: Value, sender: Value, t: Value):
+    """The sender's account in acc when t is valid, else None; acc is asked
+    whether it is a function only when it has the sender."""
     if not kernel.in_dom(sender, acc):
-        return False
+        return None
     sender_acc = kernel.apply(acc, sender)
     if _get_nat(t, "tn") != _get_nat(sender_acc, "nonce"):
-        return False
-    tg = _get_nat(t, "tg")
-    tp = _get_nat(t, "tp")
-    tv = _get_nat(t, "tv")
-    return _get_nat(sender_acc, "bal") >= tg * tp + tv and tg >= 0
+        return None
+    tg, tp, tv = (_get_nat(t, field) for field in ("tg", "tp", "tv"))
+    return sender_acc if _get_nat(sender_acc, "bal") >= tg * tp + tv and tg >= 0 else None
 
 
 def update_sender(a: Value, b, p, g) -> SetV:
@@ -167,11 +169,10 @@ def checkpoint_state(w: Value, t: Value) -> SetV:
     """First transaction phase: validity check, sender debit, step advance."""
     if _get(w, "step") != STEP_INITIAL:
         raise NotEnabled("world is not at the initial step")
-    if not transaction_validity(w, t):
+    acc, sender = _get(w, "acc"), _get(t, "sender")
+    old = _valid_sender_account(acc, sender, t)
+    if old is None:
         raise RejectedTransaction("transaction failed the validity predicate")
-    acc = _get(w, "acc")
-    sender = _get(t, "sender")
-    old = kernel.apply(acc, sender)
     debited = update_sender(old, _get_nat(old, "bal"), _get_nat(t, "tp"), _get_nat(t, "tg"))
     acc2 = kernel.override(acc, SetV([TupV((sender, debited))]))
     if not kernel.is_pfun(acc2):

@@ -251,37 +251,36 @@ class Formula:
 def _free_names(terms, binders=None, atoms=None):
     """Free variable names of the terms in first-occurrence order; an
     occurrence inside a comprehension whose binder it names does not count.
-    When ``binders`` is a set, the binder of every comprehension passed,
-    nested ones included, is added to it.  When ``atoms`` is a set, every
-    atom inside a literal is added to it, comprehension filters and
+    When ``binders`` is a set, the binder of every comprehension that lies
+    in no other comprehension is added to it.  When ``atoms`` is a set,
+    every atom inside a literal is added to it, comprehension filters and
     patterns included."""
     names = {}  # a dict keeps the order in which its keys were first set
+    depth = 0  # the comprehensions around the term being walked
 
     def term(t, bound):
+        nonlocal depth
         if isinstance(t, Var):
             if t.name not in bound:
                 names[t.name] = None
         elif isinstance(t, Lit):
             if atoms is not None:
                 _add_atoms(t.value, atoms)
-        elif isinstance(t, (TupT, SeqT)):
+        elif isinstance(t, (TupT, SeqT, SetT)):
             for e in t.elems:
                 term(e, bound)
-        elif isinstance(t, SetT):
-            for e in t.elems:
-                term(e, bound)
-            if t.tail is not None:
+            if isinstance(t, SetT) and t.tail is not None:
                 term(t.tail, bound)
         elif isinstance(t, RisT):
-            if binders is not None:
+            if binders is not None and not depth:
                 binders.add(t.binder)
+            depth += 1
             term(t.domain, bound)
             inner = bound | {t.binder}
-            for d in t.filter.disjuncts:
-                for c in d:
-                    for a in c.args:
-                        term(a, inner)
+            for a in _formula_args(t.filter):
+                term(a, inner)
             term(t.pattern, inner)
+            depth -= 1
 
     empty = frozenset()
     for t in terms:
@@ -298,25 +297,11 @@ def free_vars(f: Formula) -> list:
     return _free_names(_formula_args(f))
 
 
-def _walk_ris(t: Term):
-    if isinstance(t, RisT):
-        yield t
-    elif isinstance(t, (TupT, SeqT)):
-        for e in t.elems:
-            yield from _walk_ris(e)
-    elif isinstance(t, SetT):
-        for e in t.elems:
-            yield from _walk_ris(e)
-        if t.tail is not None:
-            yield from _walk_ris(t.tail)
-
-
 def _check_binders(f: Formula):
     """Binder names of the comprehensions outside any other comprehension
     must not collide with variables that occur free."""
-    args = _formula_args(f)
-    binders = {r.binder for a in args for r in _walk_ris(a)}
-    clash = binders and binders.intersection(_free_names(args))
+    binders = set()
+    clash = binders.intersection(_free_names(_formula_args(f), binders))
     if clash:
         raise FormulaError(f"comprehension binder shadows free variable(s): {sorted(clash)}")
 

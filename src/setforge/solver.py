@@ -15,14 +15,12 @@ work is moved ahead of search wherever possible:
   override rewrites it.  Open positions are holes (fresh variables) that
   are only enumerated if some constraint actually looks at them;
 * set-membership and union constraints with a known result act as
-  generators, proposing candidate decompositions in a fixed order;
-* before search, a rewriting pass (_rewrite) applies rules that hold in
-  every scope: comprehensions whose patterns clash define disjoint sets,
-  variables joined by an equation or by dom of one relation are one
-  value, disj and subset against a singleton are membership facts, and
-  partial functions stay partial functions under one-pair extension,
-  override and domain restriction.  A conjunct these rules refute has no
-  model in any scope;
+  generators, proposing candidate decompositions in a fixed order, and a
+  subset of a known set is drawn from that set's subsets only;
+* before search, a compile that reads no scope (_compile) lifts nested
+  comprehensions and open extensions into equations, gives variables
+  their sorts and rewrites by rules that hold in every scope, so a
+  conjunct it refutes has no model in any scope;
 * atoms are symmetric until something names them: an atom, a set of atoms
   or a relation keyed by atoms is tried only as the canonical renaming of
   the scope atoms that no literal names and no enumerated binding of the
@@ -45,10 +43,10 @@ import operator
 from functools import partial
 
 from . import kernel
+from ._compile import _ARG_KINDS, _compile, _is_set_term
 from ._frozen import Frozen
 from .errors import (
     AmbiguousApplicationError,
-    FormulaError,
     KindError,
     MissingFieldError,
     OutsideDomainError,
@@ -66,7 +64,6 @@ from .formula import (
     Term,
     TupT,
     Var,
-    _free_names,
     conj_formulas,
     negate,
 )
@@ -74,13 +71,10 @@ from .universe import (
     DEFAULT_SCOPE,
     AnyS,
     AtomS,
-    IntS,
     RecordS,
     RelS,
     Scope,
-    SeqS,
     SetS,
-    Sort,
     TupleS,
     enumerate_sort,
     first_value,
@@ -346,30 +340,20 @@ def _unify_pointwise(xs, ys, env):
     return result
 
 
+_SHAPES = {TupV: "tuple", PTup: "tuple", SetV: "set", PSet: "set", SeqV: "seq", PSeq: "seq",
+           Atom: "atom", IntV: "int"}
+
+
 def _shape(p):
-    if isinstance(p, (TupV, PTup)):
-        return "tuple"
-    if isinstance(p, (SetV, PSet)):
-        return "set"
-    if isinstance(p, (SeqV, PSeq)):
-        return "seq"
-    if isinstance(p, Atom):
-        return "atom"
-    if isinstance(p, IntV):
-        return "int"
-    return "hole"
+    return _SHAPES.get(type(p), "hole")
 
 
 def _is_empty_set(p):
-    return (isinstance(p, SetV) and len(p.elems) == 0) or (
-        isinstance(p, PSet) and len(p.elems) == 0
-    )
+    return isinstance(p, (SetV, PSet)) and not p.elems
 
 
 def _definitely_nonempty(p):
-    return (isinstance(p, SetV) and len(p.elems) > 0) or (
-        isinstance(p, PSet) and len(p.elems) > 0
-    )
+    return isinstance(p, (SetV, PSet)) and len(p.elems) > 0
 
 
 def _neq_decide(a, b, env):
@@ -411,9 +395,7 @@ def _neq_decide(a, b, env):
 
 def _listed(p):
     """Members of a set whose extension is fully listed, or None."""
-    if isinstance(p, (SetV, PSet)):
-        return p.elems
-    return None
+    return p.elems if isinstance(p, (SetV, PSet)) else None
 
 
 def _listed_pairs(p, env):
@@ -438,62 +420,25 @@ def _listed_pairs(p, env):
 
 
 def _seq_elems(p):
-    if isinstance(p, (SeqV, PSeq)):
-        return p.elems
-    return None
+    return p.elems if isinstance(p, (SeqV, PSeq)) else None
 
 
 def _ground_int(p):
-    if isinstance(p, IntV):
-        return p.n
-    return None
+    return p.n if isinstance(p, IntV) else None
 
 
 # -- single-constraint evaluation -------------------------------------------------
 #
-# Every constraint kind has one rule, in _RULES.  _ARG_KINDS tags the
-# argument positions that hold a set, a relation, an integer or a sequence.
-# A ground argument of another kind at a tagged position makes the
+# Every constraint kind has one rule, in _RULES.  A ground argument at a
+# position that _ARG_KINDS tags, of another kind than the tag's, makes the
 # constraint false before its rule runs, so no rule checks the kinds of its
-# arguments itself; the same tags give _infer_sorts its sorts.  eq and neq
-# have no tags: their rules take the terms, because a comprehension or an
-# open extension has no pval.  A dual kind (nin, ndisj, nsubset, npfun)
-# shares the rule of its positive kind.  Rules call kernel functions
-# through the module, so that wrappers installed on it see every call.
+# arguments itself.  eq and neq have no tags: their rules take the terms,
+# because a comprehension or an open extension has no pval.  A dual kind
+# (nin, ndisj, nsubset, npfun) shares the rule of its positive kind.  Rules
+# call kernel functions through the module, so that wrappers installed on
+# it see every call.
 
 _TRUE, _FALSE = "true", "false"
-
-
-class _Tag(Frozen):
-    """An argument kind: the sort _infer_sorts gives a variable at such a
-    position, and the class a ground value there must have."""
-
-    sort: Sort
-    ground: type
-
-
-_SET = _Tag(SetS(AnyS()), SetV)
-_REL = _Tag(RelS(AnyS(), AnyS()), SetV)
-_INT = _Tag(IntS(), IntV)
-_SEQ = _Tag(SeqS(AnyS()), SeqV)
-
-_ARG_KINDS = {
-    **dict.fromkeys(("eq", "neq")),
-    **dict.fromkeys(("in", "nin"), (None, _SET)),
-    **dict.fromkeys(("un", "diff", "inters"), (_SET, _SET, _SET)),
-    **dict.fromkeys(("disj", "ndisj", "subset", "nsubset"), (_SET, _SET)),
-    **dict.fromkeys(("dom", "ran"), (_REL, _SET)),
-    "apply": (_REL, None, None),
-    "oplus": (_REL, _REL, _REL),
-    "dres": (_SET, _REL, _REL),
-    **dict.fromkeys(("pfun", "npfun"), (_REL,)),
-    "seq_head": (_SEQ, None),
-    "seq_tail": (_SEQ, _SEQ),
-    "seq_concat": (_SEQ, _SEQ, _SEQ),
-    "seq_nth": (_SEQ, _INT, None),
-    **dict.fromkeys(("plus", "minus", "times", "intdiv"), (_INT, _INT, _INT)),
-    **dict.fromkeys(("le", "lt"), (_INT, _INT)),
-}
 
 
 def _from_unify(r):
@@ -797,12 +742,6 @@ def _compare(holds, args, env):
     return _TRUE if holds(na, nb) else _FALSE
 
 
-def _is_set_term(t):
-    """Whether t is a comprehension or an open extension: a term with no
-    pval, whose value is known once its inputs are ground."""
-    return isinstance(t, RisT) or (isinstance(t, SetT) and t.tail is not None)
-
-
 def _set_value(t, env):
     """The value of a comprehension or an open extension once its inputs
     are ground, else None; _FAIL when it denotes no set."""
@@ -1018,7 +957,7 @@ _EVAL_ERRORS = (
 
 def _lift(t: Term, env) -> Term:
     """t with each comprehension and open extension inside it replaced by
-    its value, read as _compile_conjunct reads it, an equation on a fresh
+    its value, read as _compile._lifted reads it, an equation on a fresh
     variable: _Defer while one has no value yet, and KindError, which makes
     the constraint and its dual false, when one denotes no set."""
     if isinstance(t, (TupT, SeqT, SetT)) and not _is_set_term(t):
@@ -1150,357 +1089,6 @@ def eval_ground_formula(f: Formula, assignment: dict, partial_ok: bool = False):
     return False
 
 
-# -- compilation: lift nested comprehensions and open extensions -------------------
-
-
-def _compile_conjunct(constraints):
-    """Replace comprehensions and open extensions that sit in non-equation
-    positions by fresh variables defined through equations."""
-    binders = set()
-    used = set(_free_names([a for c in constraints for a in c.args], binders)) | binders
-    counter = itertools.count(1)
-
-    def fresh():
-        while True:
-            name = f"_E{next(counter)}"
-            if name not in used:
-                used.add(name)
-                return name
-
-    out = []
-
-    def walk(t, defs):
-        if isinstance(t, (Var, Lit)):
-            return t
-        if isinstance(t, TupT):
-            return TupT([walk(e, defs) for e in t.elems])
-        if isinstance(t, SeqT):
-            return SeqT([walk(e, defs) for e in t.elems])
-        if isinstance(t, SetT):
-            elems = [walk(e, defs) for e in t.elems]
-            if t.tail is None:
-                return SetT(elems)
-            name = fresh()
-            defs.append(Constraint("eq", (Var(name), SetT(elems, walk(t.tail, defs)))))
-            return Var(name)
-        if isinstance(t, RisT):
-            name = fresh()
-            defs.append(
-                Constraint("eq", (Var(name), RisT(t.binder, walk(t.domain, defs), t.filter, t.pattern)))
-            )
-            return Var(name)
-        raise FormulaError(f"not a term: {t!r}")
-
-    for c in constraints:
-        defs = []
-        if c.kind in ("eq", "neq"):
-            new_args = []
-            for a in c.args:
-                if isinstance(a, RisT):
-                    new_args.append(RisT(a.binder, walk(a.domain, defs), a.filter, a.pattern))
-                elif isinstance(a, SetT) and a.tail is not None:
-                    new_args.append(SetT([walk(e, defs) for e in a.elems], walk(a.tail, defs)))
-                else:
-                    new_args.append(walk(a, defs))
-            out.extend(defs)
-            out.append(Constraint(c.kind, new_args))
-        else:
-            new_args = [walk(a, defs) for a in c.args]
-            out.extend(defs)
-            out.append(Constraint(c.kind, new_args))
-    return out
-
-
-# -- compilation: the rewriting pass -------------------------------------------------
-
-
-def _pattern_shape(t):
-    """(kind, parts) of a term whose value kind is fixed: a tuple or a
-    sequence with its component terms, or any other literal with its value.
-    None for a variable, a set term or a comprehension."""
-    if isinstance(t, Lit):
-        v = t.value
-        if isinstance(v, TupV):
-            return "tuple", [Lit(e) for e in v.elems]
-        if isinstance(v, SeqV):
-            return "seq", [Lit(e) for e in v.elems]
-        return "literal", v
-    if isinstance(t, TupT):
-        return "tuple", t.elems
-    if isinstance(t, SeqT):
-        return "seq", t.elems
-    return None
-
-
-def _clash(p: Term, q: Term) -> bool:
-    """Whether patterns p and q denote different values under every
-    assignment of their variables, each side's variables taken
-    independently: they differ in kind (atom or integer, tuple, set,
-    sequence), are unequal literals, or are tuples or sequences of different
-    length or with a pair of clashing components.  A variable, a set term or
-    a comprehension clashes with nothing, so no clash rests on the value of
-    a variable or on set equality."""
-    sp, sq = _pattern_shape(p), _pattern_shape(q)
-    if sp is None or sq is None:
-        return False
-    (kp, ep), (kq, eq) = sp, sq
-    if kp != kq:
-        return True
-    if kp == "literal":
-        return ep != eq
-    return len(ep) != len(eq) or any(map(_clash, ep, eq))
-
-
-_EMPTY = Lit(EMPTY_SET)
-
-
-def _pair_first(t):
-    """The first component term of a 2-tuple term, or None."""
-    if isinstance(t, TupT) and len(t.elems) == 2:
-        return t.elems[0]
-    if isinstance(t, Lit) and isinstance(t.value, TupV) and len(t.value.elems) == 2:
-        return Lit(t.value.elems[0])
-    return None
-
-
-def _only_member(t):
-    """The member of a tail-free set term that lists exactly one, or None."""
-    if isinstance(t, SetT) and t.tail is None and len(t.elems) == 1:
-        return t.elems[0]
-    if isinstance(t, Lit) and isinstance(t.value, SetV) and len(t.value.elems) == 1:
-        return Lit(t.value.elems[0])
-    return None
-
-
-def _rewrite(constraints, declared):
-    """Rewrite one conjunct by rules that hold in every scope.  Returns the
-    rewritten constraints, or None when the conjunct is refuted.
-
-    Pattern clash, the one rule that rewrites: no element lies in both of
-    two variables defined by comprehensions whose patterns clash, so
-    ndisj(X,Y) cannot hold, eq(X,Y) holds only as X = {} and Y = {}, and
-    subset(X,Y) only as X = {}.
-
-    The other rules only refute; the search runs what the clash rule left.
-    Terms with equal keys denote one value: eq(Var,Var) joins two classes,
-    and so does dom on one first argument (congruence).  The dom of a set
-    term listing one pair [k,v] is {k}.  Against a singleton {e},
-    disj(X,{e}) and nsubset({e},X) give nin(e,X), subset({e},X) and
-    ndisj(X,{e}) give in(e,X), and subset(X,{e}) with in(e,X) gives
-    X = {e}.  pfun(X) and a one-pair set term are partial functions, and
-    so is the result of oplus on two of them or of dres on one.  The
-    conjunct is refuted by in and nin of one element in one set, by neq of
-    one class or of one singleton, by npfun of a partial function, by a
-    declared variable whose sort holds no value of the kind of its argument
-    position (_outside_arg_kinds), and by an apply whose argument can never
-    be a key of its function (_apply_outside_keys).  declared maps the
-    caller's variables to their sorts."""
-    patterns = {}
-    for c in constraints:
-        if c.kind == "eq":
-            for one, other in (c.args, c.args[::-1]):
-                if isinstance(one, Var) and isinstance(other, RisT):
-                    patterns.setdefault(one.name, []).append(other.pattern)
-
-    def apart(a, b):
-        return (
-            isinstance(a, Var)
-            and isinstance(b, Var)
-            and any(
-                _clash(p, q) for p in patterns.get(a.name, ()) for q in patterns.get(b.name, ())
-            )
-        )
-
-    out = []
-    for c in constraints:
-        if c.kind not in ("ndisj", "eq", "subset") or not apart(*c.args):
-            out.append(c)
-        elif c.kind == "ndisj":
-            return None
-        else:
-            out.append(Constraint("eq", (c.args[0], _EMPTY)))
-            if c.kind == "eq":
-                out.append(Constraint("eq", (c.args[1], _EMPTY)))
-
-    parent = {}  # union-find over variable names: a name -> its parent
-
-    def find(name):
-        while name in parent:
-            name = parent[name]
-        return name
-
-    def key(t):
-        if isinstance(t, Var):
-            return "var", find(t.name)
-        if isinstance(t, TupT):
-            return ("tuple", *map(key, t.elems))
-        return t
-
-    merged = True
-    while merged:
-        merged = False
-        dom_of = {}
-        for c in out:
-            a, b = c.args[0], c.args[-1]
-            if c.kind == "dom" and isinstance(b, Var):
-                a = dom_of.setdefault(key(a), b)
-            elif c.kind != "eq" or not isinstance(a, Var) or not isinstance(b, Var):
-                continue
-            a, b = find(a.name), find(b.name)
-            if a != b:
-                parent[b] = a
-                merged = True
-
-    pfuns = set()  # keys of partial functions
-    singles = {}  # key of a set -> keys of the e whose {e} it equals
-    ins, nins = set(), set()  # (element key, set key)
-
-    def is_pfun(t):
-        return key(t) in pfuns or _pair_first(_only_member(t)) is not None
-
-    def singleton_members(t):
-        m = _only_member(t)
-        return singles.get(key(t), set()) | (set() if m is None else {key(m)})
-
-    size = None  # the number of facts: the loop ends when a pass adds none
-    while size != (size := len(pfuns) + len(ins) + len(nins) + sum(map(len, singles.values()))):
-        for c in out:
-            kind, args = c.kind, c.args
-            if kind == "pfun":
-                pfuns.add(key(args[0]))
-            elif kind == "oplus" and is_pfun(args[0]) and is_pfun(args[1]):
-                pfuns.add(key(args[2]))
-            elif kind == "dres" and is_pfun(args[1]):
-                pfuns.add(key(args[2]))
-            elif kind == "dom":
-                k = _pair_first(_only_member(args[0]))
-                if k is not None:
-                    singles.setdefault(key(args[1]), set()).add(key(k))
-            elif kind in ("in", "nin"):
-                (ins if kind == "in" else nins).add((key(args[0]), key(args[1])))
-            elif kind in ("disj", "ndisj"):
-                for x, s in (args, args[::-1]):
-                    for e in singleton_members(s):
-                        (nins if kind == "disj" else ins).add((e, key(x)))
-            elif kind in ("subset", "nsubset"):
-                a, b = args
-                for e in singleton_members(a):
-                    (ins if kind == "subset" else nins).add((e, key(b)))
-                if kind == "subset":
-                    for e in singleton_members(b):
-                        if (e, key(a)) in ins:
-                            singles.setdefault(key(a), set()).add(e)
-
-    if ins & nins or _outside_arg_kinds(out, declared) or _apply_outside_keys(out, declared):
-        return None
-    for c in out:
-        if c.kind == "npfun" and is_pfun(c.args[0]):
-            return None
-        if c.kind == "neq":
-            a, b = c.args
-            if key(a) == key(b) or singleton_members(a) & singleton_members(b):
-                return None
-    return out
-
-
-# the classes of the values of each sort, the same in every scope
-_SORT_CLASSES = {
-    AnyS: {Atom, IntV},
-    AtomS: {Atom},
-    IntS: {IntV},
-    SetS: {SetV},
-    RelS: {SetV},
-    RecordS: {SetV},
-    SeqS: {SeqV},
-    TupleS: {TupV},
-}
-
-
-def _outside_arg_kinds(constraints, declared):
-    """Whether a declared variable sits at an argument position of
-    _ARG_KINDS whose class no value of its sort has."""
-    for c in constraints:
-        tags = _ARG_KINDS[c.kind]
-        if tags is not None:
-            for tag, a in zip(tags, c.args):
-                if tag is not None and type(a) is Var:
-                    classes = _SORT_CLASSES.get(type(declared.get(a.name)))
-                    if classes is not None and tag.ground not in classes:
-                        return True
-    return False
-
-
-def _apply_outside_keys(constraints, declared):
-    """Whether some apply(F,X,Y) cannot hold in any scope because X and the
-    keys of F share no value class.  X is a literal or a declared variable.
-    F's keys are those of its declared relation sort, or, for an undeclared
-    F that occurs nowhere else, atoms and integers: only enumeration binds
-    such an F, from the relation sort inference gives it.  An undeclared F
-    that occurs elsewhere can be bound to any value."""
-    applies = [c for c in constraints if c.kind == "apply"]
-    only_applied = {
-        c.args[0].name for c in applies
-        if isinstance(c.args[0], Var) and c.args[0].name not in declared
-    }
-    if only_applied:
-        only_applied -= set(_free_names([
-            a for c in constraints
-            for a in (c.args[1:] if c.kind == "apply" and isinstance(c.args[0], Var) else c.args)
-        ]))
-    for c in applies:
-        f, x = c.args[0], c.args[1]
-        if not isinstance(f, Var):
-            continue
-        sort = _REL.sort if f.name in only_applied else declared.get(f.name)
-        keys = _SORT_CLASSES.get(type(sort.key)) if isinstance(sort, RelS) else None
-        if isinstance(x, Lit):
-            xs = {type(x.value)}
-        elif isinstance(x, Var) and x.name in declared:
-            xs = _SORT_CLASSES.get(type(declared[x.name]))
-        else:
-            xs = None
-        if keys is not None and xs is not None and not keys & xs:
-            return True
-    return False
-
-
-# -- sort inference -----------------------------------------------------------------
-
-
-def _infer_sorts(constraints, declared):
-    sorts = dict(declared)
-
-    def note(term, sort):
-        if isinstance(term, Var) and term.name not in sorts:
-            sorts[term.name] = sort
-
-    def walk_patterns(t):
-        if isinstance(t, SetT):
-            if t.tail is not None:
-                note(t.tail, SetS(AnyS()))
-                walk_patterns(t.tail)
-            for e in t.elems:
-                walk_patterns(e)
-        elif isinstance(t, (TupT, SeqT)):
-            for e in t.elems:
-                walk_patterns(e)
-        elif isinstance(t, RisT):
-            note(t.domain, SetS(AnyS()))
-            walk_patterns(t.domain)
-
-    for c in constraints:
-        tags = _ARG_KINDS[c.kind] or ()
-        # a variable at two differently tagged positions takes the first
-        # of relation, set, integer and sequence
-        for tag in (_REL, _SET, _INT, _SEQ):
-            for t, a in zip(tags, c.args):
-                if t is tag:
-                    note(a, tag.sort)
-        for a in c.args:
-            walk_patterns(a)
-    return sorts
-
-
 # -- search -------------------------------------------------------------------------
 #
 # One mutable env holds the bindings of the current branch.  A binding is
@@ -1520,23 +1108,22 @@ class _Stuck(Exception):
 
 
 class _State:
-    """Search state of one disjunct: the compiled constraints and their free
-    names, the env, the watch lists and the atoms in use."""
+    """Search state of one disjunct: its compiled problem, the env, the
+    watch lists and the atoms in use."""
 
     __slots__ = ("scope", "constraints", "free", "registry", "order", "budget", "nodes",
-                 "fresh_counter", "used_names", "validate", "env", "watch", "sort_watch",
+                 "fresh_counter", "validate", "env", "watch", "sort_watch",
                  "used_atoms", "atom_orders")
 
-    def __init__(self, scope, constraints, free, registry, budget, validate, atoms, nodes=0):
+    def __init__(self, scope, problem, budget, validate, nodes=0):
         self.scope = scope
-        self.constraints = constraints
-        self.free = free  # per constraint: its free names in first-occurrence order
-        self.registry = registry  # ordered: var -> Sort
-        self.order = {name: i for i, name in enumerate(registry)}
+        self.constraints = problem.constraints
+        self.free = problem.free  # per constraint: its free names in first-occurrence order
+        self.registry = dict(problem.sorts)  # ordered: var -> Sort
+        self.order = {name: i for i, name in enumerate(problem.sorts)}
         self.budget = budget
         self.nodes = nodes  # decision nodes so far, earlier disjuncts included
         self.fresh_counter = itertools.count(1)
-        self.used_names = set(registry)
         # caller-declared sorts define the in-scope universe of their
         # variables: a propagated binding outside it fails the branch
         self.validate = validate
@@ -1549,7 +1136,7 @@ class _State:
         self.sort_watch = {name: {name: None} for name in validate}
         # the literal atoms of the constraints and those held by the
         # enumerated bindings of the current decision path
-        self.used_atoms = set(atoms)
+        self.used_atoms = set().union(*problem.atoms)
         self.atom_orders = {}  # (namespace, by value) -> scope atom -> position
 
     def tick(self):
@@ -1560,8 +1147,7 @@ class _State:
     def fresh(self, sort):
         while True:
             name = f"_H{next(self.fresh_counter)}"
-            if name not in self.used_names:
-                self.used_names.add(name)
+            if name not in self.registry:
                 self.order[name] = len(self.registry)
                 self.registry[name] = sort
                 return name
@@ -1795,7 +1381,7 @@ def _pick_decision(st, pending):
             if var in env:
                 holes = _open_holes(env[var], env, [])
                 if holes:
-                    return ("fill", min(holes, key=lambda h: order.get(h, len(order))))
+                    return ("fill", min(holes, key=lambda h: order.get(h, len(order))), None)
         return None
     for i in pending:
         c = st.constraints[i]
@@ -1825,18 +1411,21 @@ def _pick_decision(st, pending):
     for i in pending:
         c = st.constraints[i]
         if c.kind == "eq":
-            for one, other in ((c.args[0], c.args[1]), (c.args[1], c.args[0])):
-                if isinstance(one, Var) and (
-                    isinstance(other, RisT)
-                    or (isinstance(other, SetT) and other.tail is not None)
-                ):
+            for one, other in (c.args, c.args[::-1]):
+                if isinstance(one, Var) and _is_set_term(other):
                     root = _walk(PHole(one.name), env)
                     if isinstance(root, PHole):
                         defined.add(root.var)
-    preferred = [v for v in live if v not in defined]
-    pool = preferred or live
-    var = min(pool, key=lambda v: order[v])
-    return ("enumerate", var)
+    var = min([v for v in live if v not in defined] or live, key=lambda v: order[v])
+    within = None  # the members of every ground B of a pending subset(var,B)
+    for i in pending:
+        c = st.constraints[i]
+        if c.kind == "subset" and isinstance(c.args[0], Var):
+            root = _walk(PHole(c.args[0].name), env)
+            b = _try_pval(c.args[1], env)
+            if isinstance(root, PHole) and root.var == var and isinstance(b, SetV):
+                within = set(b.elems) if within is None else within.intersection(b.elems)
+    return ("enumerate", var, within)
 
 
 def _candidates(decision, st):
@@ -1863,12 +1452,14 @@ def _candidates(decision, st):
             if unify(a, left, env) != _FAIL and unify(b, right, env) != _FAIL:
                 yield True
     else:
-        kind, var = decision
+        kind, var, within = decision
         # fresh vars registered by abandoned candidates stay in the registry:
         # they are unreachable, and keeping it append-only keeps runs identical
         used = st.used_atoms
         added = set()  # the atoms the current candidate brought into use
         for n, cand in enumerate(_sort_candidates(st.registry.get(var) or AnyS(), st)):
+            if within is not None and isinstance(cand, SetV) and not within.issuperset(cand.elems):
+                continue  # a member outside B makes subset(var,B) false
             if n or kind == "enumerate":
                 st.tick()
             _undo(env, mark)
@@ -1915,36 +1506,11 @@ def _search(st):
 # -- public api ----------------------------------------------------------------------
 
 
-def _prepare(disjunct, declared_sorts):
-    """The compiled conjunct, the constraints the search runs (the compiled
-    ones after _rewrite), their free names, the variable registry, the
-    caller's variables and the atoms the constraints' literals name; None
-    when the conjunct is refuted at compile time."""
-    compiled = _compile_conjunct(list(disjunct))
-    constraints = _rewrite(compiled, declared_sorts)
-    if constraints is None:
-        return None
-    original = _free_names([a for c in disjunct for a in c.args])
-    sorts = _infer_sorts(constraints, declared_sorts)
-    atoms = set()
-    free = [_free_names(c.args, atoms=atoms) for c in constraints]
-    registry = {}
-    for v in itertools.chain(original, *free):
-        if v not in registry:
-            registry[v] = sorts.get(v) or AnyS()
-    return compiled, constraints, free, registry, original, atoms
-
-
-def _complete(st, original):
-    """Ground every variable the compiled constraints or the caller can see."""
+def _complete(st, problem):
+    """Ground every variable the compiled constraints or the caller can see,
+    and the holes left inside their values, each to its sort's first value."""
     env = st.env
-    todo = list(dict.fromkeys(itertools.chain(original, *st.free)))
-    for v in todo:
-        root = _walk(PHole(v), env)
-        if isinstance(root, PHole):
-            sort = st.registry.get(root.var) or AnyS()
-            env[root.var] = first_value(sort, st.scope)
-    # fill structural holes left inside bound values
+    todo = list(problem.sorts)  # the caller's names, then the constraints'
     changed = True
     while changed:
         changed = False
@@ -1953,8 +1519,7 @@ def _complete(st, original):
             for h in sorted(set(holes)):
                 root = _walk(PHole(h), env)
                 if isinstance(root, PHole):
-                    sort = st.registry.get(root.var) or AnyS()
-                    env[root.var] = first_value(sort, st.scope)
+                    env[root.var] = first_value(st.registry.get(root.var) or AnyS(), st.scope)
                     changed = True
     return env
 
@@ -1962,22 +1527,22 @@ def _complete(st, original):
 def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DEFAULT_BUDGET):
     """Find a witness for f within the scope, or establish there is none.
 
-    Enumeration order is fixed (atoms in namespace order, integers
-    ascending, sets by cardinality then element order), so identical inputs
-    give identical answers.  Unsat is scope-relative, except that a
-    refutation by the compile-time rewriting pass holds in every scope.
-    The budget bounds the decision nodes of all disjuncts together.
+    Each disjunct is compiled once, reading no scope (_compile), and a
+    disjunct that the compile refutes has no model in any scope; any other
+    Unsat is scope-relative.  Enumeration order is fixed (atoms in namespace
+    order, integers ascending, sets by cardinality then element order), so
+    identical inputs give identical answers.  The budget bounds the
+    decision nodes of all disjuncts together.
     """
     declared = dict(sorts or {})
     budget = DEFAULT_BUDGET if budget is None else budget
     nodes = 0
     unknown = None
     for disjunct in f.disjuncts:
-        prepared = _prepare(disjunct, declared)
-        if prepared is None:
+        problem = _compile(disjunct, declared)
+        if problem.constraints is None:
             continue
-        compiled, constraints, free, registry, original, atoms = prepared
-        st = _State(scope, constraints, free, registry, budget, declared, atoms, nodes)
+        st = _State(scope, problem, budget, declared, nodes)
         try:
             found = _search(st)
         except _Budget:
@@ -1988,19 +1553,18 @@ def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DE
         nodes = st.nodes
         if not found:
             continue
-        env = _complete(st, original)
+        env = _complete(st, problem)
         assignment = {}
         for name in st.registry:
             val = resolve(PHole(name), env)
             if isinstance(val, Value):
                 assignment[name] = val
-        witness = {}
-        for name in original:  # the caller's names are registered too
+        for name in problem.caller:  # the caller's names are registered too
             if name not in assignment:
                 val = resolve(PHole(name), env)
                 raise SetforgeError(f"internal: witness for {name} is not ground: {val!r}")
-            witness[name] = assignment[name]
-        ok = eval_ground_formula(Formula((tuple(compiled),)), assignment, partial_ok=True)
+        witness = {name: assignment[name] for name in problem.caller}
+        ok = eval_ground_formula(Formula((problem.compiled,)), assignment, partial_ok=True)
         if ok is not True:
             raise SetforgeError(
                 f"internal: witness failed direct re-evaluation: {witness!r}"

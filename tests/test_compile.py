@@ -1,0 +1,201 @@
+"""Compile-time checks: the comprehension binder check that every Formula
+runs, and the compiled problem that solve searches."""
+
+import itertools
+import random
+
+import pytest
+
+from setforge import _compile, goals, ttf
+from setforge import speclang as S
+from setforge.errors import FormulaError
+from setforge.formula import (
+    TRUE,
+    C,
+    Formula,
+    Lit,
+    RisT,
+    SetT,
+    TupT,
+    Var,
+    _free_names,
+    conj,
+    conj_formulas,
+    free_vars,
+    negate,
+)
+from setforge.values import atom, intv, vset
+
+A1 = Lit(atom("a1"))
+
+
+def _ris(binder, domain, pattern=None, filter=TRUE):
+    return RisT(binder, domain, filter, Var(binder) if pattern is None else pattern)
+
+
+# -- the binder check ---------------------------------------------------------------
+
+
+def test_binder_clash_names_the_shadowed_variables_sorted():
+    constraints = [
+        C("in", Var("Y"), Var("T")),
+        C("in", A1, _ris("Y", Var("S"))),
+        C("in", Var("X"), Var("T")),
+        C("in", A1, _ris("X", Var("S"))),
+    ]
+    with pytest.raises(FormulaError) as e:
+        conj(constraints)
+    assert str(e.value) == "comprehension binder shadows free variable(s): ['X', 'Y']"
+
+
+@pytest.mark.parametrize("src", [
+    "in(a1,ris(X in S,[],true,X)) & in(X,T)",
+    "in(X,T) & in(a1,ris(X in S,[],true,X))",
+    # outermost means inside no other comprehension, even when nested in a term
+    "in([1,ris(X in S,[],true,X)],R) & X = a1",
+    "eq({a1/ris(X in S,[],true,X)},T) & in(X,T)",
+])
+def test_an_outermost_binder_free_in_another_constraint_clashes(src):
+    with pytest.raises(FormulaError, match="binder shadows"):
+        S.parse_formula(src)
+
+
+@pytest.mark.parametrize("src", [
+    # the inner comprehension reuses the outer one's binder
+    "in(a1,ris(X in S,[],true,[X,ris(X in T,[],true,X)]))",
+    "in(a1,ris(X in S,[],true,ris(X in X,[],true,X)))",
+    # a nested binder may name a variable that is free elsewhere
+    "in(a1,ris(X in S,[],true,[X,ris(Y in T,[],true,Y)])) & in(Y,U)",
+    "in(a1,ris(X in ris(Y in S,[],true,Y),[],true,X)) & in(Y,T)",
+])
+def test_a_binder_reused_inside_a_nested_comprehension_is_allowed(src):
+    S.parse_formula(src)
+
+
+def test_a_filter_is_a_formula_of_its_own():
+    # Y is free in the filter, where the inner comprehension is outermost
+    with pytest.raises(FormulaError, match="binder shadows"):
+        conj([C("in", Var("Y"), _ris("Y", Var("T")))])
+
+
+# -- the compiled problem --------------------------------------------------------------
+
+
+def _shipped_conjuncts():
+    """(label, conjunct, declared sorts) of every shipped goal's refutation
+    and every `mbt --all` test condition."""
+    for name in ("psd-psas-disjoint", "checkpoint-pfun"):
+        goal = goals.get_goal(name)
+        refutation = conj_formulas([goal.hypothesis, negate(goal.conclusion)])
+        for i, d in enumerate(refutation.disjuncts):
+            yield f"{name}:{i}", d, goal.sorts
+    for name in ("rcv_addr", "checkpoint_state"):
+        t = goals.get_transition(name)
+        for occ in ttf.find_occurrences(t):
+            for c in ttf.instantiate_partition(occ, t):
+                (d,) = c.formula.disjuncts
+                yield f"{name}:{occ.operator}{occ.ordinal}:{c.case.index}", d, c.sorts
+
+
+class _Conjuncts:
+    """Seeded conjuncts with comprehensions and open extensions everywhere:
+    as eq and neq operands, where they stay, and nested in tuples, sets,
+    comprehension domains and the arguments of other kinds, where the
+    compile lifts them.  A comprehension at depth k binds Zk, which occurs
+    only inside it, so every conjunct passes the binder check."""
+
+    VARS = ("A", "B", "C", "_E1")
+    KINDS = {"eq": "tt", "neq": "tt", "in": "ts", "nin": "ts", "subset": "ss",
+             "disj": "ss", "un": "sss", "dom": "ss", "apply": "stt"}
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def var(self):
+        return Var(self.rng.choice(self.VARS))
+
+    def term(self, depth):
+        r = self.rng
+        pick = r.randrange(4) if depth < 3 else r.randrange(2)
+        if pick == 0:
+            return self.var()
+        if pick == 1:
+            return Lit(r.choice([atom("a1"), atom("a2"), intv(2), vset([atom("a3")])]))
+        if pick == 2:
+            return TupT([self.term(depth + 1), self.term(depth + 1)])
+        return self.set_term(depth)
+
+    def set_term(self, depth):
+        r = self.rng
+        pick = r.randrange(4) if depth < 3 else 0
+        if pick == 0:
+            return self.var()
+        if pick == 1:
+            return SetT([self.term(depth + 1) for _ in range(r.randrange(3))])
+        if pick == 2:
+            return SetT([self.term(depth + 1)], self.set_term(depth + 1))
+        z = Var(f"Z{depth}")
+        filt = TRUE if r.random() < 0.4 else conj([C("in", z, self.set_term(depth + 1))])
+        pattern = r.choice([z, TupT([z, self.term(depth + 1)]), SetT([z], self.set_term(depth + 1))])
+        return RisT(z.name, self.set_term(depth + 1), filt, pattern)
+
+    def conjunct(self):
+        out = []
+        for _ in range(self.rng.randrange(1, 5)):
+            kind, shape = self.rng.choice(list(self.KINDS.items()))
+            out.append(C(kind, *(self.set_term(0) if s == "s" else self.term(0) for s in shape)))
+        return tuple(out)
+
+
+# the pattern-clash rule replaces X = Y and subset(X,Y) by equations on {}
+_CLASHES = {
+    f"clash:{rel}": S.parse_formula(
+        f"X = ris(Z in D,[],true,[Z,0]) & Y = ris(Z in E,[],true,[Z,{{a1}}]) & {rel}"
+    ).disjuncts[0]
+    for rel in ("X = Y", "subset(X,Y)")
+}
+_RANDOM = _Conjuncts(seed=20261019)
+CONJUNCTS = {
+    **{label: (d, sorts) for label, d, sorts in _shipped_conjuncts()},
+    **{label: (d, {}) for label, d in _CLASHES.items()},
+    **{f"random:{i}": (_RANDOM.conjunct(), {}) for i in range(240)},
+}
+
+
+@pytest.mark.parametrize("label", list(CONJUNCTS))
+def test_compiled_problem_matches_the_formula_walker(label):
+    conjunct, sorts = CONJUNCTS[label]
+    p = _compile._compile(conjunct, sorts)
+    assert list(p.caller) == free_vars(Formula((conjunct,)))
+    if p.constraints is not None:
+        assert len(p.free) == len(p.atoms) == len(p.constraints)
+        for c, names, atoms in zip(p.constraints, p.free, p.atoms):
+            expected = set()
+            assert names == _free_names(c.args, atoms=expected), c
+            assert atoms == expected, c
+        assert list(p.sorts) == list(dict.fromkeys(itertools.chain(p.caller, *p.free)))
+    assert _compile._compile(conjunct, sorts) == p
+
+
+def test_the_conjuncts_take_every_path_of_the_compile():
+    problems = {label: _compile._compile(d, s) for label, (d, s) in CONJUNCTS.items()}
+    lifted = [p for label, p in problems.items() if len(p.compiled) > len(CONJUNCTS[label][0])]
+    assert len(lifted) >= 200
+    assert sum(p.constraints is None for p in problems.values()) >= 6
+    for label in _CLASHES:
+        p = problems[label]
+        assert p.constraints != p.compiled and p.constraints[-1].args[1] == Lit(vset())
+
+
+def test_lifted_set_terms_get_fresh_names_inner_ones_first():
+    # _E1 is taken; a set term is named before the ones in its tail are
+    # lifted, and a comprehension before the ones in its domain
+    (d,) = S.parse_formula(
+        "in(_E1,{a1/{a2/T}}) & subset(ris(X in {a3/U},[],true,[X,{X/V}]),W)"
+    ).disjuncts
+    p = _compile._compile(d, {})
+    assert S.print_formula(Formula((p.compiled,))) == (
+        "_E3 = {a2/T} & _E2 = {a1/_E3} & in(_E1,_E2) & _E5 = {a3/U} & "
+        "_E4 = ris(X in _E5,[],true,[X,{X/V}]) & subset(_E4,W)"
+    )
+    assert p.caller == ("_E1", "T", "U", "V", "W")

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from setforge import goals, solver
+from setforge import _compile, goals, solver
 from setforge import speclang as S
 from setforge.cli import main
 from setforge.formula import TRUE, C, Lit, RisT, conj, conj_formulas, free_vars, negate
@@ -101,14 +101,14 @@ def _oracle(case):
 
 def test_clash_rule_matches_a_plain_python_oracle(monkeypatch):
     fired = [0]
-    rule = solver._rewrite
+    rule = _compile._rewrite
 
     def counting(constraints, declared):
         out = rule(constraints, declared)
         fired[0] += out is None or out != constraints
         return out
 
-    monkeypatch.setattr(solver, "_rewrite", counting)
+    monkeypatch.setattr(_compile, "_rewrite", counting)
     rng = random.Random(20170806)
     disagreements = []
     runs = 800
@@ -143,7 +143,7 @@ def test_clash_rule_matches_a_plain_python_oracle(monkeypatch):
 )
 def test_patterns_that_can_meet_are_never_apart(p, q):
     for a, b in ((p, q), (q, p)):
-        assert not solver._clash(S.parse_term(a), S.parse_term(b))
+        assert not _compile._clash(S.parse_term(a), S.parse_term(b))
 
 
 @pytest.mark.parametrize(
@@ -159,7 +159,7 @@ def test_patterns_that_can_meet_are_never_apart(p, q):
 )
 def test_patterns_that_cannot_meet_are_apart(p, q):
     for a, b in ((p, q), (q, p)):
-        assert solver._clash(S.parse_term(a), S.parse_term(b))
+        assert _compile._clash(S.parse_term(a), S.parse_term(b))
 
 
 def _psd_psas_refutation(goal):

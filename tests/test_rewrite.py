@@ -17,7 +17,7 @@ import random
 import pytest
 from test_solver import brute_force_sat
 
-from setforge import goals, solver, ttf
+from setforge import _compile, goals, solver, ttf
 from setforge import speclang as S
 from setforge.cli import main
 from setforge.formula import C, Formula, SetT, TupT, Var, conj, conj_formulas, free_vars, negate
@@ -153,7 +153,7 @@ def _sorts(f):
 
 def _refuted_at_compile_time(f):
     (disjunct,) = f.disjuncts
-    return solver._prepare(disjunct, {}) is None
+    return _compile._compile(disjunct, {}).constraints is None
 
 
 @pytest.mark.parametrize("src", [
@@ -200,7 +200,7 @@ def test_apply_outside_the_key_sort_is_refuted(src, refuted):
     f = S.parse_formula(src)
     (disjunct,) = f.disjuncts
     sorts = {v: SORTS[v] for v in free_vars(f) if v in SORTS}
-    assert (solver._prepare(disjunct, sorts) is None) == refuted
+    assert (_compile._compile(disjunct, sorts).constraints is None) == refuted
     if refuted:
         assert not brute_force_sat(f, SCOPE, sorts)
 

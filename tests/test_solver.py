@@ -696,3 +696,13 @@ def test_skipping_renamings_keeps_verdicts_and_witnesses(monkeypatch, count_node
             assert nodes <= count_nodes[0], S.print_formula(f)
             pruned += nodes < count_nodes[0]
     assert pruned >= 30, pruned
+
+
+def test_subset_of_a_ground_set_tries_only_its_subsets(count_nodes):
+    # Y's candidates are {} and {a2}, the subsets of X, in every scope
+    f = F("X = {a2} & subset(Y,X) & Y neq {} & Y neq {a2}")
+    sorts = {"X": SetS(AtomS("addr")), "Y": SetS(AtomS("addr"))}
+    for k in (3, 5):
+        count_nodes[0] = 0
+        assert solve(f, Scope(atoms_per_namespace=k, max_set_card=k), sorts=sorts) == Unsat()
+        assert count_nodes[0] == 2

@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 import setforge
-from setforge import _backend, kernel
+from setforge import _backend, _compile, kernel, solver
 from setforge import consensus as CN
 from setforge import evm as E
 from setforge import speclang as S
@@ -104,3 +104,31 @@ def test_domain_membership_bisects_and_builds_no_domain(monkeypatch):
     p = CN.make_packet(CN.ENV_ADDR, this, CN.addr_msg(vset([a1])))
     CN.deliver_step(CN.make_conf(CN.conf_delta(c), vset([p])), p)
     assert calls["dom_elems"] == 0
+
+
+def test_the_solver_api_is_defined_in_the_solver_module():
+    # the tracer wraps only functions whose __module__ is the layer's own
+    for name in ("solve", "check_unsat", "prove_implication", "eval_ground_formula"):
+        assert getattr(solver, name).__module__ == "setforge.solver", name
+
+
+def test_the_compile_module_defines_no_public_function():
+    public = [
+        name for name, fn in vars(_compile).items()
+        if not name.startswith("_") and inspect.isfunction(fn)
+        and fn.__module__ == _compile.__name__
+    ]
+    assert public == []
+
+
+def test_a_wrapper_on_the_ground_evaluator_sees_the_sat_recheck(monkeypatch):
+    checked = []
+    evaluate = solver.eval_ground_formula
+
+    def wrapper(f, assignment, **kwargs):
+        checked.append(dict(assignment))
+        return evaluate(f, assignment, **kwargs)
+
+    monkeypatch.setattr(solver, "eval_ground_formula", wrapper)
+    r = solver.solve(S.parse_formula("in(X,{a1,a2}) & X neq a1"))
+    assert isinstance(r, solver.Sat) and checked == [r.witness]
