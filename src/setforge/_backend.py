@@ -17,11 +17,12 @@ from bisect import bisect_left
 from operator import attrgetter
 
 BACKEND_NAME = "python"
+_KEY = attrgetter("_key")
 
 
 def canon(elems):
     """Sort by structural key and drop duplicates."""
-    items = sorted(elems, key=lambda v: v._key)
+    items = sorted(elems, key=_KEY)
     out = []
     last = None
     for v in items:
@@ -51,8 +52,6 @@ def member(elems, v):
 # Primitives call one another through these, so a wrapper on a public name sees outside calls only.
 _canon = canon
 _member = member
-
-_KEY = attrgetter("_key")
 
 
 def _merge_shorter(short, longer, keep_short):

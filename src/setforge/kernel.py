@@ -28,9 +28,11 @@ def _need_set(v: Value, op: str) -> SetV:
 
 
 # What a set is known to be, kept in its ``_facts`` slot from the first time
-# it is asked.  A fact is computed from the set's own elements only, never
-# inferred from the operation that built the set.
+# it is asked and computed then from the set's own elements.  Only override
+# records a fact as it builds a set, and only one it knows without a scan:
+# a function overridden by a function, or by at most one pair, is a function.
 _NOT_REL, _REL, _NOT_PFUN, _PFUN = range(4)
+_set_facts = SetV._facts.__set__
 
 
 def _relation_fact(s: SetV) -> int:
@@ -44,7 +46,7 @@ def _relation_fact(s: SetV) -> int:
         elems = s.elems
         pair = not elems or elems[0]._key[:2] == (2, 2) == elems[-1]._key[:2]
         fact = _REL if pair else _NOT_REL
-        object.__setattr__(s, "_facts", fact)
+        _set_facts(s, fact)
         return fact
 
 
@@ -66,7 +68,7 @@ def _is_pfun(r: SetV) -> bool:
     fact = r._facts
     if fact == _REL:
         fact = _PFUN if _backend.is_pfun_elems(r.elems) else _NOT_PFUN
-        object.__setattr__(r, "_facts", fact)
+        _set_facts(r, fact)
     return fact == _PFUN
 
 
@@ -130,7 +132,10 @@ def override(r: Value, g: Value) -> SetV:
     """Relational override: pairs of g replace same-key pairs of r."""
     r = _need_rel(r, "override")
     g = _need_rel(g, "override")
-    return SetV(_backend.override_elems(r.elems, g.elems), _canonical=True)
+    out = SetV(_backend.override_elems(r.elems, g.elems), _canonical=True)
+    if r._facts == _PFUN and (g._facts == _PFUN or len(g.elems) < 2):
+        _set_facts(out, _PFUN)
+    return out
 
 
 def dres(d: Value, r: Value) -> SetV:

@@ -1564,7 +1564,11 @@ def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DE
                 val = resolve(PHole(name), env)
                 raise SetforgeError(f"internal: witness for {name} is not ground: {val!r}")
         witness = {name: assignment[name] for name in problem.caller}
-        ok = eval_ground_formula(Formula((problem.compiled,)), assignment, partial_ok=True)
+        # no second binder check: f passed it, and a comprehension lifted out
+        # of another one's domain may reuse a binder that is free elsewhere
+        recheck = object.__new__(Formula)
+        recheck.disjuncts = (problem.compiled,)
+        ok = eval_ground_formula(recheck, assignment, partial_ok=True)
         if ok is not True:
             raise SetforgeError(
                 f"internal: witness failed direct re-evaluation: {witness!r}"

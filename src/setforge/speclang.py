@@ -46,7 +46,7 @@ from .formula import (
     conj_formulas,
     disj_of,
 )
-from .values import Atom, IntV, SeqV, SetV, TupV, Value
+from .values import FIELD_ATOMS, Atom, IntV, SeqV, SetV, TupV, Value
 
 RESERVED = {"or", "neq", "in", "ris", "seq", "true", "false"}
 
@@ -384,6 +384,9 @@ _VALUE_TOKEN = re.compile(r"[ \t\r\n]*(-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[^ \t\r\n
 # Deeper text goes to the recursive parser, which decides whether it is
 # nested too deeply to read.
 _READ_DEPTH = 64
+# One shared atom per record field name: most names in a world or a
+# transaction are field names.
+_FIELD_ATOMS = {name: Atom(name, "field") for name in FIELD_ATOMS}
 
 
 def _read_value(src: str):
@@ -412,7 +415,7 @@ def _read_value(src: str):
             elif t in RESERVED or (paren and t in KINDS):
                 return None
             else:
-                v = Atom(t)
+                v = _FIELD_ATOMS.get(t) or Atom(t)
                 if paren:
                     i += 1
                     open_.append((")", [v]))
@@ -551,18 +554,21 @@ def _try_clausedef(p: _Parser):
 
 
 def print_value(v: Value) -> str:
-    if isinstance(v, Atom):
+    # map calls this function itself, one frame per nesting level: a helper
+    # frame per level would halve the depth it can print
+    t = type(v)
+    if t is Atom:
         return v.name
-    if isinstance(v, IntV):
-        return str(v.n)
-    if isinstance(v, TupV):
+    if t is TupV:
         head = v.elems[0]
-        if isinstance(head, Atom) and (head.ns in _FUNCTOR_NS or head.name in _FUNCTOR_NAMES):
+        if type(head) is Atom and (head.ns in _FUNCTOR_NS or head.name in _FUNCTOR_NAMES):
             return f"{head.name}({','.join(map(print_value, v.elems[1:]))})"
         return f"[{','.join(map(print_value, v.elems))}]"
-    if isinstance(v, SetV):
+    if t is SetV:
         return "{" + ",".join(map(print_value, v.elems)) + "}"
-    if isinstance(v, SeqV):
+    if t is IntV:
+        return str(v.n)
+    if t is SeqV:
         return "seq([" + ",".join(map(print_value, v.elems)) + "])"
     raise NotGroundError(f"cannot print non-Value {v!r}")
 

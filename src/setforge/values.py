@@ -66,6 +66,11 @@ class Value:
 
     __slots__ = ("_key", "_hash")
 
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -89,7 +94,7 @@ class Value:
             return self._hash
         except AttributeError:
             h = hash(self._key)
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
             return h
 
 
@@ -103,12 +108,9 @@ class Atom(Value):
             ns = infer_namespace(name)
         if ns not in _NS_RANK:
             raise KindError(f"unknown atom namespace {ns!r}")
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_key", (0, _NS_RANK[ns], name))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Atom is immutable")
+        _set_ns(self, ns)
+        _set_name(self, name)
+        _set_key(self, (0, _NS_RANK[ns], name))
 
     def __repr__(self):
         return f"Atom({self.name!r}, {self.ns!r})"
@@ -122,11 +124,8 @@ class IntV(Value):
     def __init__(self, n: int):
         if not isinstance(n, int) or isinstance(n, bool):
             raise KindError(f"IntV needs a Python int, got {type(n).__name__}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_key", (1, n))
-
-    def __setattr__(self, *a):
-        raise AttributeError("IntV is immutable")
+        _set_n(self, n)
+        _set_key(self, (1, n))
 
     def __repr__(self):
         return f"IntV({self.n})"
@@ -144,11 +143,8 @@ class TupV(Value):
         for e in elems:
             if not isinstance(e, Value):
                 raise KindError(f"tuple component is not a Value: {e!r}")
-        object.__setattr__(self, "elems", elems)
-        object.__setattr__(self, "_key", (2, len(elems), *[e._key for e in elems]))
-
-    def __setattr__(self, *a):
-        raise AttributeError("TupV is immutable")
+        _set_tup(self, elems)
+        _set_key(self, (2, len(elems), *[e._key for e in elems]))
 
     def __len__(self):
         return len(self.elems)
@@ -162,7 +158,8 @@ class SetV(Value):
 
     ``_facts`` stays unset until kernel.py first asks whether the set is a
     binary relation; it then records that, and later whether it is a
-    partial function, computed from the elements alone.
+    partial function, computed from the elements alone.  kernel.override
+    records the latter on its result when it knows it without a scan.
     """
 
     __slots__ = ("elems", "_facts")
@@ -175,11 +172,8 @@ class SetV(Value):
                 if not isinstance(e, Value):
                     raise KindError(f"set element is not a Value: {e!r}")
             elems = _backend.canon(elems)
-        object.__setattr__(self, "elems", elems)
-        object.__setattr__(self, "_key", (3, len(elems), *[e._key for e in elems]))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SetV is immutable")
+        _set_set(self, elems)
+        _set_key(self, (3, len(elems), *[e._key for e in elems]))
 
     def __len__(self):
         return len(self.elems)
@@ -204,17 +198,21 @@ class SeqV(Value):
         for e in elems:
             if not isinstance(e, Value):
                 raise KindError(f"sequence element is not a Value: {e!r}")
-        object.__setattr__(self, "elems", elems)
-        object.__setattr__(self, "_key", (4, len(elems), *[e._key for e in elems]))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SeqV is immutable")
+        _set_seq(self, elems)
+        _set_key(self, (4, len(elems), *[e._key for e in elems]))
 
     def __len__(self):
         return len(self.elems)
 
     def __repr__(self):
         return f"SeqV{self.elems!r}"
+
+
+# Constructors write each slot through its own descriptor: faster than
+# object.__setattr__, and past Value.__setattr__, which refuses every write.
+_set_key, _set_hash = Value._key.__set__, Value._hash.__set__
+_set_ns, _set_name, _set_n = Atom.ns.__set__, Atom.name.__set__, IntV.n.__set__
+_set_tup, _set_set, _set_seq = TupV.elems.__set__, SetV.elems.__set__, SeqV.elems.__set__
 
 
 def atom(name: str, ns: str | None = None) -> Atom:

@@ -66,6 +66,15 @@ def test_eval_prints_a_deeply_nested_witness(capsys, tmp_path):
     assert S.parse_value(printed) == S.parse_value(deep)
 
 
+def test_eval_answers_a_formula_whose_lifted_comprehension_reuses_a_free_name(capsys, tmp_path):
+    # Y binds the inner comprehension and is free in in(Y,T): the formula
+    # passes the binder check, so eval answers it rather than rejecting it
+    p = tmp_path / "nested.slog"
+    p.write_text("in(a1,ris(X in ris(Y in S,[],true,Y),[],true,X)) & in(Y,T).\n")
+    code, out, _ = run_cli(capsys, "eval", str(p))
+    assert (code, out) == (0, "Sat\n  S = {a1}\n  T = {a1}\n  Y = a1\n")
+
+
 def test_eval_named_goal_selection(capsys, tmp_path):
     p = tmp_path / "clauses.slog"
     p.write_text("one(X) :- X = a1.\ntwo(Y) :- Y = {} & Y neq {}.\n")

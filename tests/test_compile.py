@@ -24,9 +24,13 @@ from setforge.formula import (
     free_vars,
     negate,
 )
+from setforge.solver import Sat, Unsat, eval_ground_formula, solve
+from setforge.universe import AtomS, Scope, SetS
 from setforge.values import atom, intv, vset
+from test_solver import brute_force_sat
 
 A1 = Lit(atom("a1"))
+_TINY = Scope(atoms_per_namespace=2, int_lo=0, int_hi=1, max_set_card=2)
 
 
 def _ris(binder, domain, pattern=None, filter=TRUE):
@@ -70,6 +74,28 @@ def test_an_outermost_binder_free_in_another_constraint_clashes(src):
 ])
 def test_a_binder_reused_inside_a_nested_comprehension_is_allowed(src):
     S.parse_formula(src)
+
+
+_NESTED_BINDER_SORTS = {"S": SetS(AtomS("addr")), "T": SetS(AtomS("addr")), "Y": AtomS("addr")}
+
+
+@pytest.mark.parametrize("src", [
+    "in(a1,ris(X in ris(Y in S,[],true,Y),[],true,X)) & in(Y,T)",
+    "in(a1,ris(X in ris(Y in S,[],true,Y),[],true,X)) & in(Y,T) & nin(Y,S)",
+    "in(a2,ris(X in ris(Y in S,[],nin(Y,T),Y),[],true,X)) & in(Y,T) & Y neq a2",
+    "in(a1,ris(X in ris(Y in S,[],true,Y),[],true,X)) & in(Y,T) & Y neq a1 & nin(Y,S) & S = T",
+    "nin(a1,ris(X in ris(Y in S,[],true,Y),[],true,X)) & in(Y,T) & in(a1,S)",
+])
+def test_a_lifted_comprehension_may_reuse_a_binder_free_elsewhere(src):
+    # the compile lifts the inner comprehension into an equation of its own,
+    # where Y is an outermost binder and free elsewhere; the formula passed
+    # the binder check, so the Sat re-check must take the lifted conjunct
+    f = S.parse_formula(src)
+    r = solve(f, _TINY, _NESTED_BINDER_SORTS)
+    assert isinstance(r, (Sat, Unsat))
+    assert isinstance(r, Sat) == brute_force_sat(f, _TINY, _NESTED_BINDER_SORTS)
+    if isinstance(r, Sat):
+        assert eval_ground_formula(f, r.witness) is True
 
 
 def test_a_filter_is_a_formula_of_its_own():

@@ -178,6 +178,69 @@ def test_remembered_facts_answer_like_the_first_call():
     assert _outcome(K.record_get, dup_field, AS) == (
         KindError, "record_get: duplicate field atoms in record")
     assert not K.is_relation(non_pair) and K.is_relation(dup_key) and not K.is_relation(a1)
+    # a function whose fact override recorded answers like a fresh copy
+    known = rel((s_, acc1), (t_, acc1))
+    K.is_pfun(known)
+    built = K.override(known, rel((s_, atom("u9"))))
+    for fn, *args in [(K.apply, s_), (K.is_pfun,), (K.record_get, s_), (K.dom,)]:
+        assert _outcome(fn, built, *args) == _outcome(fn, vset(built.elems), *args)
+
+
+def _fact_of_elems(s):
+    """The fact s's elements give, computed without the kernel."""
+    if not all(map(is_pair, s.elems)):
+        return K._NOT_REL
+    firsts = [p.elems[0]._key for p in s.elems]
+    return K._PFUN if len(set(firsts)) == len(firsts) else K._NOT_PFUN
+
+
+def test_override_records_only_facts_its_result_has(gen):
+    keys = [gen.value(1) for _ in range(3)]
+    draws = (lambda: vset(), lambda: rel((gen.rng.choice(keys), gen.value(1))),
+             lambda: gen.relation(max_card=6), lambda: _dense_relation(gen, keys))
+    seen = {"recorded": 0, "r only a relation": 0, "not a function": 0}
+    for _ in range(400):
+        r, g = gen.rng.choice(draws)(), gen.rng.choice(draws)()
+        # leave r's fact at _REL in about a third of the cases
+        for s in (r,) * (gen.rng.random() < 0.65) + (g,) * (gen.rng.random() < 0.5):
+            K.is_pfun(s)
+        o = K.override(r, g)
+        seen["r only a relation"] += r._facts == K._REL
+        if hasattr(o, "_facts"):
+            seen["recorded"] += 1
+            assert o._facts == _fact_of_elems(o) == K._PFUN
+        assert K.is_pfun(o) == (_fact_of_elems(o) == K._PFUN)
+        seen["not a function"] += not K.is_pfun(o)
+        assert o._facts == _fact_of_elems(o)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_apply_after_override_of_a_known_function_scans_nothing(monkeypatch):
+    scans = []
+    is_pfun_elems = _backend.is_pfun_elems
+    monkeypatch.setattr(_backend, "is_pfun_elems",
+                        lambda pairs: scans.append(len(pairs)) or is_pfun_elems(pairs))
+    names = [atom(f"a{i}") for i in range(1, 301)]
+    acc = rel(*[(a, intv(i)) for i, a in enumerate(names)])
+    assert K.apply(acc, a1) == intv(0) and scans == [300]
+    for i, a in enumerate(names[:20]):
+        acc = K.override(acc, rel((a, intv(-i))))
+        assert K.apply(acc, a) == intv(-i)
+    acc = K.override(acc, acc)  # two known functions
+    assert K.apply(acc, a2) == intv(-1) and K.is_pfun(acc)
+    assert scans == [300]
+    # r only known to be a relation: nothing recorded, so the first question scans
+    dup = rel((a1, intv(0)), (a1, intv(1)), (a2, intv(0)))
+    kept = K.override(dup, rel((a2, intv(5))))
+    assert not hasattr(kept, "_facts") and not K.is_pfun(kept) and scans == [300, 3]
+    with pytest.raises(AmbiguousApplicationError):
+        K.apply(kept, a1)
+    cured = K.override(dup, rel((a1, intv(5))))
+    assert K.is_pfun(cured) and K.apply(cured, a1) == intv(5) and scans == [300, 3, 2]
+    # a known function overridden by a relation of three pairs: nothing recorded
+    one = rel((a1, intv(0)))
+    assert K.is_pfun(one) and not K.is_pfun(K.override(one, dup))
+    assert scans == [300, 3, 2, 1, 3]
 
 
 def test_relation_then_function_question():

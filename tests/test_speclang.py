@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import values_st
 from setforge import speclang as S
+from setforge import values
 from setforge.errors import NotGroundError, ParseError
 from setforge.formula import FALSE, TRUE, Lit, RisT, SetT, TupT, Var
-from setforge.values import atom, intv, tup, vseq, vset
+from setforge.values import FIELD_ATOMS, Atom, SeqV, atom, intv, tup, vseq, vset
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -226,6 +227,35 @@ def test_reader_leaves_only_deeper_nesting_to_the_term_path():
         src = "[" * (depth - 1) + "{a1}" + ",a2]" * (depth - 1)  # depth containers
         assert (S._read_value(src) is None) == (depth == S._READ_DEPTH + 1)
         assert S.parse_value(src) == _term_path(src)
+
+
+def test_reader_takes_field_names_from_the_field_atom_table(monkeypatch):
+    for name in sorted(FIELD_ATOMS):
+        v = S.parse_value(name)
+        assert v == Atom(name) and v.ns == "field" and v is S._FIELD_ATOMS[name]
+    # any other name still goes through infer_namespace
+    seen = []
+    infer = values.infer_namespace
+    monkeypatch.setattr(values, "infer_namespace", lambda n: seen.append(n) or infer(n))
+    v = S.parse_value("{[bal,a7],[nonce,zz],[sender,tx3],[code,addrMsg(h2)]}")
+    assert seen == ["a7", "zz", "tx3", "addrMsg", "h2"]
+    assert [(p.elems[0].ns, p.elems[1]) for p in v.elems] == [
+        ("field", Atom("a7", "addr")),
+        ("field", tup(Atom("addrMsg", "msg"), Atom("h2", "hash"))),
+        ("field", Atom("zz", "opaque")), ("field", Atom("tx3", "tx"))]
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda v: vset([v]), lambda v: tup(v, atom("a2")), lambda v: vseq([v])])
+def test_values_450_levels_deep_print_and_compare(wrap):
+    v, w = atom("a1"), atom("a1")
+    for _ in range(450):
+        v, w = wrap(v), wrap(w)
+    assert v is not w and v == w and not v != w and v <= w and hash(v) == hash(w)
+    printed = S.print_value(v)
+    assert printed == S.print_value(w) and printed.count("a1") == 1
+    if not isinstance(v, SeqV):  # seq([ nests too deep for the term parser
+        assert S.parse_value(printed) == v
 
 
 MALFORMED = [

@@ -101,8 +101,25 @@ def test_int_requires_python_int():
 
 
 def test_values_are_immutable():
-    with pytest.raises(AttributeError):
-        a1.name = "a9"
+    # every class refuses every write and delete, its own slots included
+    for v in (atom("a9"), intv(9), tup(a1, a2), vset([a1, a2]), SeqV([a1])):
+        names = type(v).__slots__ + ("_key", "_hash", "other")
+        before = {n: getattr(v, n) for n in names if hasattr(v, n)}
+        for name in names:
+            with pytest.raises(AttributeError, match=f"{type(v).__name__} is immutable"):
+                setattr(v, name, a3)
+            with pytest.raises(AttributeError, match=f"{type(v).__name__} is immutable"):
+                delattr(v, name)
+        assert {n: getattr(v, n) for n in names if hasattr(v, n)} == before
+
+
+def test_the_hash_is_computed_once_and_remembered():
+    v = vset([tup(a1, intv(2)), tup(a2, vset([a3]))])
+    assert not hasattr(v, "_hash")  # most values are never hashed
+    h = hash(v)
+    assert v._hash == h == hash(v._key)
+    object.__setattr__(v, "_hash", h + 1)  # later calls read the slot
+    assert hash(v) == h + 1
 
 
 def test_total_order_is_strict_and_consistent():
