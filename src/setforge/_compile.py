@@ -2,10 +2,10 @@
 no scope: it lifts each comprehension or open extension that is no eq or
 neq operand into an equation on a fresh variable (_lifted), rewrites by
 rules that hold in every scope (_rewrite) and gives each variable a sort
-(_infer_sorts).  One walk per constraint (_scan) finds its free names, its
-literal atoms and whether something in it is lifted.  Only such a
-constraint is rebuilt, and the walk is repeated only when a constraint is
-rebuilt or replaced.
+(_infer_sorts).  One walk per constraint (formula._scan, the walk of the
+binder check and of free_vars) finds its free names, its literal atoms and
+whether something in it is lifted.  Only such a constraint is rebuilt, and
+the walk is repeated only when a constraint is rebuilt or replaced.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 
 from ._frozen import Frozen
-from .errors import FormulaError
-from .formula import Constraint, Lit, RisT, SeqT, SetT, Term, TupT, Var, _formula_args, _free_names
+from .formula import Constraint, Lit, RisT, SeqT, SetT, Term, TupT, Var, _scan
 from .universe import AnyS, AtomS, IntS, RecordS, RelS, SeqS, SetS, Sort, TupleS
-from .values import EMPTY_SET, Atom, IntV, SeqV, SetV, TupV, _add_atoms
+from .values import EMPTY_SET, Atom, IntV, SeqV, SetV, TupV
 
 
 class Problem(Frozen):
@@ -83,69 +82,33 @@ def _is_set_term(t):
 def _compile(disjunct, declared) -> Problem:
     """The compiled problem of one conjunct; declared maps the caller's
     variables to their sorts."""
-    binders = set()  # every comprehension's binder, which no fresh name takes
-    compiled, scans = list(disjunct), _scan(disjunct, binders)
+    binders = set()  # (binder, outermost) of every comprehension: no fresh name takes a binder
+    compiled, scans = list(disjunct), _scan([c.args for c in disjunct], binders, atoms=True)
     caller = tuple(dict.fromkeys(itertools.chain.from_iterable(s[0] for s in scans)))
-    if any(s[2] for s in scans):  # rare: walk the compiled conjunct again
-        used = set(caller) | binders
+    lifts = [s[2] and _lifts(c, s[2]) for c, s in zip(disjunct, scans)]
+    if any(lifts):  # rare: walk the compiled conjunct again
+        used = set(caller).union(b for b, _ in binders)
         fresh = (name for name in map("_E{}".format, itertools.count(1)) if name not in used)
-        compiled = [d for c, s in zip(disjunct, scans)
-                    for d in (_lifted(c, fresh) if s[2] else [c])]
-        scans = _scan(compiled, binders)
+        compiled = [d for c, lift in zip(disjunct, lifts)
+                    for d in (_lifted(c, fresh) if lift else [c])]
+        scans = _scan([c.args for c in compiled], atoms=True)
     constraints = _rewrite(compiled, declared)
     if constraints is None:
         return Problem(tuple(compiled), None, (), (), caller, {})
     if constraints != compiled:  # rare: the clash rule replaced a constraint
-        scans = _scan(constraints, binders)
+        scans = _scan([c.args for c in constraints], atoms=True)
     free, atoms = tuple(s[0] for s in scans), tuple(s[1] for s in scans)
     sorts = _infer_sorts(constraints, declared, itertools.chain(caller, *free))
     return Problem(tuple(compiled), tuple(constraints), free, atoms, caller, sorts)
 
 
-def _scan(constraints, binders):
-    """(free names, atoms, lifted) of each constraint, in one walk over it:
-    its free names in first-occurrence order, as formula._free_names gives
-    them, the atoms its literals name, comprehension filters and patterns
-    included, and whether _lifted has something to lift in it.  The binder
-    of every comprehension met is added to binders."""
-    out = []
-    top = frozenset()
-
-    def term(t, bound):
-        nonlocal sets
-        kind = type(t)
-        if kind is Var:
-            if t.name not in bound:
-                names[t.name] = None
-        elif kind is Lit:
-            _add_atoms(t.value, atoms)
-        elif kind is TupT or kind is SeqT or kind is SetT:
-            for e in t.elems:
-                term(e, bound)
-            if kind is SetT and t.tail is not None:
-                sets += bound is top
-                term(t.tail, bound)
-        elif kind is RisT:
-            sets += bound is top
-            binders.add(t.binder)
-            term(t.domain, bound)
-            inner = bound | {t.binder}
-            for a in _formula_args(t.filter):
-                term(a, inner)
-            term(t.pattern, inner)
-        else:
-            raise FormulaError(f"not a term: {t!r}")
-
-    for c in constraints:
-        names = {}  # a dict keeps the order in which its keys were first set
-        atoms = set()
-        sets = 0  # comprehensions and open extensions outside every filter and pattern
-        for a in c.args:
-            term(a, top)
-        if sets and c.kind in ("eq", "neq"):
-            sets -= sum(map(_is_set_term, c.args))  # an operand stays in place
-        out.append((list(names), atoms, sets > 0))
-    return out
+def _lifts(c: Constraint, sets):
+    """Whether _lifted has something to lift in c, which holds sets
+    comprehensions and open extensions outside every filter and pattern:
+    one that is no eq or neq operand."""
+    if c.kind in ("eq", "neq"):
+        sets -= sum(map(_is_set_term, c.args))  # an operand stays in place
+    return sets > 0
 
 
 def _lifted(c: Constraint, fresh):
@@ -406,10 +369,10 @@ def _apply_outside_keys(constraints, declared):
         if isinstance(c.args[0], Var) and c.args[0].name not in declared
     }
     if only_applied:
-        only_applied -= set(_free_names([
+        only_applied -= set(_scan([[
             a for c in constraints
             for a in (c.args[1:] if c.kind == "apply" and isinstance(c.args[0], Var) else c.args)
-        ]))
+        ]])[0][0])
     for c in applies:
         f, x = c.args[0], c.args[1]
         if not isinstance(f, Var):

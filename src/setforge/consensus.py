@@ -3,8 +3,7 @@
 States are plain kernel values (records as sets of field pairs), so traces
 print in the same canonical syntax the rest of the toolkit uses.  Only the
 address-announcement receiving transition is specified; the delivery engine
-dispatches on message kind and consumes packets whose kind has no
-registered receiver, so further transitions plug in without engine changes.
+dispatches on message kind and consumes packets whose kind has no receiver.
 """
 
 from __future__ import annotations
@@ -19,21 +18,15 @@ from .errors import (
     SetforgeError,
     UnknownNode,
 )
-from .values import EMPTY_SET, Atom, SetV, TupV, Value, vset
+from .values import EMPTY_SET, FIELD_ATOMS, Atom, SetV, TupV, Value, vset
 
 CONNECT_MSG = Atom("connectMsg", "msg")
 ADDR_MSG = Atom("addrMsg", "msg")
 ENV_ADDR = Atom("env", "addr")  # reserved source for injected stimulus packets
 NULL_ADDR = Atom("null", "addr")
 
-_F_AS = Atom("as", "field")
-_F_BF = Atom("bf", "field")
-_F_TP = Atom("tp", "field")
-_F_DELTA = Atom("delta", "field")
-_F_SOUP = Atom("soup", "field")
-_F_PREV = Atom("prev", "field")
-_F_TXS = Atom("txs", "field")
-_F_PF = Atom("pf", "field")
+_F_AS, _F_BF, _F_TP, _F_DELTA, _F_SOUP, _F_PREV, _F_TXS, _F_PF = (
+    FIELD_ATOMS[name] for name in ("as", "bf", "tp", "delta", "soup", "prev", "txs", "pf"))
 
 
 def _need_addr(v: Value, what: str) -> Atom:
@@ -161,10 +154,6 @@ def rcv_addr(self_addr: Atom, s: Value, p: Value):
 
 # message kind -> local transition (self, state, packet) -> (ps, state')
 _RECEIVERS = {"addrMsg": rcv_addr}
-
-
-def register_receiver(kind: str, handler) -> None:
-    _RECEIVERS[kind] = handler
 
 
 class DeliveryRecord(Frozen):

@@ -20,7 +20,7 @@ from .errors import (
     SetforgeError,
     StackUnderflow,
 )
-from .values import EMPTY_SEQ, EMPTY_SET, Atom, IntV, SeqV, SetV, TupV, Value
+from .values import EMPTY_SEQ, EMPTY_SET, FIELD_ATOMS, Atom, IntV, SeqV, SetV, TupV, Value
 
 STEP_INITIAL = Atom("initial", "opaque")
 STEP_CCBEGINS = Atom("ccbegins", "opaque")
@@ -30,14 +30,6 @@ CREATE_INSTR = Atom("create", "opaque")
 
 CREATE_DEPTH_LIMIT = 1024  # bounds simultaneous create calls, not stack size
 MEMORY_WORD_BYTES = 32
-
-_F = {
-    name: Atom(name, "field")
-    for name in (
-        "nonce bal code acc accCC newaddr step g pc m i s out "
-        "tn tg tp tv ti td sender tt ia io ip ie cs ees"
-    ).split()
-}
 
 
 def _nat(v, what: str) -> int:
@@ -55,11 +47,11 @@ def _addr(v: Value, what: str) -> Atom:
 
 
 def _rec(pairs) -> SetV:
-    return SetV([TupV((_F[name], v)) for name, v in pairs])
+    return SetV([TupV((FIELD_ATOMS[name], v)) for name, v in pairs])
 
 
 def _get(r: Value, field: str) -> Value:
-    return kernel.record_get(r, _F[field])
+    return kernel.record_get(r, FIELD_ATOMS[field])
 
 
 def _get_nat(r: Value, field: str) -> int:
@@ -179,8 +171,8 @@ def checkpoint_state(w: Value, t: Value) -> SetV:
         # proved impossible (see the bundled preservation goal); re-checked
         # concretely on every call
         raise SetforgeError("internal: account map stopped being a function")
-    w2 = kernel.record_set(w, _F["acc"], acc2)
-    return kernel.record_set(w2, _F["step"], STEP_CCBEGINS)
+    w2 = kernel.record_set(w, FIELD_ATOMS["acc"], acc2)
+    return kernel.record_set(w2, FIELD_ATOMS["step"], STEP_CCBEGINS)
 
 
 def mem_words(i, f, l) -> int:
@@ -217,8 +209,8 @@ def create2(q: Value, w: Value, a: Value, n) -> SetV:
         raise NotEnabled("creation would succeed; the calling branch applies")
     s2 = kernel.seq_concat(SeqV((IntV(0),)), kernel.seq_tail(kernel.seq_tail(kernel.seq_tail(s))))
     i2 = mem_words(_get_nat(q, "i"), _stack_nat(s, 2), _stack_nat(s, 3))
-    q2 = kernel.record_set(q, _F["s"], s2)
-    return kernel.record_set(q2, _F["i"], IntV(i2))
+    q2 = kernel.record_set(q, FIELD_ATOMS["s"], s2)
+    return kernel.record_set(q2, FIELD_ATOMS["i"], IntV(i2))
 
 
 def _acc_bal(w: Value, a: Value) -> int:
@@ -252,7 +244,7 @@ class CreateArgs(Frozen):
     def to_record(self) -> SetV:
         pairs = [("e", self.e), ("g", self.g), ("i", self.i), ("o", self.o),
                  ("p", self.p), ("s", self.s), ("v", self.v)]
-        return SetV([TupV((Atom(k, "field"), v)) for k, v in pairs])
+        return _rec(pairs)
 
 
 def create_calls_cc(w: Value, q: Value, k: Value):
@@ -302,9 +294,9 @@ def create_calls_cc(w: Value, q: Value, k: Value):
         SeqV((new_addr(ia, nonce),)),
         kernel.seq_tail(kernel.seq_tail(kernel.seq_tail(s))),
     )
-    q2 = kernel.record_set(q, _F["s"], s2)
-    q2 = kernel.record_set(q2, _F["i"], IntV(mem_words(_get_nat(q, "i"), offset, length)))
-    q2 = kernel.record_set(q2, _F["out"], EMPTY_SEQ)
+    q2 = kernel.record_set(q, FIELD_ATOMS["s"], s2)
+    q2 = kernel.record_set(q2, FIELD_ATOMS["i"], IntV(mem_words(_get_nat(q, "i"), offset, length)))
+    q2 = kernel.record_set(q2, FIELD_ATOMS["out"], EMPTY_SEQ)
     return args, q2, STEP_CCBEGINS
 
 

@@ -248,32 +248,43 @@ class Formula:
         return hash(self.disjuncts)
 
 
-def _free_names(terms, binders=None, atoms=None):
-    """Free variable names of the terms in first-occurrence order; an
-    occurrence inside a comprehension whose binder it names does not count.
-    When ``binders`` is a set, the binder of every comprehension that lies
-    in no other comprehension is added to it.  When ``atoms`` is a set,
-    every atom inside a literal is added to it, comprehension filters and
-    patterns included."""
-    names = {}  # a dict keeps the order in which its keys were first set
+def _formula_args(f: Formula):
+    return [a for d in f.disjuncts for c in d for a in c.args]
+
+
+def _scan(groups, binders=None, atoms=False):
+    """One walk over each group of terms, giving per group (free names,
+    atoms, sets): its free variable names in first-occurrence order, where
+    an occurrence inside a comprehension whose binder it names does not
+    count; with atoms, the set of atoms its literals name, comprehension
+    filters and patterns included, else None; and the number of
+    comprehensions and open extensions outside every filter and pattern.
+    When binders is a set, (binder, outermost) is added to it for every
+    comprehension met, outermost when it lies in no other comprehension,
+    not even in another's domain.  A non-term raises FormulaError."""
+    out = []
+    top = frozenset()
     depth = 0  # the comprehensions around the term being walked
 
     def term(t, bound):
-        nonlocal depth
-        if isinstance(t, Var):
+        nonlocal sets, depth
+        kind = type(t)
+        if kind is Var:
             if t.name not in bound:
                 names[t.name] = None
-        elif isinstance(t, Lit):
-            if atoms is not None:
-                _add_atoms(t.value, atoms)
-        elif isinstance(t, (TupT, SeqT, SetT)):
+        elif kind is Lit:
+            if found is not None:
+                _add_atoms(t.value, found)
+        elif kind is TupT or kind is SeqT or kind is SetT:
             for e in t.elems:
                 term(e, bound)
-            if isinstance(t, SetT) and t.tail is not None:
+            if kind is SetT and t.tail is not None:
+                sets += bound is top
                 term(t.tail, bound)
-        elif isinstance(t, RisT):
-            if binders is not None and not depth:
-                binders.add(t.binder)
+        elif kind is RisT:
+            sets += bound is top
+            if binders is not None:
+                binders.add((t.binder, not depth))
             depth += 1
             term(t.domain, bound)
             inner = bound | {t.binder}
@@ -281,27 +292,30 @@ def _free_names(terms, binders=None, atoms=None):
                 term(a, inner)
             term(t.pattern, inner)
             depth -= 1
+        else:
+            raise FormulaError(f"not a term: {t!r}")
 
-    empty = frozenset()
-    for t in terms:
-        term(t, empty)
-    return list(names)
-
-
-def _formula_args(f: Formula):
-    return [a for d in f.disjuncts for c in d for a in c.args]
+    for group in groups:
+        names = {}  # a dict keeps the order in which its keys were first set
+        found = set() if atoms else None
+        sets = 0
+        for t in group:
+            term(t, top)
+        out.append((list(names), found, sets))
+    return out
 
 
 def free_vars(f: Formula) -> list:
     """Free variables in first-occurrence order."""
-    return _free_names(_formula_args(f))
+    return _scan([_formula_args(f)])[0][0]
 
 
 def _check_binders(f: Formula):
     """Binder names of the comprehensions outside any other comprehension
     must not collide with variables that occur free."""
     binders = set()
-    clash = binders.intersection(_free_names(_formula_args(f), binders))
+    ((names, _, _),) = _scan([_formula_args(f)], binders)
+    clash = binders and {b for b, outermost in binders if outermost}.intersection(names)
     if clash:
         raise FormulaError(f"comprehension binder shadows free variable(s): {sorted(clash)}")
 

@@ -228,7 +228,3 @@ def record_set(r: Value, f: Atom, v: Value) -> SetV:
     kept = [p for p in r.elems if p.elems[0] != f]
     kept.append(TupV((f, v)))
     return SetV(kept)
-
-
-def record_fields(r: Value) -> SetV:
-    return dom(_record_pairs(r, "record_fields"))

@@ -384,9 +384,6 @@ _VALUE_TOKEN = re.compile(r"[ \t\r\n]*(-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[^ \t\r\n
 # Deeper text goes to the recursive parser, which decides whether it is
 # nested too deeply to read.
 _READ_DEPTH = 64
-# One shared atom per record field name: most names in a world or a
-# transaction are field names.
-_FIELD_ATOMS = {name: Atom(name, "field") for name in FIELD_ATOMS}
 
 
 def _read_value(src: str):
@@ -415,7 +412,7 @@ def _read_value(src: str):
             elif t in RESERVED or (paren and t in KINDS):
                 return None
             else:
-                v = _FIELD_ATOMS.get(t) or Atom(t)
+                v = FIELD_ATOMS.get(t) or Atom(t)  # most names in a world are field names
                 if paren:
                     i += 1
                     open_.append((")", [v]))

@@ -30,13 +30,6 @@ _NS_RANK = {ns: i for i, ns in enumerate(NAMESPACES)}
 ENUMERABLE_NS = ("addr", "hash", "proof", "tx", "opaque")
 NS_PREFIX = {"addr": "a", "hash": "h", "proof": "pr", "tx": "tx", "opaque": "u"}
 
-# Known record field names, mapped to the field namespace by the parser.
-FIELD_ATOMS = frozenset(
-    "as bf tp prev txs pf delta soup acc accCC newaddr step "
-    "nonce bal code g pc m i s out tn tg tp tv ti td sender tt "
-    "cs ees ia io ip ie".split()
-)
-
 # A prefix and digits name an atom of the namespace its group is called by.
 _NUMBERED_RE = re.compile(
     r"(?:(?P<addr>a|n)|(?P<hash>h)|(?P<proof>pr)|(?P<tx>tx)|(?P<opaque>u))\d+$"
@@ -214,6 +207,17 @@ _set_key, _set_hash = Value._key.__set__, Value._hash.__set__
 _set_ns, _set_name, _set_n = Atom.ns.__set__, Atom.name.__set__, IntV.n.__set__
 _set_tup, _set_set, _set_seq = TupV.elems.__set__, SetV.elems.__set__, SeqV.elems.__set__
 
+# Known record field names, each mapped to the one field atom that every
+# record and the parser share; infer_namespace puts these names in "field".
+FIELD_ATOMS = {
+    name: Atom(name, "field")
+    for name in (
+        "as bf tp prev txs pf delta soup acc accCC newaddr step "
+        "nonce bal code g pc m i s out tn tg tv ti td sender tt "
+        "cs ees ia io ip ie e o p v"
+    ).split()
+}
+
 
 def atom(name: str, ns: str | None = None) -> Atom:
     return Atom(name, ns)
@@ -251,17 +255,3 @@ def _add_atoms(v, out: set) -> None:
 
 def is_pair(v: Value) -> bool:
     return isinstance(v, TupV) and len(v.elems) == 2
-
-
-def value_kind(v: Value) -> str:
-    if isinstance(v, Atom):
-        return "atom"
-    if isinstance(v, IntV):
-        return "int"
-    if isinstance(v, TupV):
-        return "tuple"
-    if isinstance(v, SetV):
-        return "set"
-    if isinstance(v, SeqV):
-        return "seq"
-    raise KindError(f"not a Value: {v!r}")

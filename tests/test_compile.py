@@ -18,7 +18,7 @@ from setforge.formula import (
     SetT,
     TupT,
     Var,
-    _free_names,
+    _scan,
     conj,
     conj_formulas,
     free_vars,
@@ -102,6 +102,69 @@ def test_a_filter_is_a_formula_of_its_own():
     # Y is free in the filter, where the inner comprehension is outermost
     with pytest.raises(FormulaError, match="binder shadows"):
         conj([C("in", Var("Y"), _ris("Y", Var("T")))])
+
+
+# -- the term walker: free names, atoms, binders and set terms -------------------------
+
+
+def test_free_names_come_in_first_occurrence_order_across_constraints():
+    d = S.parse_formula("in(B,A) & un(C,A,D) & in([D,B],E)").disjuncts[0]
+    assert free_vars(Formula((d,))) == ["B", "A", "C", "D", "E"]
+    assert [names for names, _, _ in _scan([c.args for c in d])] == [
+        ["B", "A"], ["C", "A", "D"], ["D", "B", "E"]]
+    assert _compile._compile(d, {}).caller == ("B", "A", "C", "D", "E")
+
+
+def test_a_binder_is_bound_in_its_filter_and_pattern_but_free_in_its_own_domain():
+    t = _ris("X", Var("X"), TupT([Var("X"), Var("Z")]), conj([C("in", Var("X"), Var("Y"))]))
+    binders = set()
+    assert _scan([[t]], binders) == [(["X", "Y", "Z"], None, 1)]
+    assert binders == {("X", True)}
+    assert _scan([[_ris("X", Var("S"), TupT([Var("X"), Var("Z")]))]]) == [(["S", "Z"], None, 1)]
+
+
+def test_atoms_inside_filters_and_patterns_are_found():
+    a2, a3 = Lit(atom("a2")), Lit(vset([atom("a3")]))
+    t = _ris("X", Var("S"), TupT([Var("X"), a2]), conj([C("in", Var("X"), a3)]))
+    ((_, atoms, _),) = _scan([[A1, t]], atoms=True)
+    assert atoms == {atom("a1"), atom("a2"), atom("a3")}
+
+
+def test_every_binder_is_found_and_the_outermost_ones_are_marked():
+    (d,) = S.parse_formula(
+        "in(a1,ris(X in ris(Y in S,[],true,Y),[],true,[X,ris(Z in T,[],true,Z)]))").disjuncts
+    binders = set()
+    _scan([c.args for c in d], binders)
+    assert binders == {("X", True), ("Y", False), ("Z", False)}
+
+
+@pytest.mark.parametrize("src, sets, lifted", [
+    ("A = ris(X in S,[],true,X)", 1, False),
+    ("{a1/T} neq A", 1, False),
+    ("A = [1,ris(X in S,[],true,X)]", 1, True),
+    ("A = ris(X in {a1/T},[],true,X)", 2, True),
+    ("in(a1,ris(X in S,[],true,X))", 1, True),
+    # inside a filter or a pattern nothing is counted or lifted
+    ("in(a1,ris(X in S,[],X = {a1/T},[X,{a2/T}]))", 1, True),
+    ("A = ris(X in S,[],X = {a1/T},[X,{a2/T}])", 1, False),
+])
+def test_a_set_term_operand_of_eq_or_neq_stays_and_a_nested_one_is_lifted(src, sets, lifted):
+    (d,) = S.parse_formula(src).disjuncts
+    assert _scan([d[0].args]) == [(free_vars(Formula((d,))), None, sets)]
+    p = _compile._compile(d, {})
+    assert (p.compiled != d) == lifted
+    if lifted:
+        assert [c.kind for c in p.compiled] == ["eq"] * (len(p.compiled) - 1) + [d[0].kind]
+
+
+@pytest.mark.parametrize("bad", [
+    TupT([Var("X"), "a1"]),
+    SetT([Var("X")], 3),
+    _ris("Y", SetT([None]), Var("Y")),
+])
+def test_a_non_term_inside_a_comprehension_raises_when_the_formula_is_built(bad):
+    with pytest.raises(FormulaError, match="not a term"):
+        conj([C("in", A1, _ris("X", Var("S"), bad))])
 
 
 # -- the compiled problem --------------------------------------------------------------
@@ -195,10 +258,6 @@ def test_compiled_problem_matches_the_formula_walker(label):
     assert list(p.caller) == free_vars(Formula((conjunct,)))
     if p.constraints is not None:
         assert len(p.free) == len(p.atoms) == len(p.constraints)
-        for c, names, atoms in zip(p.constraints, p.free, p.atoms):
-            expected = set()
-            assert names == _free_names(c.args, atoms=expected), c
-            assert atoms == expected, c
         assert list(p.sorts) == list(dict.fromkeys(itertools.chain(p.caller, *p.free)))
     assert _compile._compile(conjunct, sorts) == p
 

@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import values_st
+from setforge import consensus as CN
+from setforge import evm as E
 from setforge import speclang as S
 from setforge import values
 from setforge.errors import NotGroundError, ParseError
@@ -232,7 +234,7 @@ def test_reader_leaves_only_deeper_nesting_to_the_term_path():
 def test_reader_takes_field_names_from_the_field_atom_table(monkeypatch):
     for name in sorted(FIELD_ATOMS):
         v = S.parse_value(name)
-        assert v == Atom(name) and v.ns == "field" and v is S._FIELD_ATOMS[name]
+        assert v == Atom(name) and v.ns == "field" and v is FIELD_ATOMS[name]
     # any other name still goes through infer_namespace
     seen = []
     infer = values.infer_namespace
@@ -243,6 +245,41 @@ def test_reader_takes_field_names_from_the_field_atom_table(monkeypatch):
         ("field", Atom("a7", "addr")),
         ("field", tup(Atom("addrMsg", "msg"), Atom("h2", "hash"))),
         ("field", Atom("zz", "opaque")), ("field", Atom("tx3", "tx"))]
+
+
+def _constructed_records():
+    a1, a2 = atom("a1"), atom("a2")
+    prog = E.toprog(vset([tup(intv(0), intv(7))]))
+    acc = vset([tup(a1, E.make_acc(1, 5, prog))])
+    frame = E.make_frame(vseq([E.CREATE_INSTR]), 1)
+    env = E.make_exec_env(a1, a2, 2, 0)
+    packet = CN.make_packet(atom("env", "addr"), a1, CN.addr_msg(vset([a2])))
+    args = E.CreateArgs(s=a1, o=a2, g=intv(9), p=intv(2), v=intv(0), i=prog, e=intv(1))
+    return {
+        "acc": E.make_acc(1, 5, prog),
+        "world": E.make_world(acc, acc, a2, E.STEP_CCBEGINS),
+        "machine": E.make_machine(10, 1, vset([tup(intv(0), intv(7))]), 1, vseq([intv(3)])),
+        "transaction": E.make_transaction(0, 10, 2, 1, prog, vseq(), a1, E.TT_MESSAGE_CALL),
+        "exec_env": env,
+        "frame": frame,
+        "call_stack": E.make_call_stack(vseq([frame]), vseq([env])),
+        "create_args": args.to_record(),
+        "block": CN.make_block(atom("h1"), vset([atom("tx1")]), atom("pr1")),
+        "loc_state": CN.make_loc_state(vset([a2]), vset([tup(atom("h1"), atom("h2"))]), vset()),
+        "conf": CN.make_conf(vset([tup(a1, CN.make_loc_state(vset([a2])))]), vset([packet])),
+        "init_conf": CN.init_conf(vset([a1, a2])),
+    }
+
+
+_RECORDS = _constructed_records()
+
+
+@pytest.mark.parametrize("name", list(_RECORDS))
+def test_every_constructed_record_prints_to_text_that_parses_back(name):
+    record = _RECORDS[name]
+    # each record field is the table's one atom, and its bare name reads back as it
+    assert all(p.elems[0] is FIELD_ATOMS[p.elems[0].name] for p in record.elems)
+    assert S.parse_value(S.print_value(record)) == record
 
 
 @pytest.mark.parametrize("wrap", [
