@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from ._frozen import Frozen
-from .formula import Constraint, Lit, RisT, SeqT, SetT, Term, TupT, Var, _scan
+from .formula import Constraint, Lit, RisT, SeqT, SetT, Term, TupT, Var, _fresh_names, _scan
 from .universe import AnyS, AtomS, IntS, RecordS, RelS, SeqS, SetS, Sort, TupleS
 from .values import EMPTY_SET, Atom, IntV, SeqV, SetV, TupV
 
@@ -72,7 +72,7 @@ _ARG_KINDS = {
 
 
 def _is_set_term(t):
-    """Whether t is a comprehension or an open extension, which has no pval."""
+    """Whether t is a comprehension or an open extension."""
     return isinstance(t, RisT) or (isinstance(t, SetT) and t.tail is not None)
 
 
@@ -88,7 +88,7 @@ def _compile(disjunct, declared) -> Problem:
     lifts = [s[2] and _lifts(c, s[2]) for c, s in zip(disjunct, scans)]
     if any(lifts):  # rare: walk the compiled conjunct again
         used = set(caller).union(b for b, _ in binders)
-        fresh = (name for name in map("_E{}".format, itertools.count(1)) if name not in used)
+        fresh = _fresh_names("_E", used)
         compiled = [d for c, lift in zip(disjunct, lifts)
                     for d in (_lifted(c, fresh) if lift else [c])]
         scans = _scan([c.args for c in compiled], atoms=True)

@@ -18,7 +18,7 @@ from .errors import (
     SetforgeError,
     UnknownNode,
 )
-from .values import EMPTY_SET, FIELD_ATOMS, Atom, SetV, TupV, Value, vset
+from .values import EMPTY_SET, FIELD_ATOMS, Atom, SetV, TupV, Value, _need_addr, vset
 
 CONNECT_MSG = Atom("connectMsg", "msg")
 ADDR_MSG = Atom("addrMsg", "msg")
@@ -27,12 +27,6 @@ NULL_ADDR = Atom("null", "addr")
 
 _F_AS, _F_BF, _F_TP, _F_DELTA, _F_SOUP, _F_PREV, _F_TXS, _F_PF = (
     FIELD_ATOMS[name] for name in ("as", "bf", "tp", "delta", "soup", "prev", "txs", "pf"))
-
-
-def _need_addr(v: Value, what: str) -> Atom:
-    if not isinstance(v, Atom) or v.ns != "addr":
-        raise KindError(f"{what} must be an address atom, got {v!r}")
-    return v
 
 
 def addr_msg(addrs: Value) -> TupV:

@@ -20,7 +20,7 @@ from .errors import (
     SetforgeError,
     StackUnderflow,
 )
-from .values import EMPTY_SEQ, EMPTY_SET, FIELD_ATOMS, Atom, IntV, SeqV, SetV, TupV, Value
+from .values import EMPTY_SEQ, EMPTY_SET, FIELD_ATOMS, Atom, IntV, SeqV, SetV, TupV, Value, _need_addr
 
 STEP_INITIAL = Atom("initial", "opaque")
 STEP_CCBEGINS = Atom("ccbegins", "opaque")
@@ -37,12 +37,6 @@ def _nat(v, what: str) -> int:
         v = v.n
     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
         raise KindError(f"{what} must be a non-negative integer, got {v!r}")
-    return v
-
-
-def _addr(v: Value, what: str) -> Atom:
-    if not isinstance(v, Atom) or v.ns != "addr":
-        raise KindError(f"{what} must be an address atom, got {v!r}")
     return v
 
 
@@ -93,7 +87,7 @@ def make_machine(g, pc, m: Value = EMPTY_SET, i=0, s: Value = EMPTY_SEQ, out: Va
 def make_transaction(nonce, gas_limit, gas_price, value, init_prog: Value, data: Value, sender: Value, tt: Value) -> SetV:
     return _rec(
         [
-            ("sender", _addr(sender, "sender")),
+            ("sender", _need_addr(sender, "sender")),
             ("td", data),
             ("tg", IntV(_nat(gas_limit, "tg"))),
             ("ti", init_prog),
@@ -108,9 +102,9 @@ def make_transaction(nonce, gas_limit, gas_price, value, init_prog: Value, data:
 def make_exec_env(ia: Value, io: Value, ip, ie) -> SetV:
     return _rec(
         [
-            ("ia", _addr(ia, "ia")),
+            ("ia", _need_addr(ia, "ia")),
             ("ie", IntV(_nat(ie, "ie"))),
-            ("io", _addr(io, "io")),
+            ("io", _need_addr(io, "io")),
             ("ip", IntV(_nat(ip, "ip"))),
         ]
     )
@@ -220,7 +214,7 @@ def _acc_bal(w: Value, a: Value) -> int:
 def new_addr(a: Value, nonce) -> Atom:
     """Fresh deterministic address for (creator, nonce); injective because
     the trailing _n<digits> suffix parses back unambiguously."""
-    return Atom(f"{_addr(a, 'creator').name}_n{_nat(nonce, 'nonce')}", "addr")
+    return Atom(f"{_need_addr(a, 'creator').name}_n{_nat(nonce, 'nonce')}", "addr")
 
 
 def toprog(cells: Value) -> TupV:

@@ -120,6 +120,12 @@ class RisT(Term):
     __slots__ = ("binder", "domain", "filter", "pattern")
 
     def __init__(self, binder: str, domain: Term, filter: "Formula", pattern: Term):
+        if not isinstance(binder, str) or not binder:
+            raise FormulaError(f"comprehension binder must be a non-empty name, got {binder!r}")
+        if not isinstance(domain, Term) or not isinstance(pattern, Term):
+            raise FormulaError(f"comprehension domain and pattern must be Terms, got {domain!r}, {pattern!r}")
+        if not isinstance(filter, Formula):
+            raise FormulaError(f"comprehension filter must be a Formula, got {filter!r}")
         self.binder = binder
         self.domain = domain
         self.filter = filter
@@ -343,16 +349,12 @@ def conj_formulas(formulas) -> Formula:
     return Formula(rows)
 
 
-def _fresh_names(used, n, prefix="_N"):
-    out = []
-    i = 1
-    while len(out) < n:
+def _fresh_names(prefix, used):
+    """prefix1, prefix2, ..., skipping the names in used when they are drawn."""
+    for i in itertools.count(1):
         name = f"{prefix}{i}"
         if name not in used:
-            out.append(name)
-            used.add(name)
-        i += 1
-    return out
+            yield name
 
 
 def negate_constraint(c: Constraint, used_names: set) -> list:
@@ -365,7 +367,8 @@ def negate_constraint(c: Constraint, used_names: set) -> list:
         return [Constraint("le", (c.args[1], c.args[0]))]
     arity, functional = KINDS[c.kind]
     if functional:
-        (fresh,) = _fresh_names(used_names, 1)
+        fresh = next(_fresh_names("_N", used_names))
+        used_names.add(fresh)
         return [
             Constraint(c.kind, c.args[:-1] + (Var(fresh),)),
             Constraint("neq", (Var(fresh), c.args[-1])),

@@ -64,6 +64,7 @@ from .formula import (
     Term,
     TupT,
     Var,
+    _fresh_names,
     conj_formulas,
     negate,
 )
@@ -208,7 +209,10 @@ class _Defer(Exception):
 
 def term_pval(t: Term, env):
     """The resolved pval of a term.  Children come back resolved already, so
-    a compound is built straight from them."""
+    a compound is built straight from them.  An unbound variable is a hole,
+    so every comprehension and open extension in t is valued (_set_value),
+    left to right: _Defer at the first that has no value yet, KindError at
+    the first that denotes no set."""
     if isinstance(t, Lit):
         return t.value
     if isinstance(t, Var):
@@ -220,14 +224,17 @@ def term_pval(t: Term, env):
     if isinstance(t, SeqT):
         rs = [term_pval(e, env) for e in t.elems]
         return SeqV(rs) if all(isinstance(r, Value) for r in rs) else PSeq(rs)
-    if isinstance(t, SetT):
-        if t.tail is not None:
-            raise _Defer()  # open extensions are handled by eq directly
+    if isinstance(t, SetT) and t.tail is None:
         rs = [term_pval(e, env) for e in t.elems]
         return SetV(rs) if all(isinstance(r, Value) for r in rs) else PSet(rs)
-    if isinstance(t, RisT):
-        raise _Defer()  # comprehensions are handled by eq directly
-    raise KindError(f"not a term: {t!r}")
+    if not isinstance(t, (SetT, RisT)):
+        raise KindError(f"not a term: {t!r}")
+    v = _set_value(t, env)
+    if v is None:
+        raise _Defer()
+    if v is _FAIL:
+        raise KindError("a comprehension or an open extension denotes no set")
+    return v
 
 
 # -- unification ------------------------------------------------------------------
@@ -452,14 +459,14 @@ def _from_decision(v):
 
 def _eval_constraint(c: Constraint, env):
     """Evaluate or propagate one constraint against the current bindings.
-    Returns 'true' (satisfied, possibly after binding), 'false', or 'defer'."""
+    Returns 'true' (satisfied, possibly after binding), 'false', or 'defer'.
+    Only an eq or neq operand is a comprehension or an open extension: the
+    compile lifts every other one into an equation, so term_pval reads the
+    arguments of every other kind without raising."""
     tags = _ARG_KINDS[c.kind]
     if tags is None:
         return _RULES[c.kind](*c.args, env)
-    try:
-        args = [term_pval(a, env) for a in c.args]
-    except _Defer:
-        return _DEFER
+    args = [term_pval(a, env) for a in c.args]
     for tag, v in zip(tags, args):
         if tag is not None and isinstance(v, Value) and not isinstance(v, tag.ground):
             return _FALSE
@@ -744,8 +751,55 @@ def _compare(holds, args, env):
 
 def _set_value(t, env):
     """The value of a comprehension or an open extension once its inputs
-    are ground, else None; _FAIL when it denotes no set."""
-    return _ris_value(t, env) if isinstance(t, RisT) else _open_value(t, env)
+    are ground, else None; _FAIL when it denotes no set.  Its domain, or its
+    elements and then its tail, are read by term_pval, so a set term among
+    them raises as term_pval does; the compile lifts every such one out of
+    the search's constraints.  A comprehension's binder is set in env while
+    its filter and pattern are evaluated, and restored after; a pattern
+    that has no value or denotes no set makes the whole None or _FAIL.  An
+    open extension {e1,...,ek / T} is the union of T and the ei, when T is a
+    set that lists no ei."""
+    if isinstance(t, SetT):
+        elems = [term_pval(e, env) for e in t.elems]
+        tail = term_pval(t.tail, env)
+        if isinstance(tail, Value) and not isinstance(tail, SetV):
+            return _FAIL
+        if not isinstance(tail, SetV) or not all(isinstance(e, Value) for e in elems):
+            return None
+        if any(e in tail for e in elems):
+            return _FAIL
+        return kernel.union(SetV(elems), tail)
+    domain = term_pval(t.domain, env)
+    if not isinstance(domain, Value):
+        return None
+    if not isinstance(domain, SetV):
+        return _FAIL
+    out = []
+    binder = t.binder
+    saved = env.get(binder)
+    try:
+        for x in domain.elems:
+            env[binder] = x
+            v = eval_ground_formula(t.filter, env, partial_ok=True)
+            if v is None:
+                return None
+            if not v:
+                continue
+            try:
+                y = term_pval(t.pattern, env)
+            except _Defer:
+                return None
+            except KindError:
+                return _FAIL
+            if not isinstance(y, Value):
+                return None
+            out.append(y)
+    finally:
+        if saved is None:
+            env.pop(binder, None)
+        else:
+            env[binder] = saved
+    return SetV(out)
 
 
 def _operand(t, env):
@@ -760,19 +814,14 @@ def _eval_eq(lhs: Term, rhs: Term, env):
             return _eval_ris_eq(one, other, env)
         if isinstance(one, SetT) and one.tail is not None:
             return _eval_open_eq(one, _operand(other, env), env)
-    try:
-        a = term_pval(lhs, env)
-        b = term_pval(rhs, env)
-    except _Defer:
-        return _DEFER
-    return _from_unify(unify(a, b, env))
+    return _from_unify(unify(term_pval(lhs, env), term_pval(rhs, env), env))
 
 
 def _eval_neq(lhs: Term, rhs: Term, env):
     try:
         a = term_pval(lhs, env)
         b = term_pval(rhs, env)
-    except _Defer:
+    except (_Defer, KindError):
         # an operand is a comprehension or an open extension, whose value is
         # a set once known: decided then, and at once when a side is no set
         a, b = _operand(lhs, env), _operand(rhs, env)
@@ -817,59 +866,8 @@ _RULES = {
 }
 
 
-def _try_pval(t, env):
-    try:
-        return term_pval(t, env)
-    except _Defer:
-        return PHole("~")
-
-
-def _ris_value(t: RisT, env):
-    """Value of a comprehension whose domain is ground, else None; _FAIL
-    when the domain is ground but not a set, or a pattern denotes no set
-    (a set term in it is lifted, _lift).  The binder is set in env
-    while the filter and pattern are evaluated, and restored after."""
-    try:
-        domain = term_pval(t.domain, env)
-    except _Defer:
-        return None
-    if isinstance(domain, Value) and not isinstance(domain, SetV):
-        return _FAIL
-    if not isinstance(domain, SetV):
-        return None
-    out = []
-    binder = t.binder
-    saved = env.get(binder)
-    try:
-        for x in domain.elems:
-            env[binder] = x
-            v = eval_ground_formula(t.filter, env, partial_ok=True)
-            if v is None:
-                return None
-            if not v:
-                continue
-            try:
-                y = term_pval(t.pattern, env)
-            except _Defer:
-                try:
-                    y = term_pval(_lift(t.pattern, env), env)
-                except _Defer:
-                    return None
-                except KindError:
-                    return _FAIL
-            if not isinstance(y, Value):
-                return None
-            out.append(y)
-    finally:
-        if saved is None:
-            env.pop(binder, None)
-        else:
-            env[binder] = saved
-    return SetV(out)
-
-
 def _eval_ris_eq(ris: RisT, other: Term, env):
-    got = _ris_value(ris, env)
+    got = _set_value(ris, env)
     if got is _FAIL:
         return _FALSE
     if got is None:
@@ -882,21 +880,6 @@ def _eval_ris_eq(ris: RisT, other: Term, env):
     return _FALSE if o is _FAIL else _from_unify(unify(o, got, env))
 
 
-def _open_value(pat: SetT, env):
-    """The value of {e1,...,ek / T}: the union of T and the ei once they are
-    ground, when T is a set that lists no ei; _FAIL when T is no set or
-    lists an ei; None before."""
-    tail = _try_pval(pat.tail, env)
-    if isinstance(tail, Value) and not isinstance(tail, SetV):
-        return _FAIL
-    elems = [_try_pval(e, env) for e in pat.elems]
-    if not isinstance(tail, SetV) or not all(isinstance(e, Value) for e in elems):
-        return None
-    if any(e in tail for e in elems):
-        return _FAIL
-    return kernel.union(SetV(elems), tail)
-
-
 def _eval_open_eq(pat: SetT, s, env):
     """S = {e1,...,ek / T}, where s is the pval of S, or its _set_value when
     S is a comprehension or an open extension: the listed elements are
@@ -906,8 +889,8 @@ def _eval_open_eq(pat: SetT, s, env):
         return _DEFER
     if s is _FAIL:
         return _FALSE
-    elem_pvals = [_try_pval(e, env) for e in pat.elems]
-    tail_pval = _try_pval(pat.tail, env)
+    elem_pvals = [term_pval(e, env) for e in pat.elems]
+    tail_pval = term_pval(pat.tail, env)
 
     if isinstance(s, SetV):
         # match listed elements against the ground set
@@ -935,7 +918,7 @@ def _eval_open_eq(pat: SetT, s, env):
         return _DEFER
 
     if isinstance(s, (PHole, PSet)):
-        whole = _open_value(pat, env)
+        whole = _set_value(pat, env)
         if whole is None:
             return _DEFER
         return _FALSE if whole is _FAIL else _from_unify(unify(s, whole, env))
@@ -955,38 +938,9 @@ _EVAL_ERRORS = (
 )
 
 
-def _lift(t: Term, env) -> Term:
-    """t with each comprehension and open extension inside it replaced by
-    its value, read as _compile._lifted reads it, an equation on a fresh
-    variable: _Defer while one has no value yet, and KindError, which makes
-    the constraint and its dual false, when one denotes no set."""
-    if isinstance(t, (TupT, SeqT, SetT)) and not _is_set_term(t):
-        return type(t)([_lift(e, env) for e in t.elems])
-    if not _is_set_term(t):
-        return t
-    v = _lifted_set_value(t, env)
-    if v is None:
-        raise _Defer()
-    if v is _FAIL:
-        raise KindError("a nested set term denotes no set")
-    return Lit(v)
-
-
-def _lifted_set_value(t, env):
-    """_set_value of a comprehension or an open extension whose own parts
-    are lifted first."""
-    if isinstance(t, RisT):
-        return _ris_value(RisT(t.binder, _lift(t.domain, env), t.filter, t.pattern), env)
-    return _open_value(SetT([_lift(e, env) for e in t.elems], _lift(t.tail, env)), env)
-
-
 def _ground_term(t: Term, env):
-    """The value of a term that env grounds, _Defer when it does not; a
-    comprehension or an open extension in it is lifted (_lift)."""
-    try:
-        v = term_pval(t, env)
-    except _Defer:
-        v = term_pval(_lift(t, env), env)
+    """The value of a term that env grounds, _Defer when it does not."""
+    v = term_pval(t, env)
     if not isinstance(v, Value):
         raise _Defer()
     return v
@@ -996,7 +950,7 @@ def _ground_operand(t: Term, env):
     """The value of an eq or neq operand, None when it denotes no set."""
     if not _is_set_term(t):
         return _ground_term(t, env)
-    v = _lifted_set_value(t, env)
+    v = _set_value(t, env)
     if v is None:
         raise _Defer()
     return None if v is _FAIL else v
@@ -1112,7 +1066,7 @@ class _State:
     watch lists and the atoms in use."""
 
     __slots__ = ("scope", "constraints", "free", "registry", "order", "budget", "nodes",
-                 "fresh_counter", "validate", "env", "watch", "sort_watch",
+                 "fresh_names", "validate", "env", "watch", "sort_watch",
                  "used_atoms", "atom_orders")
 
     def __init__(self, scope, problem, budget, validate, nodes=0):
@@ -1123,7 +1077,7 @@ class _State:
         self.order = {name: i for i, name in enumerate(problem.sorts)}
         self.budget = budget
         self.nodes = nodes  # decision nodes so far, earlier disjuncts included
-        self.fresh_counter = itertools.count(1)
+        self.fresh_names = _fresh_names("_H", self.registry)
         # caller-declared sorts define the in-scope universe of their
         # variables: a propagated binding outside it fails the branch
         self.validate = validate
@@ -1145,12 +1099,10 @@ class _State:
             raise _Budget()
 
     def fresh(self, sort):
-        while True:
-            name = f"_H{next(self.fresh_counter)}"
-            if name not in self.registry:
-                self.order[name] = len(self.registry)
-                self.registry[name] = sort
-                return name
+        name = next(self.fresh_names)
+        self.order[name] = len(self.registry)
+        self.registry[name] = sort
+        return name
 
 
 def _undo(env, mark):
@@ -1386,20 +1338,14 @@ def _pick_decision(st, pending):
     for i in pending:
         c = st.constraints[i]
         if c.kind == "in":
-            try:
-                x = term_pval(c.args[0], env)
-                s = term_pval(c.args[1], env)
-            except _Defer:
-                continue
+            x = term_pval(c.args[0], env)
+            s = term_pval(c.args[1], env)
             if isinstance(s, SetV) and isinstance(x, PHole):
                 return ("member", x, s)
         if c.kind == "un":
-            try:
-                a = term_pval(c.args[0], env)
-                b = term_pval(c.args[1], env)
-                out = term_pval(c.args[2], env)
-            except _Defer:
-                continue
+            a = term_pval(c.args[0], env)
+            b = term_pval(c.args[1], env)
+            out = term_pval(c.args[2], env)
             if isinstance(out, SetV) and not (isinstance(a, Value) and isinstance(b, Value)):
                 return ("split", a, b, out)
     live = [v for v in _pending_holes(st, pending) if v in order]
@@ -1422,7 +1368,7 @@ def _pick_decision(st, pending):
         c = st.constraints[i]
         if c.kind == "subset" and isinstance(c.args[0], Var):
             root = _walk(PHole(c.args[0].name), env)
-            b = _try_pval(c.args[1], env)
+            b = term_pval(c.args[1], env)
             if isinstance(root, PHole) and root.var == var and isinstance(b, SetV):
                 within = set(b.elems) if within is None else within.intersection(b.elems)
     return ("enumerate", var, within)

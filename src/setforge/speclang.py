@@ -43,6 +43,7 @@ from .formula import (
     Term,
     TupT,
     Var,
+    _fresh_names,
     conj_formulas,
     disj_of,
 )
@@ -143,8 +144,7 @@ class _Parser:
         self.toks = _lex(src)
         self.pos = 0
         # anonymous-variable names must not collide with names in the source
-        self._used = {t.text for t in self.toks if t.kind == "UIDENT"}
-        self._anon = 0
+        self._anon = _fresh_names("_G", {t.text for t in self.toks if t.kind == "UIDENT"})
 
     def peek(self, ahead=0):
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -163,14 +163,6 @@ class _Parser:
     def error(self, msg):
         t = self.peek()
         raise ParseError(msg, t.line, t.col, t.text or "end of input")
-
-    def fresh_anon(self):
-        while True:
-            self._anon += 1
-            name = f"_G{self._anon}"
-            if name not in self._used:
-                self._used.add(name)
-                return name
 
     # -- formulas ----------------------------------------------------------
 
@@ -239,7 +231,7 @@ class _Parser:
         if t.kind == "UIDENT":
             self.next()
             if t.text == "_":
-                return Var(self.fresh_anon())
+                return Var(next(self._anon))
             return Var(t.text)
         if t.kind == "LB":
             self.next()

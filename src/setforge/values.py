@@ -255,3 +255,10 @@ def _add_atoms(v, out: set) -> None:
 
 def is_pair(v: Value) -> bool:
     return isinstance(v, TupV) and len(v.elems) == 2
+
+
+def _need_addr(v: Value, what: str) -> Atom:
+    """v, when it is an address atom; KindError naming what otherwise."""
+    if not isinstance(v, Atom) or v.ns != "addr":
+        raise KindError(f"{what} must be an address atom, got {v!r}")
+    return v

@@ -167,6 +167,19 @@ def test_a_non_term_inside_a_comprehension_raises_when_the_formula_is_built(bad)
         conj([C("in", A1, _ris("X", Var("S"), bad))])
 
 
+@pytest.mark.parametrize("binder,domain,filter,pattern", [
+    (3, Var("S"), TRUE, Var("X")),
+    ("", Var("S"), TRUE, Var("X")),
+    ("X", "S", TRUE, Var("X")),
+    ("X", Var("S"), TRUE, atom("a1")),
+    ("X", Var("S"), None, Var("X")),
+    ("X", Var("S"), TRUE.disjuncts, Var("X")),
+])
+def test_a_comprehension_checks_its_parts_when_it_is_built(binder, domain, filter, pattern):
+    with pytest.raises(FormulaError, match="comprehension"):
+        RisT(binder, domain, filter, pattern)
+
+
 # -- the compiled problem --------------------------------------------------------------
 
 

@@ -539,6 +539,75 @@ def test_every_kind_has_one_rule_and_its_argument_kinds():
         assert tags is None or len(tags) == KINDS[kind][0], kind
 
 
+_SETS, _INTS, _SEQS = SetS(AtomS("addr")), SetS(IntS()), SeqS(IntS())
+_REL = RelS(AtomS("addr"), IntS())
+
+# Formulas whose search runs every propagation rule of solver._RULES, with
+# the sort of every variable, since brute_force_sat ranges an undeclared one
+# over atoms and integers only.  They also run branches no other test runs:
+# seq_tail and seq_concat with an open side, intdiv by an open value and by
+# zero, ran of an open relation, of pairs with open parts and of a set that
+# is no relation, and an open extension equated to a relation, to a set
+# that holds or lacks its elements, to a value of another kind, to a
+# variable, to a comprehension and to a set term that denotes no set.
+RULE_CASES = [
+    ("seq_tail(seq([X,2]),T)", {"X": IntS(), "T": _SEQS}),
+    ("seq_tail(S,seq([2])) & seq_head(S,1)", {"S": _SEQS}),
+    ("intdiv(7,2,Z)", {"Z": IntS()}),
+    ("intdiv(7,0,Z)", {"Z": IntS()}),
+    ("intdiv(X,2,1)", {"X": IntS()}),
+    ("ran({[a1,X],[a2,1]},{1,2})", {"X": IntS()}),
+    ("ran({a1,[a1,1]},D)", {"D": _INTS}),
+    ("ran({a1,[K,1]},D)", {"K": AtomS("addr"), "D": _INTS}),
+    ("ran({[K,1],[a2,2]},D)", {"K": AtomS("addr"), "D": _INTS}),
+    ("ran(R,{1})", {"R": _REL}),
+    ("seq_concat(A,seq([2]),seq([1,2]))", {"A": _SEQS}),
+    ("seq_concat(seq([1,2,3]),B,seq([1]))", {"B": _SEQS}),
+    ("seq_concat(seq([1]),B,seq([1,2]))", {"B": _SEQS}),
+    ("seq_concat(A,B,seq([1])) & seq_concat(seq([1]),seq([2]),C)", {"A": _SEQS, "B": _SEQS, "C": _SEQS}),
+    ("{[a1,X]/T} = {[a1,1],[a2,2]}", {"X": IntS(), "T": _REL}),
+    ("{[a1,X]/T} = {[a2,2]}", {"X": IntS(), "T": _REL}),
+    ("{X/T} = 3", {"X": AtomS("addr"), "T": _SETS}),
+    ("{a1/T} = {a2}", {"T": _SETS}),
+    ("{a1/T} = {a1,a2}", {"T": _SETS}),
+    ("{X/T} = {a1}", {"X": AtomS("addr"), "T": _SETS}),
+    ("{X/T} = {a1,a2}", {"X": AtomS("addr"), "T": _SETS}),
+    ("{a1/T} = S & T = {a2}", {"S": _SETS, "T": _SETS}),
+    ("{a1/T} = ris(Z in U,[],true,Z)", {"T": _SETS, "U": _SETS}),
+    ("{a1/T} = {a2/U} & U = {a2}", {"T": _SETS, "U": _SETS}),
+    ("un(A,B,{a1,a2}) & disj(A,B) & A neq {}", {"A": _SETS, "B": _SETS}),
+    ("in(V,A) & nin(V,B) & subset(A,B)", {"V": AtomS("addr"), "A": _SETS, "B": _SETS}),
+    ("diff(A,{a1},B) & inters(A,B,C) & ndisj(A,C) & nsubset(A,B)", {"A": _SETS, "B": _SETS, "C": _SETS}),
+    ("dom(R,{a1}) & apply(R,a1,2) & pfun(R)", {"R": _REL}),
+    ("oplus(R,{[a1,1]},G) & dres({a2},G,H) & npfun(H)", {"R": _REL, "G": _REL, "H": _REL}),
+    ("seq_nth(Q,2,X) & seq_head(Q,X)", {"Q": _SEQS, "X": IntS()}),
+    ("plus(X,Y,3) & minus(X,Y,1) & times(X,Y,Z)", {"X": IntS(), "Y": IntS(), "Z": IntS()}),
+    ("le(X,Y) & lt(Y,X)", {"X": IntS(), "Y": IntS()}),
+]
+
+
+def test_rule_cases_match_brute_force_and_run_every_rule(monkeypatch):
+    runs = dict.fromkeys(solver._RULES, 0)
+
+    def counted(kind, rule):
+        def run(*args):
+            runs[kind] += 1
+            return rule(*args)
+        return run
+
+    for kind, rule in solver._RULES.items():
+        monkeypatch.setitem(solver._RULES, kind, counted(kind, rule))
+    for src, sorts in RULE_CASES:
+        f = F(src)
+        assert sorted(sorts) == sorted(free_vars(f)), src
+        got = solve(f, TINY, sorts=sorts)
+        assert not isinstance(got, Unknown), (src, got)
+        assert isinstance(got, Sat) is brute_force_sat(f, TINY, sorts), src
+        if isinstance(got, Sat):
+            assert eval_ground_formula(f, got.witness) is True, src
+    assert [kind for kind, n in runs.items() if n == 0] == []
+
+
 # kind -> a true instance, a false one and one with an argument of the wrong
 # kind, for each kind with a ground check; a dual kind is checked on its
 # positive kind's instances.  eq has no wrong kind: its third instance is an
@@ -634,6 +703,233 @@ def test_nested_set_terms_evaluate_as_the_solver_answers(src):
         pinned = solve(F(f"T = {S.print_value(t)} & {src}"), TINY, sorts=sorts)
         assert got is isinstance(pinned, Sat), (src, t)
     assert brute_force_sat(F(src), TINY, sorts) is isinstance(solve(F(src), TINY, sorts=sorts), Sat)
+
+
+# eval_ground_formula's answers on seeded random formulas that nest
+# comprehensions and open extensions in tuples, sets and comprehension
+# patterns: formula, assignment as printed values (a variable it leaves out
+# is unbound), and the answer with partial_ok=True and with partial_ok=False,
+# where "raises" is the SetforgeError of a formula the assignment does not
+# ground.  Recorded as literal data, like test_search_equivalence.PINNED.
+# Every set term in a term is valued before an unbound variable can leave
+# the term without a value: the first 40 rows and the last have a set term
+# that denotes no set after an unbound variable, so they are False, not
+# undecided.
+PARTIAL_ANSWERS = [
+    ("[U,{1/1}] = {a2}", {}, False, False),
+    ("{} = [X,{X,a1/T}]", {"T": "1"}, False, False),
+    ("[T,[{U/1},X]] neq X", {"X": "1", "U": "a1"}, False, False),
+    ("X neq [[U,{}],{X/1}]", {"X": "{a2}"}, False, False),
+    ("{[U,a1],{U,U/a2}} neq X", {}, False, False),
+    ("[[U,1],{U/1}] neq {[U,U]}", {}, False, False),
+    ("[[{},U],{a2/1}] = [{X},U]", {"X": "a1"}, False, False),
+    ("in([[[{},U],{{}/a2}],1],{})", {}, False, False),
+    ("nin([[X,U],{a2/a2}],{a1,a2})", {"X": "{a1}"}, False, False),
+    ("in([U,{U,{1,{}}/{{}/a2}}],a1)", {}, False, False),
+    ("[{{},1},{U}] neq [[T,U],{T/a1}]", {"U": "1"}, False, False),
+    ("nin({a2,a2},[[T,U],[U,{a1/1}]])", {"T": "1"}, False, False),
+    ("[[U,a2],{X/a2}] neq [{U/a1},{X}]", {"X": "{}"}, False, False),
+    ("nin([{a1},U],{[X,X],{a2,{}/a1}})", {"U": "{}"}, False, False),
+    ("nin([{[a1,T]},{{}/{a1,U/a2}}],a2)", {"U": "a1"}, False, False),
+    ("a2 = [U,ris(Y in X,[],true,{T/T})]", {"X": "1", "T": "{}"}, False, False),
+    ("[U,[a2,ris(Y in 1,[],Y = X,Y)]] = X", {"X": "1"}, False, False),
+    ("in([[{a2,U},1],[{a1/a2},[{},T]]],T)", {"T": "{a1}"}, False, False),
+    ("in({[X,X],{a2/1}},{[1,a2],{1,a2/U}})", {"U": "{a1}"}, False, False),
+    ("[U,ris(Y in a2,[],Y neq a1,{})] neq T", {"T": "{a1,a2}"}, False, False),
+    ("{} = [[U,T],ris(Y in a1,[],Y = X,a1)]", {"T": "{a1}"}, False, False),
+    ("in([[{{},a2},[T,a1]],{[U,T],{T}/1}],1)", {}, False, False),
+    ("subset(a2,{{[X,a1],[a1,U]},[{1/X},1]})", {"X": "1"}, False, False),
+    ("[[U,T],ris(Y in T,[],in(Y,T),Y)] neq a1", {"T": "a1"}, False, False),
+    ("in({[U,{U/a2}]},{1,[a1,X]/{1,{a1}/a1}})", {"X": "{a1}"}, False, False),
+    ("nin([[U,X],ris(Y in a2,[],Y = X,a2)],T)", {"X": "{a1,a2}", "T": "1"}, False, False),
+    ("subset({},{[[T,X],X],[{T,X/1},[a1,U]]})", {"T": "1", "U": "{a1,a2}"}, False, False),
+    ("[U,ris(Y in a2,[],Y = X,T)] neq [U,[U,1]]", {"X": "{a1}", "T": "{}"}, False, False),
+    ("in([{a2,T},ris(Y in 1,[],Y neq a1,{})],1)", {}, False, False),
+    ("in({},{[a1,U],ris(Y in a2,[],in(Y,T),T)})", {}, False, False),
+    ("nin([[a2,X],ris(Y in 1,[],Y neq a1,Y)],1)", {}, False, False),
+    ("in({a1,[{X},ris(Y in T,[],in(Y,T),a1)]},U)", {"T": "a1", "U": "a1"}, False, False),
+    ("[[1,1],U] neq [T,ris(Y in a1,[],in(Y,T),{})]", {"U": "{a1}"}, False, False),
+    ("{U,{}} = {[a1,X],ris(Y in a1,[],Y neq Y,a2)}", {"U": "1"}, False, False),
+    ("[[a1,T],ris(Y in 1,[],true,a2)] = [{X,X},[1,X]]", {"X": "{a1,a2}"}, False, False),
+    ("[{{a1,{}}},{U,ris(Y in a1,[],Y neq a1,Y)}] neq T", {"T": "{a1,a2}"}, False, False),
+    ("subset(a1,{{U,X},ris(Y in a2,[],in(Y,{a1/U}),1)})", {"U": "{a1}"}, False, False),
+    ("in([U,{U}],{X,{ris(Y in a1,[],in(Y,T),Y),{{},a2}}})", {"U": "{a1,a2}"}, False, False),
+    ("in([[{},{a2,T}],{[a1,a2],[T,{}]/1}],{{}/{{1/a2},a2}})", {}, False, False),
+    ("in({[X,{}],ris(Y in a1,[],Y neq T,Y)},{[1,X]/{a2/1}})", {}, False, False),
+    ("in({{X}},{[a2,a2]})", {"X": "{}"}, False, False),
+    ("nin(1,ris(Y in T,[],true,[X,{}]))", {"X": "a1", "T": "1"}, False, False),
+    ("{ris(Y in 1,[],Y = X,T),1} = a2", {"X": "1", "T": "{a1,a2}"}, False, False),
+    ("un(a1,{ris(Y in U,[],Y = X,X)/{U}},X)", {"X": "{a1,a2}", "U": "{a1}"}, False, False),
+    ("in(X,ris(Y in {U,1/X},[],in(Y,{a1/U}),U))", {"X": "{a1,a2}", "U": "a1"}, False, False),
+    ("{ris(Y in T,[],true,a1),[a2,a2]} = {{},T}", {"T": "1"}, False, False),
+    ("in({{a1/T}/{{},U}},{{}/{X/T}})", {"X": "{a1,a2}", "T": "a1", "U": "1"}, False, False),
+    ("in([U,{[X,U],{T/T}}],{[ris(Y in a1,[],true,Y),1],a2})", {"X": "{a1}", "T": "{}", "U": "{a2}"}, False, False),
+    ("subset(ris(Y in {a1/T},[],true,{a1/Y}),U)", {"T": "{a2}", "U": "{a1,a2}"}, False, False),
+    ("subset({{T/1}/{a2,1/T}},{{a2/T}/[1,{}]})", {"T": "{a1,a2}"}, False, False),
+    ("disj({X},{{1,X}/ris(Y in a1,[],Y neq Y,Y)})", {"X": "{}"}, False, False),
+    ("a1 = [a1,[a1,a2]]", {}, False, False),
+    ("un(a1,{{a1/X},T},1)", {"X": "{}", "T": "1"}, False, False),
+    ("un([{},a1],a1,ris(Y in {a1,X/1},[],Y neq T,{}))", {"X": "a1", "T": "{}"}, False, False),
+    ("nin([T,1],{{ris(Y in T,[],true,Y)/{X,T/a2}}})", {"X": "a1", "T": "1"}, False, False),
+    ("U neq U", {"U": "{a1}"}, False, False),
+    ("disj({[a1,1]},{{{}/a1},U/ris(Y in 1,[],true,T)})", {"T": "{a2}", "U": "{}"}, False, False),
+    ("{ris(Y in T,[],in(Y,{a1/U}),U),{U/U}/{1}} neq [{},{{},T}]", {"T": "1", "U": "{a1,a2}"}, False, False),
+    ("{{a1,T}} neq {1,{a1/1}/a1}", {"T": "a1"}, False, False),
+    ("subset({{X},[X,T]/[T,a1]},{ris(Y in X,[],Y = X,a1)/{a2}})", {"X": "1", "T": "{}"}, False, False),
+    ("un({[{},X]/ris(Y in T,[],Y neq a1,{})},a2,[{1/X},{T,{}/{}}])", {"X": "{a1}", "T": "{a1,a2}"}, False, False),
+    ("disj({ris(Y in {},[],Y neq {},U),[U,U]},{{}/[a2,{}]})", {"U": "1"}, False, False),
+    ("in(T,{a2,U/ris(Y in a2,[],in(Y,{a1/U}),a1)})", {"T": "{a1}", "U": "1"}, False, False),
+    ("disj({T,[a2,[T,1]]},a1)", {"T": "{a1}"}, False, False),
+    ("disj({T,{{U},[a1,a2]}/a2},a1)", {"T": "{a2}", "U": "{a1}"}, False, False),
+    ("[X,[1,T]] = T", {"X": "a1", "T": "{a1}"}, False, False),
+    ("[{U,U},[1,U]] = {[{},X]}", {"X": "{}", "U": "{a2}"}, False, False),
+    ("in([{1,U},{}],{{X},[T,a2]})", {"X": "{a2}", "T": "1", "U": "{a2}"}, False, False),
+    ("in({[X,a2],{}},{})", {"X": "{}"}, False, False),
+    ("[{T},{1/T}] = [T,{{}/1}]", {"T": "{a1}"}, False, False),
+    ("{{{},a2},[U,T]/{1}} = ris(Y in {a2,1},[],Y neq a1,{{}})", {"T": "1", "U": "{a1}"}, False, False),
+    ("in({U/ris(Y in 1,[],Y = X,T)},a2)", {"X": "1", "T": "{a1}", "U": "1"}, False, False),
+    ("disj(ris(Y in {{}/a1},[],true,{{}/X}),a2)", {"X": "{a1}"}, False, False),
+    ("[[T,a1],{1,U}] = {{a2,a2}}", {"T": "1", "U": "{}"}, False, False),
+    ("un(1,{[T,a1],{1,X/{}}},U)", {"X": "{a2}", "T": "a1", "U": "{}"}, False, False),
+    ("subset(T,[{a2},{{1}}])", {"T": "{}"}, False, False),
+    ("nin(a1,{[{},a2]/ris(Y in a1,[],true,U)})", {"U": "1"}, False, False),
+    ("disj({ris(Y in U,[],Y neq a1,X)/1},{{X,1/X},T})", {"X": "{a1,a2}", "T": "{a1,a2}", "U": "{a2}"}, False, False),
+    ("in(a2,{{},X/a1})", {"X": "{a1,a2}"}, False, False),
+    ("ris(Y in {{}/U},[],Y neq X,Y) = {}", {"X": "{a1,a2}", "U": "{}"}, False, False),
+    ("in({[ris(Y in a2,[],Y neq U,a1),U],[[X,a1],[a2,{}]]},X)", {"X": "{a2}", "U": "{a2}"}, False, False),
+    ("in(T,{})", {"T": "{a1}"}, False, False),
+    ("in({U,{1,a1}},{T/T})", {"T": "{a2}", "U": "{a1}"}, False, False),
+    ("disj(a2,[ris(Y in a2,[],Y neq a1,1),{T/U}])", {"T": "{a2}", "U": "{a1,a2}"}, False, False),
+    ("nin(T,a2)", {"T": "1"}, False, False),
+    ("T = {}", {"T": "{a1,a2}"}, False, False),
+    ("in({[{a2,T/{}},{a1,U}]},[[{},{1/a2}],T])", {"T": "{a1,a2}", "U": "{a1,a2}"}, False, False),
+    ("{ris(Y in 1,[],Y neq a1,{})} neq 1", {}, False, False),
+    ("in([ris(Y in 1,[],Y neq a1,{}),[a2,U]],a2)", {"U": "{a1}"}, False, False),
+    ("in([{},ris(Y in a1,[],true,Y)],a2)", {}, False, False),
+    ("subset(1,ris(Y in [1,a2],[],true,[T,X]))", {"X": "{}"}, False, False),
+    ("un(ris(Y in [X,T],[],in(Y,{a1/U}),Y),[{1,T},1],[{},1])", {"X": "a1", "T": "{}"}, False, False),
+    ("disj(ris(Y in ris(Y in a2,[],true,a2),[],in(Y,T),{Y}),1)", {}, False, False),
+    ("un({{U/a2}},[[X,U],{a2,a2/U}],a2)", {"U": "{}"}, False, False),
+    ("subset({1,{a1}},{ris(Y in a2,[],in(Y,{a1/U}),{}),X})", {"X": "{a2}"}, False, False),
+    ("subset({T,[a1,X]/{a1,X/U}},U)", {"X": "a1", "U": "1"}, False, False),
+    ("[a2,{a2/U}] neq [ris(Y in {},[],Y = X,{}),{a1,1}]", {"U": "1"}, False, False),
+    ("subset({[1,1],[T,U]/{[1,a1],X/a1}},{{[U,{}]/{X/X}},{}})", {}, False, False),
+    ("disj(U,{{{U,X}}/{ris(Y in {},[],in(Y,T),T),a1/[U,1]}})", {"T": "{}", "U": "{a2}"}, False, False),
+    ("subset(X,{[U,a1],{{},X/a2}/{a1/1}})", {"X": "a1"}, False, False),
+    ("nin({[a1,1],{T,X/a1}},a1)", {"X": "a1"}, False, False),
+    ("in([{{}/{}},1],{{},1/{X/a2}})", {}, False, False),
+    ("in({{X,1/a1},X},[{},T])", {"T": "{a1}"}, False, False),
+    ("subset({{a2/a2},a2/1},U)", {}, False, False),
+    ("subset({{T/a1}/{X}},T)", {"T": "a1"}, False, False),
+    ("subset({[a2,1],{{},{}/T}/[a1,U]},{ris(Y in X,[],in(Y,T),Y)})", {"X": "{a1}", "T": "1"}, False, False),
+    ("in(U,{ris(Y in {},[],Y = X,a2)/1})", {"U": "a1"}, False, False),
+    ("un(X,{{T}/X},{{},ris(Y in a1,[],Y neq U,X)/T})", {"X": "{a2}", "T": "{a1,a2}"}, False, False),
+    ("nin([[T,1],ris(Y in X,[],in(Y,{a1/U}),Y)],U)", {"X": "a1", "T": "1"}, False, False),
+    ("nin({[{{}/a1},{a1}],T},a2)", {}, False, False),
+    ("nin(ris(Y in X,[],in(Y,{a1/U}),{}),T)", {"X": "{a1,a2}", "T": "{a1}", "U": "a1"}, True, True),
+    ("nin([[U,{}],{a2}],{1/T})", {"T": "{a1}", "U": "a1"}, True, True),
+    ("ris(Y in {[a2,a1]/{a1/U}},[],Y = X,{{T}}) neq a1", {"X": "{}", "T": "{a2}", "U": "{a2}"}, True, True),
+    ("[1,1] neq T", {"T": "{}"}, True, True),
+    ("T neq {T}", {"T": "1"}, True, True),
+    ("{a1} neq {}", {}, True, True),
+    ("in(T,{a1/{U,{}/T}})", {"T": "{}", "U": "{}"}, True, True),
+    ("{[{},[1,X]],{ris(Y in U,[],true,U)}} neq U", {"X": "{}", "U": "{}"}, True, True),
+    ("X neq a1", {"X": "{a1,a2}"}, True, True),
+    ("{[T,U]/T} neq {{T/T}/{}}", {"T": "{a2}", "U": "{a1,a2}"}, True, True),
+    ("ris(Y in a2,[],true,ris(Z in a1,[],Z neq a1,T)) neq a2", {"T": "a1"}, True, True),
+    ("{[T,T]} neq T", {"T": "1"}, True, True),
+    ("{{[1,a2],{1}}/[T,[a2,{}]]} neq {{[U,a1],[T,X]/T}}", {"X": "a1", "T": "{a2}", "U": "{a1}"}, True, True),
+    ("disj({a2,{}},{})", {}, True, True),
+    ("U neq ris(Y in a2,[],Y neq a2,ris(Z in U,[],Z neq a1,U))", {"U": "a1"}, True, True),
+    ("[{},1] neq {1}", {}, True, True),
+    ("nin(U,{1,a2})", {"U": "{a1,a2}"}, True, True),
+    ("ris(Y in {{}/T},[],Y neq T,[Y,1]) neq [{U,{}},{}]", {"T": "{a1,a2}", "U": "{a1,a2}"}, True, True),
+    ("{[[T,X],{U,X}]/ris(Y in U,[],true,Y)} neq {{},X}", {"X": "a1", "T": "a1", "U": "{a1,a2}"}, True, True),
+    ("{1} neq [X,a2]", {"X": "a1"}, True, True),
+    ("{{X}/{a2,a1}} neq a1", {"X": "a1"}, True, True),
+    ("ris(Y in X,[],in(Y,T),a1) neq [{a1},[a2,[1,T]]]", {"X": "a1", "T": "a1"}, True, True),
+    ("{} neq [T,[a2,a1]]", {"T": "{a2}"}, True, True),
+    ("X neq {[ris(Y in {},[],Y neq a1,a2),X],a2/T}", {"X": "1", "T": "{a1,a2}"}, True, True),
+    ("{{},[a2,ris(Y in {},[],true,{})]} neq {[[a1,X],U]/a2}", {"X": "{}", "U": "{a1}"}, True, True),
+    ("{{{}},a2} neq a2", {}, True, True),
+    ("1 neq [{a1},{1}]", {}, True, True),
+    ("disj(X,{X})", {"X": "{a2}"}, True, True),
+    ("nin([{X,{}},a1],U)", {"X": "a1", "U": "{a1,a2}"}, True, True),
+    ("disj(X,{[T,X]/{1}})", {"X": "{a1}", "T": "a1"}, True, True),
+    ("disj(T,{[a2,{}]})", {"T": "{a1}"}, True, True),
+    ("[[{},T],ris(Y in T,[],true,a1)] neq {}", {"T": "{a1,a2}"}, True, True),
+    ("disj({[a2,{}],1},ris(Y in {},[],Y = X,{Y/Y}))", {"X": "{a2}"}, True, True),
+    ("nin({},ris(Y in {{a1},[T,a2]},[],Y neq a1,Y))", {"T": "{a2}"}, True, True),
+    ("disj(ris(Y in T,[],Y = X,[a2,1]),{{{},T}})", {"X": "1", "T": "{}"}, True, True),
+    ("nin(U,U)", {"U": "{a2}"}, True, True),
+    ("disj(U,U)", {"U": "{}"}, True, True),
+    ("{} neq [[X,X],[T,T]]", {"X": "{}", "T": "{a1}"}, True, True),
+    ("nin({{T,U}},T)", {"T": "{a1,a2}", "U": "{a2}"}, True, True),
+    ("X neq {[{},a2]/{a1,U/U}}", {"X": "{a1,a2}", "U": "{}"}, True, True),
+    ("nin(T,ris(Y in {X},[],true,{}))", {"X": "1", "T": "1"}, True, True),
+    ("a2 neq [{a2},ris(Y in T,[],Y neq a1,a2)]", {"T": "{}"}, True, True),
+    ("{} neq ris(Y in 1,[],in(Y,T),{[1,Y]})", {"T": "a1"}, True, True),
+    ("[1,U] neq {{}/ris(Y in U,[],Y neq a1,a2)}", {"U": "{a1,a2}"}, True, True),
+    ("disj(ris(Y in {a2},[],Y neq a1,{{},U}),U)", {"U": "{a1}"}, True, True),
+    ("[[{1,a2},{a1}],[a2,[a2,a2]]] neq a2", {}, True, True),
+    ("{[a2,1]/ris(Y in {},[],in(Y,T),T)} neq [[T,U],{1/U}]", {"T": "{a2}", "U": "{a1}"}, True, True),
+    ("1 neq [[{},{}],{U}]", {"U": "{a1}"}, True, True),
+    ("disj(ris(Y in {{1},T},[],in(Y,T),Y),{})", {"T": "a1"}, True, True),
+    ("nin(ris(Y in X,[],Y = X,{{},U/{}}),X)", {"X": "{a1}"}, True, True),
+    ("nin([T,U],{ris(Y in {},[],Y = X,a2)})", {"T": "{a2}", "U": "{a1}"}, True, True),
+    ("ris(Y in a1,[],true,ris(Z in U,[],in(Z,{a1/U}),T)) neq U", {"U": "{a1,a2}"}, True, True),
+    ("U = ris(Y in U,[],in(Y,T),{X})", {"T": "{a2}", "U": "{}"}, True, True),
+    ("{} = ris(Y in {a1},[],Y neq a1,U)", {}, True, True),
+    ("ris(Y in a1,[],Y = X,{{a2/X}}) neq 1", {}, True, True),
+    ("{[T,X]/a1} neq {{}}", {"X": "{}"}, True, True),
+    ("{X/1} neq U", {"U": "1"}, True, True),
+    ("disj({X/{a1/{}}},ris(Y in T,[],Y neq Y,{{}/U}))", {"X": "{a2}", "T": "{a2}"}, True, True),
+    ("disj(ris(Y in ris(Y in U,[],Y = X,X),[],true,[{},a2]),T)", {"T": "{a1,a2}", "U": "{}"}, True, True),
+    ("subset({},{[ris(Y in T,[],Y = X,X),U]/T})", {"T": "{}", "U": "1"}, True, True),
+    ("{ris(Y in U,[],in(Y,{a1/U}),X)/[{},T]} neq a2", {"T": "{}", "U": "{a1,a2}"}, True, True),
+    ("{[a2,T],U/a2} neq X", {"X": "{}", "U": "{a1}"}, True, True),
+    ("ris(Y in {T,a2},[],Y neq Y,{X,a2/X}) neq {{U,1}/1}", {"T": "{a1,a2}", "U": "{a1}"}, True, True),
+    ("1 neq ris(Y in {},[],in(Y,T),[a1,{}])", {}, True, True),
+    ("1 neq {{U,U},U}", {}, None, "raises"),
+    ("subset({{1}},{[{X},X],T})", {"T": "1"}, None, "raises"),
+    ("subset(ris(Y in {U,T/U},[],Y neq a1,{U/Y}),{})", {"T": "a1"}, None, "raises"),
+    ("subset({[{},X]/ris(Y in U,[],true,Y)},a1)", {}, None, "raises"),
+    ("ris(Y in [{},T],[],in(Y,{a1/U}),{a2}) neq {}", {"U": "a1"}, None, "raises"),
+    ("subset({{1/{}},[U,a2]/{a1,a2/{}}},a1)", {}, None, "raises"),
+    ("nin({{}},X)", {}, None, "raises"),
+    ("nin({{{U,a1},[a2,1]}},{{}})", {}, None, "raises"),
+    ("nin(X,T)", {"T": "{a2}"}, None, "raises"),
+    ("[{X},{a2,T}] = [[T,{}],ris(Y in a2,[],Y = X,U)]", {"X": "{a2}"}, None, "raises"),
+    ("subset(ris(Y in {{},T},[],Y neq T,a1),{X/T})", {"X": "{a1}"}, None, "raises"),
+    ("in(T,{{T/{{}/a2}},U})", {"U": "{a1}"}, None, "raises"),
+    ("in([{T/{}},{U,a1}],ris(Y in {{},a1},[],Y neq a1,a2))", {"U": "{a2}"}, None, "raises"),
+    ("nin(a2,{[1,a1],{{}/T}/{a2,a1/X}})", {"T": "{}"}, None, "raises"),
+    ("subset({ris(Y in {},[],in(Y,{a1/U}),T)/[U,{}]},{})", {}, None, "raises"),
+    ("subset(T,X)", {}, None, "raises"),
+    ("in([ris(Y in {1},[],Y neq a1,1),{}],T)", {}, None, "raises"),
+    ("{U,{a1}} = {ris(Y in X,[],true,Y)/ris(Y in T,[],true,{})}", {"T": "a1", "U": "{a2}"}, None, "raises"),
+    ("disj(X,{{{1,1}/{a2/T}}/X})", {"X": "a1"}, None, "raises"),
+    ("in({{},X/ris(Y in T,[],Y neq a1,a2)},{})", {"T": "{a1,a2}"}, None, "raises"),
+    ("in({{X,1/{}},{a1}},{[T,a1],X/a2})", {}, None, "raises"),
+    ("disj([a1,[ris(Y in X,[],Y neq a1,T),{1,a2/T}]],a2)", {"X": "{a2}"}, None, "raises"),
+    ("subset(X,1)", {}, None, "raises"),
+    ("[{1,X},{a2/U}] neq {1}", {"X": "{a1,a2}"}, None, "raises"),
+    ("disj({X/{{T/T},[T,U]/U}},{{{1/T}/{X,a1}}})", {"U": "{a1}"}, None, "raises"),
+    ("in([[a1,X],ris(Y in a2,[],true,{Y})],{ris(Y in U,[],true,[Y,1])})", {"U": "{a1}"}, False, False),
+]
+
+
+def test_partial_assignments_answer_as_pinned():
+    wrong = []
+    for src, env, if_partial, if_total in PARTIAL_ANSWERS:
+        f, assignment = F(src), {v: S.parse_value(t) for v, t in env.items()}
+        try:
+            total = eval_ground_formula(f, assignment)
+        except SetforgeError:
+            total = "raises"
+        if (eval_ground_formula(f, assignment, partial_ok=True), total) != (if_partial, if_total):
+            wrong.append(src)
+    assert not wrong, wrong
 
 
 @pytest.mark.parametrize(
