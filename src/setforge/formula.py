@@ -41,8 +41,8 @@ class Var(Term):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        if not name:
-            raise FormulaError("empty variable name")
+        if not isinstance(name, str) or not name:
+            raise FormulaError(f"variable name must be a non-empty str, got {name!r}")
         self.name = name
 
     def __repr__(self):

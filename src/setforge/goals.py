@@ -47,61 +47,60 @@ class Transition(Frozen):
         return self.before + self.inputs
 
 
-def _rcv_addr_packets():
-    """The receive transition's diff of announced and known peers and its
-    two packet comprehensions: greetings to the new peers, and the forward
-    of the updated peer set to every known one."""
-    return [
-        C("diff", Var("Asm"), Var("As"), Var("D")),
-        C(
-            "eq",
-            Var("PsD"),
-            RisT("A", Var("D"), Formula(((),)), TupT((_THIS, Var("A"), _CONNECT))),
+# the receive transition's diff of announced and known peers and its two
+# packet comprehensions: greetings to the new peers, and the forward of the
+# updated peer set to every known one
+_RCV_ADDR_PACKETS = (
+    C("diff", Var("Asm"), Var("As"), Var("D")),
+    C(
+        "eq",
+        Var("PsD"),
+        RisT("A", Var("D"), Formula(((),)), TupT((_THIS, Var("A"), _CONNECT))),
+    ),
+    C(
+        "eq",
+        Var("PsAs"),
+        RisT(
+            "A",
+            Var("As"),
+            Formula(((),)),
+            TupT((_THIS, Var("A"), _addr_msg_term(Var("As_")))),
         ),
-        C(
-            "eq",
-            Var("PsAs"),
-            RisT(
-                "A",
-                Var("As"),
-                Formula(((),)),
-                TupT((_THIS, Var("A"), _addr_msg_term(Var("As_")))),
-            ),
-        ),
-    ]
+    ),
+)
 
-
-def rcv_addr_transition() -> Transition:
-    """Receive-addresses transition over the fields it touches: the known
-    peer set before/after, the announced set, and the emitted packets."""
-    body = conj(
+# Receive-addresses transition over the fields it touches: the known peer
+# set before/after, the announced set, and the emitted packets.
+_RCV_ADDR = Transition(
+    name="rcv_addr",
+    before=("As",),
+    inputs=("Asm",),
+    outputs=("Ps",),
+    after=("As_",),
+    body=conj(
         [
             C("un", Var("As"), Var("Asm"), Var("As_")),
-            *_rcv_addr_packets(),
+            *_RCV_ADDR_PACKETS,
             C("un", Var("PsD"), Var("PsAs"), Var("Ps")),
         ]
-    )
-    sorts = {
+    ),
+    sorts={
         "As": SetS(AtomS("addr")),
         "Asm": SetS(AtomS("addr")),
         "As_": SetS(AtomS("addr")),
         "D": SetS(AtomS("addr")),
-    }
-    return Transition(
-        name="rcv_addr",
-        before=("As",),
-        inputs=("Asm",),
-        outputs=("Ps",),
-        after=("As_",),
-        body=body,
-        sorts=sorts,
-    )
+    },
+)
 
-
-def checkpoint_transition() -> Transition:
-    """Checkpoint phase as constraints: validity of the transaction against
-    the account map, the sender debit, and the step advance."""
-    body = conj(
+# Checkpoint phase as constraints: validity of the transaction against the
+# account map, the sender debit, and the step advance.
+_CHECKPOINT = Transition(
+    name="checkpoint_state",
+    before=("Acc", "Step"),
+    inputs=("Sender", "Tn", "Tg", "Tp", "Tv"),
+    outputs=(),
+    after=("Acc_", "Step_"),
+    body=conj(
         [
             C("pfun", Var("Acc")),
             C("eq", Var("Step"), Lit(Atom("initial", "opaque"))),
@@ -142,8 +141,8 @@ def checkpoint_transition() -> Transition:
             C("oplus", Var("Acc"), SetT((TupT((Var("Sender"), Var("A1"))),)), Var("Acc_")),
             C("eq", Var("Step_"), Lit(Atom("ccbegins", "opaque"))),
         ]
-    )
-    sorts = {
+    ),
+    sorts={
         "Acc": RelS(AtomS("addr"), ACC_RECORD_SORT),
         "Acc_": RelS(AtomS("addr"), ACC_RECORD_SORT),
         "A0": ACC_RECORD_SORT,
@@ -161,27 +160,17 @@ def checkpoint_transition() -> Transition:
         "GasCost": IntS(),
         "Cost": IntS(),
         "C0": AtomS("opaque"),
-    }
-    return Transition(
-        name="checkpoint_state",
-        before=("Acc", "Step"),
-        inputs=("Sender", "Tn", "Tg", "Tp", "Tv"),
-        outputs=(),
-        after=("Acc_", "Step_"),
-        body=body,
-        sorts=sorts,
-    )
+    },
+)
 
-
-TRANSITIONS = {
-    "rcv_addr": rcv_addr_transition,
-    "checkpoint_state": checkpoint_transition,
-}
+# Built once: a Transition is frozen, and its sorts dict is shared by every
+# caller, which copies it before it adds a sort (instantiate_partition, solve).
+TRANSITIONS = {t.name: t for t in (_RCV_ADDR, _CHECKPOINT)}
 
 
 def get_transition(name: str) -> Transition:
     try:
-        return TRANSITIONS[name]()
+        return TRANSITIONS[name]
     except KeyError:
         known = ", ".join(sorted(TRANSITIONS))
         raise UnknownName(f"unknown transition {name!r}; known: {known}") from None
@@ -195,40 +184,32 @@ class ProvedGoal(Frozen):
     sorts: dict
 
 
-def _psd_psas_goal() -> ProvedGoal:
-    # the hypothesis deliberately leaves the forwarded peer set As_
-    # unconstrained: the packet kinds alone keep the two sets apart
-    body = conj(_rcv_addr_packets())
-    sorts = rcv_addr_transition().sorts
-    return ProvedGoal(
-        name="psd-psas-disjoint",
-        description="greeting packets and forward packets never overlap",
-        hypothesis=body,
-        conclusion=conj([C("disj", Var("PsD"), Var("PsAs"))]),
-        sorts=sorts,
-    )
-
-
-def _checkpoint_pfun_goal() -> ProvedGoal:
-    t = checkpoint_transition()
-    return ProvedGoal(
-        name="checkpoint-pfun",
-        description="the account map is still a partial function afterwards",
-        hypothesis=t.body,
-        conclusion=conj([C("pfun", Var("Acc_"))]),
-        sorts=t.sorts,
-    )
-
-
 GOALS = {
-    "psd-psas-disjoint": _psd_psas_goal,
-    "checkpoint-pfun": _checkpoint_pfun_goal,
+    g.name: g
+    for g in (
+        # the hypothesis deliberately leaves the forwarded peer set As_
+        # unconstrained: the packet kinds alone keep the two sets apart
+        ProvedGoal(
+            name="psd-psas-disjoint",
+            description="greeting packets and forward packets never overlap",
+            hypothesis=conj(_RCV_ADDR_PACKETS),
+            conclusion=conj([C("disj", Var("PsD"), Var("PsAs"))]),
+            sorts=_RCV_ADDR.sorts,
+        ),
+        ProvedGoal(
+            name="checkpoint-pfun",
+            description="the account map is still a partial function afterwards",
+            hypothesis=_CHECKPOINT.body,
+            conclusion=conj([C("pfun", Var("Acc_"))]),
+            sorts=_CHECKPOINT.sorts,
+        ),
+    )
 }
 
 
 def get_goal(name: str) -> ProvedGoal:
     try:
-        return GOALS[name]()
+        return GOALS[name]
     except KeyError:
         known = ", ".join(sorted(GOALS) + ["checkpoint-ttf"])
         raise UnknownName(f"unknown goal {name!r}; known: {known}") from None

@@ -9,6 +9,10 @@ work is moved ahead of search wherever possible:
   rule runs, and the same row gives unsorted variables their sorts;
 * functional constraints (un, diff, oplus, dom, apply, arithmetic, ...)
   compute their result as soon as their inputs are known;
+* unify is the one structural matcher: neq is decided by trying the
+  unification that = would make and undoing it on the trail, so a failure
+  means the sides differ and a success that binds nothing means they are
+  equal;
 * structural facts are derived from partially known values: a relation
   whose keys are decided but whose range entries are still open already
   determines its domain, whether it is a partial function, and how an
@@ -263,26 +267,13 @@ def _pair_key(p, env):
     return None
 
 
-def _pair_val(p, env):
-    return _walk(p, env).elems[1]
-
-
 def _keyed_elems(p, env):
     """If every member is a definite pair with a ground, pairwise distinct
     key, return the key -> value mapping in key order; else None."""
-    if isinstance(p, SetV):
-        elems = p.elems
-    elif isinstance(p, PSet):
-        elems = p.elems
-    else:
+    pairs = _listed_pairs(p, env)
+    if pairs is None or pairs is _FAIL or len({k for k, _, _ in pairs}) != len(pairs):
         return None
-    out = {}
-    for e in elems:
-        k = _pair_key(e, env)
-        if k is None or k in out:
-            return None
-        out[k] = _pair_val(e, env)
-    return dict(sorted(out.items(), key=lambda kv: kv[0]._key))
+    return dict(sorted(((k, v) for k, v, _ in pairs), key=lambda kv: kv[0]._key))
 
 
 def unify(a, b, env):
@@ -317,6 +308,8 @@ def _unify_struct(a, b, env):
             return _FAIL
         return _unify_pointwise(a.elems, b.elems, env)
     if akind == "set":
+        if _is_empty_set(a) != _is_empty_set(b):
+            return _FAIL
         ka = _keyed_elems(a, env)
         kb = _keyed_elems(b, env)
         if ka is not None and kb is not None:
@@ -328,10 +321,6 @@ def _unify_struct(a, b, env):
         be = b.elems
         if len(ae) == 1 and len(be) == 1:
             return unify(ae[0], be[0], env)
-        if _definitely_nonempty(a) != _definitely_nonempty(b) and (
-            _is_empty_set(a) or _is_empty_set(b)
-        ):
-            return _FAIL
         return _DEFER
     return _FAIL
 
@@ -359,42 +348,21 @@ def _is_empty_set(p):
     return isinstance(p, (SetV, PSet)) and not p.elems
 
 
-def _definitely_nonempty(p):
-    return isinstance(p, (SetV, PSet)) and len(p.elems) > 0
-
-
 def _neq_decide(a, b, env):
-    """three-valued disequality: True, False, or None (unknown)."""
+    """Three-valued disequality: True, False, or None (unknown), by a trial
+    unification undone on the trail, as Prolog's dif/2 decides it.  An
+    unbound side decides nothing, unless both are the same hole."""
     a = resolve(a, env)
     b = resolve(b, env)
-    if isinstance(a, Value) and isinstance(b, Value):
-        return a != b
-    if isinstance(a, PHole) and isinstance(b, PHole) and a.var == b.var:
-        return False
-    sa, sb = _shape(a), _shape(b)
-    if "hole" in (sa, sb):
-        return None
-    if sa != sb:
+    if isinstance(a, PHole) or isinstance(b, PHole):
+        return False if type(a) is type(b) and a.var == b.var else None
+    mark = len(env)
+    r = unify(a, b, env)
+    bound = len(env) > mark
+    _undo(env, mark)
+    if r == _FAIL:
         return True
-    if sa in ("tuple", "seq"):
-        if len(a.elems) != len(b.elems):
-            return True
-        verdicts = [_neq_decide(x, y, env) for x, y in zip(a.elems, b.elems)]
-        if any(v is True for v in verdicts):
-            return True
-        if all(v is False for v in verdicts):
-            return False
-        return None
-    if sa == "set":
-        if _is_empty_set(a) != _is_empty_set(b) and (_is_empty_set(a) or _is_empty_set(b)):
-            if _definitely_nonempty(a) or _definitely_nonempty(b):
-                return True
-        ka = _keyed_elems(a, env)
-        kb = _keyed_elems(b, env)
-        if ka is not None and kb is not None and list(ka.keys()) != list(kb.keys()):
-            return True
-        return None
-    return None
+    return False if r == _OK and not bound else None
 
 
 # -- listed-set structure helpers ------------------------------------------------
@@ -422,7 +390,7 @@ def _listed_pairs(p, env):
         k = _pair_key(w, env)
         if k is None:
             return None
-        out.append((k, _pair_val(w, env), w))
+        out.append((k, w.elems[1], w))
     return out
 
 
@@ -1302,38 +1270,36 @@ _PLACE_A, _PLACE_B, _PLACE_BOTH = 0, 1, 2
 
 
 def _pending_holes(st, pending):
-    """Unbound variables the pending constraints can still observe."""
+    """Unbound variables the pending constraints can still observe, in first
+    observation order (the keys of a dict)."""
     env = st.env
-    out = []
-    seen = set()
-
-    def note(name):
-        if name not in seen:
-            seen.add(name)
-            out.append(name)
-
+    out = {}
     for i in pending:
         for name in st.free[i]:
             root = _walk(PHole(name), env)
             if isinstance(root, PHole):
-                note(root.var)
+                out[root.var] = None
             else:
-                holes = _open_holes(root, env, [])
-                for h in sorted(set(holes)):
-                    note(h)
+                out.update(dict.fromkeys(sorted(set(_open_holes(root, env, [])))))
     return out
 
 
 def _pick_decision(st, pending):
+    """The next decision: ("split", a, b, out) for a union with a ground
+    result, else ("bind", var, candidates, tick_first), whose candidates are
+    bound to var in turn."""
     env, order = st.env, st.order
     if not pending:
         # a declared variable is checked when it grounds, so a leaf searches
-        # the holes one still has instead of leaving them to _complete
+        # the holes one still has instead of leaving them to _complete; its
+        # first fill stands in for _complete's, so it is no decision node
         for var in st.validate:
             if var in env:
                 holes = _open_holes(env[var], env, [])
                 if holes:
-                    return ("fill", min(holes, key=lambda h: order.get(h, len(order))), None)
+                    var = min(holes, key=lambda h: order.get(h, len(order)))
+                    stream = _sort_candidates(st.registry.get(var) or AnyS(), st)
+                    return ("bind", var, stream, False)
         return None
     for i in pending:
         c = st.constraints[i]
@@ -1341,7 +1307,7 @@ def _pick_decision(st, pending):
             x = term_pval(c.args[0], env)
             s = term_pval(c.args[1], env)
             if isinstance(s, SetV) and isinstance(x, PHole):
-                return ("member", x, s)
+                return ("bind", x.var, s.elems, True)
         if c.kind == "un":
             a = term_pval(c.args[0], env)
             b = term_pval(c.args[1], env)
@@ -1371,24 +1337,21 @@ def _pick_decision(st, pending):
             b = term_pval(c.args[1], env)
             if isinstance(root, PHole) and root.var == var and isinstance(b, SetV):
                 within = set(b.elems) if within is None else within.intersection(b.elems)
-    return ("enumerate", var, within)
+    stream = _sort_candidates(st.registry.get(var) or AnyS(), st)
+    if within is not None:
+        # a member outside B makes subset(var,B) false
+        stream = (v for v in stream if not isinstance(v, SetV) or within.issuperset(v.elems))
+    return ("bind", var, stream, True)
 
 
 def _candidates(decision, st):
     """Bind the decision's candidates in env one after another, undoing the
     previous one first; yields after each binding.  Every candidate tried
-    is a decision node, except the first fill of a hole a leaf left open:
-    that one stands in for _complete's default fill, which needs no search."""
+    is a decision node, except the first of a bind whose tick_first is
+    False."""
     env = st.env
     mark = len(env)
-    if decision[0] == "member":
-        _, x, s = decision
-        for elem in s.elems:
-            st.tick()
-            _undo(env, mark)
-            env[x.var] = elem
-            yield True
-    elif decision[0] == "split":
+    if decision[0] == "split":
         _, a, b, out = decision
         for combo in itertools.product((_PLACE_A, _PLACE_B, _PLACE_BOTH), repeat=len(out.elems)):
             st.tick()
@@ -1397,26 +1360,25 @@ def _candidates(decision, st):
             right = SetV([e for e, w in zip(out.elems, combo) if w != _PLACE_A], _canonical=True)
             if unify(a, left, env) != _FAIL and unify(b, right, env) != _FAIL:
                 yield True
-    else:
-        kind, var, within = decision
-        # fresh vars registered by abandoned candidates stay in the registry:
-        # they are unreachable, and keeping it append-only keeps runs identical
-        used = st.used_atoms
-        added = set()  # the atoms the current candidate brought into use
-        for n, cand in enumerate(_sort_candidates(st.registry.get(var) or AnyS(), st)):
-            if within is not None and isinstance(cand, SetV) and not within.issuperset(cand.elems):
-                continue  # a member outside B makes subset(var,B) false
-            if n or kind == "enumerate":
-                st.tick()
-            _undo(env, mark)
-            used -= added
-            added = set()
-            _add_atoms(cand, added)
-            added -= used
-            used |= added
-            env[var] = cand
-            yield True
+        return
+    _, var, candidates, tick = decision
+    # fresh vars registered by abandoned candidates stay in the registry:
+    # they are unreachable, and keeping it append-only keeps runs identical
+    used = st.used_atoms
+    added = set()  # the atoms the current candidate brought into use
+    for cand in candidates:
+        if tick:
+            st.tick()
+        tick = True
+        _undo(env, mark)
         used -= added
+        added = set()
+        _add_atoms(cand, added)
+        added -= used
+        used |= added
+        env[var] = cand
+        yield True
+    used -= added
 
 
 def _search(st):

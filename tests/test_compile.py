@@ -180,6 +180,12 @@ def test_a_comprehension_checks_its_parts_when_it_is_built(binder, domain, filte
         RisT(binder, domain, filter, pattern)
 
 
+@pytest.mark.parametrize("name", [3, b"X", ("X",), None, ""])
+def test_a_variable_name_is_a_non_empty_str(name):
+    with pytest.raises(FormulaError, match="variable name"):
+        Var(name)
+
+
 # -- the compiled problem --------------------------------------------------------------
 
 
