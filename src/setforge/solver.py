@@ -34,8 +34,9 @@ work is moved ahead of search wherever possible:
 Unsat therefore always means "no model within the scope's universes", and
 every Sat answer carries a witness that is re-checked by direct ground
 evaluation before it is returned.  A declared variable's value lies in its
-sort's universe: a binding is checked when it grounds the variable, and a
-leaf enumerates the holes a declared variable still has until it is ground.
+sort's universe: a binding is checked when it grounds the variable.  A
+leaf enumerates every hole still open, those of declared variables first,
+so a witness is ground and a sort with no values in the scope has none.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ from .universe import (
     SetS,
     TupleS,
     enumerate_sort,
-    first_value,
     scope_atoms,
     sort_contains,
 )
@@ -1033,7 +1033,7 @@ class _State:
     """Search state of one disjunct: its compiled problem, the env, the
     watch lists and the atoms in use."""
 
-    __slots__ = ("scope", "constraints", "free", "registry", "order", "budget", "nodes",
+    __slots__ = ("scope", "constraints", "free", "names", "registry", "order", "budget", "nodes",
                  "fresh_names", "validate", "env", "watch", "sort_watch",
                  "used_atoms", "atom_orders")
 
@@ -1041,6 +1041,7 @@ class _State:
         self.scope = scope
         self.constraints = problem.constraints
         self.free = problem.free  # per constraint: its free names in first-occurrence order
+        self.names = tuple(problem.sorts)  # the caller's names, then the constraints'
         self.registry = dict(problem.sorts)  # ordered: var -> Sort
         self.order = {name: i for i, name in enumerate(problem.sorts)}
         self.budget = budget
@@ -1290,16 +1291,15 @@ def _pick_decision(st, pending):
     bound to var in turn."""
     env, order = st.env, st.order
     if not pending:
-        # a declared variable is checked when it grounds, so a leaf searches
-        # the holes one still has instead of leaving them to _complete; its
-        # first fill stands in for _complete's, so it is no decision node
-        for var in st.validate:
-            if var in env:
-                holes = _open_holes(env[var], env, [])
-                if holes:
-                    var = min(holes, key=lambda h: order.get(h, len(order)))
-                    stream = _sort_candidates(st.registry.get(var) or AnyS(), st)
-                    return ("bind", var, stream, False)
+        # a leaf grounds every hole it still has: first those of the bound
+        # declared variables, which are checked when they ground, then those
+        # of the caller's names and the constraints'.  The first fill is no
+        # decision node, and an empty universe fails the branch
+        for name in itertools.chain([v for v in st.validate if v in env], st.names):
+            holes = _open_holes(PHole(name), env, [])
+            if holes:
+                var = min(holes, key=lambda h: order.get(h, len(order)))
+                return ("bind", var, _sort_candidates(st.registry.get(var) or AnyS(), st), False)
         return None
     for i in pending:
         c = st.constraints[i]
@@ -1414,24 +1414,6 @@ def _search(st):
 # -- public api ----------------------------------------------------------------------
 
 
-def _complete(st, problem):
-    """Ground every variable the compiled constraints or the caller can see,
-    and the holes left inside their values, each to its sort's first value."""
-    env = st.env
-    todo = list(problem.sorts)  # the caller's names, then the constraints'
-    changed = True
-    while changed:
-        changed = False
-        for v in todo:
-            holes = _open_holes(PHole(v), env, [])
-            for h in sorted(set(holes)):
-                root = _walk(PHole(h), env)
-                if isinstance(root, PHole):
-                    env[root.var] = first_value(st.registry.get(root.var) or AnyS(), st.scope)
-                    changed = True
-    return env
-
-
 def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DEFAULT_BUDGET):
     """Find a witness for f within the scope, or establish there is none.
 
@@ -1461,7 +1443,7 @@ def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DE
         nodes = st.nodes
         if not found:
             continue
-        env = _complete(st, problem)
+        env = st.env
         assignment = {}
         for name in st.registry:
             val = resolve(PHole(name), env)

@@ -8,7 +8,7 @@ Grammar sketch:
     part    := "(" formula "or" formula {"or" formula} ")"
              | kind "(" termlist ")" | term "=" term | term "neq" term
              | "true" | "false"
-    term    := INT | "-" INT | VAR | "_"
+    term    := INT | VAR | "_"
              | lowerident [ "(" termlist ")" ]
              | "seq" "(" "[" [termlist] "]" ")"
              | "ris" "(" lowervar "in" term "," "[]" "," formula "," term
@@ -16,12 +16,21 @@ Grammar sketch:
              | "[" termlist "]"
              | "{" [termlist] ["/" term] "}"
 
-Comments run from "%" to end of line.  INT is one or more decimal digits
-(str.isdecimal), no more than the interpreter converts to an int.  Variables
-start with an uppercase letter or underscore; a bare "_" is a fresh
-anonymous variable.  Printing is canonical: set elements in structural-key
-order, which also sorts record fields alphabetically; parse(print(x)) is
-the identity on formulas and ground values.
+Formulas and values share one set of token rules (_TOKEN):
+
+- Blanks (space, tab, CR, LF) and comments, from "%" to the end of the
+  line, only separate tokens.
+- A name starts with a letter (str.isalpha) or "_" and goes on with letters,
+  digits (str.isalnum) and "_".  A VAR starts with an uppercase letter
+  (str.isupper) or "_"; a bare "_" is a fresh anonymous variable.
+- INT is an optional "-" and one or more decimal digits (str.isdecimal), no
+  more than the interpreter converts to an int.
+- ":-" is one token, and any other character is a token by itself; one
+  that is not "&=()[]{},/." is an error.
+
+Printing is canonical: set elements in structural-key order, which also
+sorts record fields alphabetically; parse(print(x)) is the identity on
+formulas and ground values.
 """
 
 from __future__ import annotations
@@ -57,13 +66,22 @@ _FUNCTOR_NAMES = {"prog"}
 
 
 class _Tok:
-    __slots__ = ("kind", "text", "line", "col")
+    __slots__ = ("kind", "text", "src", "pos")
 
-    def __init__(self, kind, text, line, col):
+    def __init__(self, kind, text, src, pos):
         self.kind = kind
         self.text = text
-        self.line = line
-        self.col = col
+        self.src = src
+        self.pos = pos
+
+    # line and column are counted only when an error reads them
+    @property
+    def line(self):
+        return self.src.count("\n", 0, self.pos) + 1
+
+    @property
+    def col(self):
+        return self.pos - self.src.rfind("\n", 0, self.pos)
 
     def __repr__(self):
         return f"{self.kind}:{self.text!r}@{self.line}:{self.col}"
@@ -84,59 +102,32 @@ _PUNCT = {
     ".": "DOT",
 }
 
+# One token after the blanks and comments before it, or "" at the end of the
+# text.  The parser and the value reader both split text with it.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:%[^\n]*[ \t\r\n]*)*([{}\[\](),]|[^\W\d]\w*|-?\d+|:-|[^ \t\r\n%]|\Z)")
+
 
 def _lex(src: str):
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if src.startswith(":-", i):
-            toks.append(_Tok("DEFINE", ":-", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch.isdecimal() or (ch == "-" and i + 1 < n and src[i + 1].isdecimal()):
-            j = i + 1
-            while j < n and src[j].isdecimal():
-                j += 1
-            toks.append(_Tok("INT", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            text = src[i:j]
-            if text[0].isupper() or text[0] == "_":
-                toks.append(_Tok("UIDENT", text, line, col))
+    for m in _TOKEN.finditer(src):
+        text = m[1]
+        pos = m.start(1)
+        kind = _PUNCT.get(text)
+        if kind is None:
+            c = text[:1]
+            if c.isalpha() or c == "_":
+                kind = "UIDENT" if c.isupper() or c == "_" else "LIDENT"
+            elif c.isdecimal() or (c == "-" and len(text) > 1):
+                kind = "INT"
+            elif not text:
+                # a comment on the last line leaves the end of input at its "%"
+                pct = src.find("%", max(m.start(), src.rfind("\n") + 1))
+                toks.append(_Tok("EOF", "", src, pos if pct < 0 else pct))
+                return toks
             else:
-                toks.append(_Tok("LIDENT", text, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(_Tok(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError("unexpected character", line, col, ch)
-    toks.append(_Tok("EOF", "", line, col))
-    return toks
+                bad = _Tok("CHAR", c, src, pos)
+                raise ParseError("unexpected character", bad.line, bad.col, c)
+        toks.append(_Tok(kind, text, src, pos))
 
 
 class _Parser:
@@ -370,9 +361,6 @@ def parse_value(src: str) -> Value:
     return v
 
 
-# One token of a ground value after the blanks before it: an integer, a
-# name, or any other single character.  Names and integers are ASCII only.
-_VALUE_TOKEN = re.compile(r"[ \t\r\n]*(-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[^ \t\r\n])")
 # Deeper text goes to the recursive parser, which decides whether it is
 # nested too deeply to read.
 _READ_DEPTH = 64
@@ -380,9 +368,10 @@ _READ_DEPTH = 64
 
 def _read_value(src: str):
     """Build the value src spells as its tokens come, without a term tree;
-    None when src is anything but a well-formed ground value of ASCII names
-    and integers nested at most _READ_DEPTH deep."""
-    toks = _VALUE_TOKEN.findall(src)
+    None when src is anything but a well-formed ground value nested at most
+    _READ_DEPTH deep whose names and integers start with an ASCII character."""
+    toks = _TOKEN.findall(src)
+    del toks[toks.index(""):]  # the end of the text matches once or twice
     n = len(toks)
     # open containers, innermost last: closing token(s) and elements so far;
     # "}" a set, "]" a tuple, ")" a constructor, "])" a sequence

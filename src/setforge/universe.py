@@ -138,11 +138,6 @@ def enumerate_sort(sort: Sort, scope: Scope):
         raise KindError(f"cannot enumerate sort {sort!r}")
 
 
-def first_value(sort: Sort, scope: Scope):
-    """Deterministic default: the first value in the sort's enumeration."""
-    return next(iter(enumerate_sort(sort, scope)))
-
-
 def sort_contains(sort: Sort, v, scope: Scope) -> bool:
     """Membership in the sort's enumerated universe, without enumerating."""
     from .values import Value  # local import keeps the module cycle-free

@@ -279,6 +279,16 @@ def test_leaf_holes_of_a_declared_variable_are_searched():
     assert prove_implication(F("X = {Y}"), F("X neq {}"), TINY, sorts=sorts) == Verified(TINY)
 
 
+def test_a_declared_variable_with_an_empty_universe_has_no_value():
+    """A leaf fills every open hole through the search, so a sort with no
+    values at the scope fails the branch instead of raising."""
+    scope = Scope(atoms_per_namespace=0)
+    for src, sorts in (("X = X", {"X": AtomS("addr")}), ("X = [Y,1]", {"Y": AtomS("addr")})):
+        f = F(src)
+        assert isinstance(solve(f, scope, sorts=sorts), Unsat), src
+        assert brute_force_sat(f, scope, sorts) is False, src
+
+
 def test_unsat_means_no_model_in_scope():
     # exhaustively confirm a nontrivial unsat verdict
     scope = TINY
@@ -585,6 +595,23 @@ RULE_CASES = [
     ("seq_nth(Q,2,X) & seq_head(Q,X)", {"Q": _SEQS, "X": IntS()}),
     ("plus(X,Y,3) & minus(X,Y,1) & times(X,Y,Z)", {"X": IntS(), "Y": IntS(), "Z": IntS()}),
     ("le(X,Y) & lt(Y,X)", {"X": IntS(), "Y": IntS()}),
+    # a listed ground member decides in and nin, and one that two listed
+    # sets share decides disj and ndisj
+    ("in(a1,{a1,Y})", {"Y": AtomS("addr")}),
+    ("nin(a1,{a1,Y})", {"Y": AtomS("addr")}),
+    ("disj({a1,X},{a1,Y})", {"X": AtomS("addr"), "Y": AtomS("addr")}),
+    ("ndisj({a1,X},{a1,Y})", {"X": AtomS("addr"), "Y": AtomS("addr")}),
+    # a repeated key with equal ground values, a member that is no pair, a
+    # positive pfun that waits for its values and a set among the pairs
+    ("apply({[a1,1],[a1,1],[a2,X]},a1,Y)", {"X": IntS(), "Y": IntS()}),
+    ("dres({a1},{a1,[a2,X]},O)", {"X": IntS(), "O": _REL}),
+    ("pfun({[a1,{X}],[a1,{Y,a2}]})", {"X": AtomS("addr"), "Y": AtomS("addr")}),
+    ("dom({{X},[a1,1]},D)", {"X": AtomS("addr"), "D": _SETS}),
+    # a comprehension against an open extension, against a comprehension
+    # with no value yet, and an open extension against a tuple
+    ("ris(Z in S,[],true,Z) = {a1/T}", {"S": _SETS, "T": _SETS}),
+    ("ris(Z in {a1},[],true,Z) = ris(W in U,[],true,W)", {"U": _SETS}),
+    ("{a1/T} = [X,1]", {"T": _SETS, "X": IntS()}),
 ]
 
 

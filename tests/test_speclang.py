@@ -362,3 +362,56 @@ def test_overlong_integer_literal_is_a_parse_error():
         assert (e.value.line, e.value.col) == (1, col)
         assert str(e.value).startswith("integer literal has too many digits")
     assert S.parse_value("9" * 4000) == intv(int("9" * 4000))
+
+
+# -- the tokens: kind, text, line and column, or the error and where it is ----
+
+LEX_TABLE = [
+    ("-5", [("INT", "-5", 1, 1), ("EOF", "", 1, 3)]),
+    ("--5", ("unexpected character", 1, 1, "-")),
+    ("12abc", [("INT", "12", 1, 1), ("LIDENT", "abc", 1, 3), ("EOF", "", 1, 6)]),
+    ("a-5", [("LIDENT", "a", 1, 1), ("INT", "-5", 1, 2), ("EOF", "", 1, 4)]),
+    ("١٢", [("INT", "١٢", 1, 1), ("EOF", "", 1, 3)]),
+    ("-١", [("INT", "-١", 1, 1), ("EOF", "", 1, 3)]),
+    ("\xb2", ("unexpected character", 1, 1, "\xb2")),
+    ("a\xb2", [("LIDENT", "a\xb2", 1, 1), ("EOF", "", 1, 3)]),
+    ("\xb2a", ("unexpected character", 1, 1, "\xb2")),
+    ("\xbd", ("unexpected character", 1, 1, "\xbd")),
+    ("Ⅻ", ("unexpected character", 1, 1, "Ⅻ")),
+    ("ǅx", [("LIDENT", "ǅx", 1, 1), ("EOF", "", 1, 3)]),
+    ("\xc9a", [("UIDENT", "\xc9a", 1, 1), ("EOF", "", 1, 3)]),
+    ("\xe9", [("LIDENT", "\xe9", 1, 1), ("EOF", "", 1, 2)]),
+    ("e\u0301", ("unexpected character", 1, 2, "\u0301")),
+    ("\xa0", ("unexpected character", 1, 1, "\xa0")),
+    ("\x0b", ("unexpected character", 1, 1, "\x0b")),
+    ("a\fb", ("unexpected character", 1, 2, "\f")),
+    (":-", [("DEFINE", ":-", 1, 1), ("EOF", "", 1, 3)]),
+    (":", ("unexpected character", 1, 1, ":")),
+    ("a:-b", [("LIDENT", "a", 1, 1), ("DEFINE", ":-", 1, 2), ("LIDENT", "b", 1, 4),
+              ("EOF", "", 1, 5)]),
+    ("_", [("UIDENT", "_", 1, 1), ("EOF", "", 1, 2)]),
+    ("X1 _y", [("UIDENT", "X1", 1, 1), ("UIDENT", "_y", 1, 4), ("EOF", "", 1, 6)]),
+    # the column does not advance over a comment
+    ("%c", [("EOF", "", 1, 1)]),
+    ("a%", [("LIDENT", "a", 1, 1), ("EOF", "", 1, 2)]),
+    ("a %c", [("LIDENT", "a", 1, 1), ("EOF", "", 1, 3)]),
+    ("a %c\nb", [("LIDENT", "a", 1, 1), ("LIDENT", "b", 2, 1), ("EOF", "", 2, 2)]),
+    ("\n\n  %x", [("EOF", "", 3, 3)]),
+    ("a\t\r\nb", [("LIDENT", "a", 1, 1), ("LIDENT", "b", 2, 1), ("EOF", "", 2, 2)]),
+    ("in(a1 %x", [("LIDENT", "in", 1, 1), ("LP", "(", 1, 3), ("LIDENT", "a1", 1, 4),
+                  ("EOF", "", 1, 7)]),
+    ("{a1,\n  \xb2}", ("unexpected character", 2, 3, "\xb2")),
+    ("", [("EOF", "", 1, 1)]),
+]
+
+
+def _lexed(src):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in S._lex(src)]
+    except ParseError as e:
+        return (e.message, e.line, e.col, e.token)
+
+
+@pytest.mark.parametrize("src,expected", LEX_TABLE)
+def test_tokens_and_errors_are_as_pinned(src, expected):
+    assert _lexed(src) == expected
