@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Subcommands: eval, simulate, prove, mbt, evm step.  Reports are plain text
-by default and JSON with --json; identical invocations on identical files
-produce byte-identical output.  Exit status: 0 when the command succeeded
-(witness found, theorem verified, simulation completed), 1 when a goal was
-falsified or an input rejected, 2 on usage or syntax errors.
+Subcommands: eval, simulate, prove, mbt, evm step.  Each computes its
+result once and returns it as (exit status, text lines, JSON payload); main
+prints the lines, or the payload with --json.  Identical invocations on
+identical files produce byte-identical output.  Exit status: 0 when the
+command succeeded (witness found, theorem verified, simulation completed), 1
+when a goal was falsified or an input rejected, 2 on usage or syntax errors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from . import consensus, evm, goals, speclang, ttf
 from .errors import KindError, ParseError, SetforgeError, UnknownName
-from .solver import Sat, Unsat, UnknownOutcome, Verified, solve
+from .solver import Unsat, UnknownOutcome, Verified, solve
 from .universe import DEFAULT_SCOPE, Scope
 from .values import vset
 
@@ -61,20 +62,36 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _UsageError(f"cannot read {path}: {e}") from None
-
-
-def _emit(args, text_lines, payload):
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
 
 
 def _witness_strings(witness: dict) -> dict:
     return {k: speclang.print_value(v) for k, v in sorted(witness.items())}
+
+
+def _answer(r, scope, model: str, no_model: str) -> dict:
+    """The verdict fields of a solver answer: `model` with the witness and
+    the scope for Sat or Counterexample, `no_model` with the scope for Unsat
+    or Verified, and unknown with the reason for Unknown."""
+    if isinstance(r, (Unsat, Verified)):
+        return {"verdict": no_model, "scope": scope.describe()}
+    if hasattr(r, "witness"):
+        return {"verdict": model, "witness": _witness_strings(r.witness),
+                "scope": scope.describe()}
+    return {"verdict": "unknown", "reason": r.reason}
+
+
+def _verdict(payload: dict, heads: dict, *body: str):
+    """The report of a verdict: the head line that `heads` gives for
+    payload["verdict"] (or "Unknown: reason"), filled in from the payload,
+    then `body`, then the witness, one `  name = value` per line.  Exit 0 for
+    sat or verified, else 1."""
+    verdict = payload["verdict"]
+    head = "Unknown: {reason}" if verdict == "unknown" else heads[verdict]
+    lines = [head.format(**payload), *body]
+    lines += [f"  {k} = {v}" for k, v in payload.get("witness", {}).items()]
+    return (0 if verdict in ("sat", "verified") else 1), lines, payload
 
 
 def _pick_formula(path: str, goal_name):
@@ -93,22 +110,11 @@ def _pick_formula(path: str, goal_name):
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     scope = parse_scope(args.scope)
-    f = _pick_formula(args.file, args.goal)
-    r = solve(f, scope)
-    if isinstance(r, Sat):
-        lines = ["Sat"] + [f"  {k} = {v}" for k, v in _witness_strings(r.witness).items()]
-        _emit(args, lines, {"command": "eval", "verdict": "sat",
-                            "witness": _witness_strings(r.witness), "scope": scope.describe()})
-        return 0
-    if isinstance(r, Unsat):
-        _emit(args, [f"Unsat (scope: {scope.describe()})"],
-              {"command": "eval", "verdict": "unsat", "scope": scope.describe()})
-        return 1
-    _emit(args, [f"Unknown: {r.reason}"],
-          {"command": "eval", "verdict": "unknown", "reason": r.reason})
-    return 1
+    r = solve(_pick_formula(args.file, args.goal), scope)
+    return _verdict({"command": "eval", **_answer(r, scope, "sat", "unsat")},
+                    {"sat": "Sat", "unsat": "Unsat (scope: {scope})"})
 
 
 def _parse_entry(src: str, where: str):
@@ -140,104 +146,88 @@ def _load_scenario(path: str):
     return conf, schedule, this
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     conf, schedule, _this = _load_scenario(args.scenario)
     trace = consensus.run_schedule(conf, schedule)
     lines = []
-    steps_payload = []
+    steps = []
     for i, rec in enumerate(trace.steps, 1):
-        state_s = speclang.print_value(rec.state)
-        known_s = speclang.print_value(consensus.state_known(rec.state))
-        lines.append(f"step {i}: deliver {speclang.print_value(rec.packet)} to {rec.node.name}")
+        step = {
+            "step": i,
+            "packet": speclang.print_value(rec.packet),
+            "node": rec.node.name,
+            "enabled": rec.enabled,
+            "ps": speclang.print_value(rec.emitted),
+            "state": speclang.print_value(rec.state),
+            "as": speclang.print_value(consensus.state_known(rec.state)),
+        }
+        steps.append(step)
+        lines.append(f"step {i}: deliver {step['packet']} to {step['node']}")
         lines.append(f"  enabled = {'yes' if rec.enabled else 'no (consumed)'}")
-        lines.append(f"  ps = {speclang.print_value(rec.emitted)}")
-        lines.append(f"  as = {known_s}")
-        steps_payload.append(
-            {
-                "step": i,
-                "packet": speclang.print_value(rec.packet),
-                "node": rec.node.name,
-                "enabled": rec.enabled,
-                "ps": speclang.print_value(rec.emitted),
-                "state": state_s,
-                "as": known_s,
-            }
-        )
-    final = trace.confs[-1]
-    lines.append(f"final = {speclang.print_value(final)}")
+        lines.append(f"  ps = {step['ps']}")
+        lines.append(f"  as = {step['as']}")
+    payload = {"command": "simulate", "steps": steps,
+               "final": speclang.print_value(trace.confs[-1])}
+    lines.append(f"final = {payload['final']}")
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            for c in trace.confs:
-                fh.write(speclang.print_value(c) + "\n")
+        try:
+            with open(args.trace_out, "w", encoding="utf-8") as fh:
+                for c in trace.confs:
+                    fh.write(speclang.print_value(c) + "\n")
+        except OSError as e:
+            raise _UsageError(f"cannot write {args.trace_out}: {e}") from None
         lines.append(f"trace written to {args.trace_out}")
-    _emit(args, lines, {"command": "simulate", "steps": steps_payload,
-                        "final": speclang.print_value(final)})
-    return 0
+    return 0, lines, payload
 
 
-def _prove_builtin(args, scope) -> int:
-    name = args.goal
+def _prove_builtin(name: str, scope):
     if name == "checkpoint-ttf":
-        return _prove_checkpoint_ttf(args, scope)
+        return _prove_checkpoint_ttf(scope)
+    if name not in goals.GOALS:
+        known = ", ".join(sorted(goals.GOALS) + ["checkpoint-ttf"])
+        raise UnknownName(f"unknown goal {name!r}; known: {known}")
     r = goals.prove_goal(name, scope)
-    if isinstance(r, Verified):
-        _emit(args, [f"Verified (scope: {scope.describe()})"],
-              {"command": "prove", "goal": name, "verdict": "verified",
-               "scope": scope.describe()})
-        return 0
-    lines = ["Falsified, counterexample:"]
-    lines += [f"  {k} = {v}" for k, v in _witness_strings(r.witness).items()]
-    _emit(args, lines, {"command": "prove", "goal": name, "verdict": "falsified",
-                        "witness": _witness_strings(r.witness), "scope": scope.describe()})
-    return 1
+    return _verdict({"command": "prove", "goal": name,
+                     **_answer(r, scope, "falsified", "verified")},
+                    {"verified": "Verified (scope: {scope})",
+                     "falsified": "Falsified, counterexample:"})
 
 
 _TTF_EXPECTED_SAT = (4, 5)
 
 
-def _prove_checkpoint_ttf(args, scope) -> int:
+def _prove_checkpoint_ttf(scope):
     """Reproduce the override-partition outcome on the checkpoint step:
     eight raw conditions of which exactly the two domain cases survive."""
     t = goals.get_transition("checkpoint_state")
     occ = ttf.find_occurrences(t, "oplus")[0]
     conds = ttf.prune(ttf.instantiate_partition(occ, t), scope)
-    sat_idx = tuple(c.case.index for c in conds if c.satisfiable)
-    ok = len(conds) == 8 and sat_idx == _TTF_EXPECTED_SAT
-    verdict = "verified" if ok else "falsified"
-    lines = [f"{'Verified' if ok else 'Falsified'} (scope: {scope.describe()})",
-             f"  raw conditions: {len(conds)}, satisfiable: {list(sat_idx)}"]
-    _emit(args, lines, {"command": "prove", "goal": "checkpoint-ttf", "verdict": verdict,
-                        "satisfiable_cases": list(sat_idx), "scope": scope.describe()})
-    return 0 if ok else 1
+    sat_idx = [c.case.index for c in conds if c.satisfiable]
+    ok = len(conds) == 8 and tuple(sat_idx) == _TTF_EXPECTED_SAT
+    return _verdict({"command": "prove", "goal": "checkpoint-ttf",
+                     "verdict": "verified" if ok else "falsified",
+                     "satisfiable_cases": sat_idx, "scope": scope.describe()},
+                    {"verified": "Verified (scope: {scope})",
+                     "falsified": "Falsified (scope: {scope})"},
+                    f"  raw conditions: {len(conds)}, satisfiable: {sat_idx}")
 
 
-def cmd_prove(args) -> int:
+def cmd_prove(args):
     scope = parse_scope(args.scope)
     if args.file is None:
         if not args.goal:
             raise _UsageError("prove needs a goal file or --goal NAME")
-        return _prove_builtin(args, scope)
+        return _prove_builtin(args.goal, scope)
     # refutation style for files: the formula is the negated obligation and
     # must be unsatisfiable
-    f = _pick_formula(args.file, args.goal)
-    r = solve(f, scope)
-    if isinstance(r, Unsat):
-        _emit(args, [f"Verified: negation unsatisfiable (scope: {scope.describe()})"],
-              {"command": "prove", "file": args.file, "verdict": "verified",
-               "scope": scope.describe()})
-        return 0
-    if isinstance(r, Sat):
-        lines = ["Falsified, the negation has a model:"]
-        lines += [f"  {k} = {v}" for k, v in _witness_strings(r.witness).items()]
-        _emit(args, lines, {"command": "prove", "file": args.file, "verdict": "falsified",
-                            "witness": _witness_strings(r.witness), "scope": scope.describe()})
-        return 1
-    _emit(args, [f"Unknown: {r.reason}"],
-          {"command": "prove", "file": args.file, "verdict": "unknown", "reason": r.reason})
-    return 1
+    r = solve(_pick_formula(args.file, args.goal), scope)
+    return _verdict({"command": "prove", "file": args.file,
+                     **_answer(r, scope, "falsified", "verified")},
+                    {"verified": "Verified: negation unsatisfiable (scope: {scope})",
+                     "falsified": "Falsified, the negation has a model:"})
 
 
-def cmd_mbt(args) -> int:
+def cmd_mbt(args):
     scope = parse_scope(args.scope)
     t = goals.get_transition(args.transition)
     if args.all:
@@ -252,9 +242,7 @@ def cmd_mbt(args) -> int:
             raise _UsageError(f"bad occurrence ordinal {ordinal!r}") from None
         occs = [o for o in ttf.find_occurrences(t, kind) if o.ordinal == ordinal]
         if not occs:
-            raise _UsageError(
-                f"transition {t.name} has no {kind} occurrence #{ordinal}"
-            )
+            raise _UsageError(f"transition {t.name} has no {kind} occurrence #{ordinal}")
     lines = []
     payload = {"command": "mbt", "transition": t.name, "scope": scope.describe(),
                "occurrences": []}
@@ -271,16 +259,14 @@ def cmd_mbt(args) -> int:
             lines.append(f"  case {c.case.index}: {status:<11} {c.case.label}")
             entry = {"case": c.case.index, "label": c.case.label, "status": status}
             if c.satisfiable:
-                fixture = ttf.derive_test_case(c, t)
-                fx = _witness_strings(fixture)
+                fx = _witness_strings(ttf.derive_test_case(c, t))
                 entry["fixture"] = fx
                 lines.append("    fixture: " + ", ".join(f"{k} = {v}" for k, v in fx.items()))
             elif status == "unknown":
                 entry["reason"] = c.status[1]
             occ_payload["conditions"].append(entry)
         payload["occurrences"].append(occ_payload)
-    _emit(args, lines, payload)
-    return 0
+    return 0, lines, payload
 
 
 def _load_fixture(path: str) -> dict:
@@ -288,48 +274,39 @@ def _load_fixture(path: str) -> dict:
         obj = json.loads(_read(path))
     except json.JSONDecodeError as e:
         raise ParseError(f"bad fixture JSON: {e.msg}", e.lineno, e.colno) from None
+    if not isinstance(obj, dict):
+        raise _UsageError("fixture is not a JSON object")
     out = {}
     for key, val in obj.items():
         out[key] = _parse_entry(val, key) if isinstance(val, str) else val
     return out
 
 
-def cmd_evm(args) -> int:
-    if args.action != "step":
-        raise _UsageError(f"unknown evm action {args.action!r}")
+def cmd_evm(args):
+    # argparse admits only the action "step" and the ops checkpoint and create
     fx = _load_fixture(args.fixture)
     try:
         if args.op == "checkpoint":
             w2 = evm.checkpoint_state(fx["world"], fx["transaction"])
-            _emit(args, [f"world' = {speclang.print_value(w2)}"],
-                  {"command": "evm-step", "op": "checkpoint",
-                   "world": speclang.print_value(w2)})
-            return 0
-        if args.op == "create":
-            r = evm.create_dispatch(
-                fx["machine"], fx["world"], fx["callstack"], fx["addr"], fx["depth"]
-            )
-            if isinstance(r, evm.Created):
-                lines = [
-                    "created",
-                    f"  args = {speclang.print_value(r.args.to_record())}",
-                    f"  machine' = {speclang.print_value(r.machine)}",
-                    f"  step' = {speclang.print_value(r.world_step)}",
-                ]
-                _emit(args, lines, {"command": "evm-step", "op": "create",
-                                    "outcome": "created",
-                                    "args": speclang.print_value(r.args.to_record()),
-                                    "machine": speclang.print_value(r.machine),
-                                    "step": speclang.print_value(r.world_step)})
-            else:
-                lines = ["not-created", f"  machine' = {speclang.print_value(r.machine)}"]
-                _emit(args, lines, {"command": "evm-step", "op": "create",
-                                    "outcome": "not-created",
-                                    "machine": speclang.print_value(r.machine)})
-            return 0
-        raise _UsageError(f"unknown evm op {args.op!r}")
+            payload = {"command": "evm-step", "op": "checkpoint",
+                       "world": speclang.print_value(w2)}
+            return 0, [f"world' = {payload['world']}"], payload
+        r = evm.create_dispatch(
+            fx["machine"], fx["world"], fx["callstack"], fx["addr"], fx["depth"]
+        )
     except KeyError as e:
         raise _UsageError(f"fixture is missing field {e}") from None
+    payload = {"command": "evm-step", "op": "create",
+               "machine": speclang.print_value(r.machine)}
+    if isinstance(r, evm.Created):
+        payload.update(outcome="created", args=speclang.print_value(r.args.to_record()),
+                       step=speclang.print_value(r.world_step))
+        lines = ["created", f"  args = {payload['args']}",
+                 f"  machine' = {payload['machine']}", f"  step' = {payload['step']}"]
+    else:
+        payload["outcome"] = "not-created"
+        lines = ["not-created", f"  machine' = {payload['machine']}"]
+    return 0, lines, payload
 
 
 # -- driver ---------------------------------------------------------------------
@@ -392,7 +369,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        status, lines, payload = args.fn(args)
     except (ParseError, _UsageError, UnknownName) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -402,6 +379,12 @@ def main(argv=None) -> int:
     except SetforgeError as e:
         print(f"rejected: {e}", file=sys.stderr)
         return 1
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return status
 
 
 if __name__ == "__main__":

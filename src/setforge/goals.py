@@ -211,7 +211,7 @@ def get_goal(name: str) -> ProvedGoal:
     try:
         return GOALS[name]
     except KeyError:
-        known = ", ".join(sorted(GOALS) + ["checkpoint-ttf"])
+        known = ", ".join(sorted(GOALS))
         raise UnknownName(f"unknown goal {name!r}; known: {known}") from None
 
 

@@ -1,11 +1,16 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from setforge import cli, goals, solver, ttf
 from setforge import speclang as S
 from setforge.cli import main, parse_scope
+from setforge.solver import Counterexample, Unknown
 from setforge.universe import DEFAULT_SCOPE, Scope
 
 REPO = Path(__file__).resolve().parent.parent
@@ -321,3 +326,441 @@ def test_evm_fixture_parse_error_names_its_key(capsys, tmp_path):
     code, out, err = run_cli(capsys, "evm", "step", "--op", "checkpoint", "--fixture", str(p))
     assert (code, out) == (2, "")
     assert err == f"error: transaction: unexpected character (line 1, column {col} at '²')\n"
+
+
+# -- every report, pinned ---------------------------------------------------------
+# Each REPORTS row is (patch, argv, exit code, stdout, stderr) for one verb in
+# text or --json mode, or one error path.  "{tmp}" stands for the test's
+# temporary directory and "{repo}" for the repository, in argv and in the
+# output; a stdout longer than _PIN_CHARS characters is pinned by its sha256.
+# A patch names the function of _PATCHES that the row runs under.
+
+_PIN_CHARS = 400
+
+_FILES = {
+    "sat.slog": b"un(As,{a1},As_) & As = {a2}.\n",
+    "unsat.slog": b"X = {} & X neq {}.\n",
+    "clauses.slog": b"one(X) :- X = a1.\ntwo(Y) :- Y = {} & Y neq {}.\n",
+    "syntax.slog": b"X = {\n",
+    "search.slog": b"subset(A,B) & subset(B,C) & C neq A & A neq {} & B neq C.\n",
+    "holds.slog": b"pfun({[a1,1],[a1,2]}).\n",
+    "fails.slog": b"un(A,B,{a1}).\n",
+    "notcreated.json": EVM_CREATE.read_bytes().replace(b"seq([5,0,64,7])", b"seq([500,0,64,7])"),
+    "nofield.json": b'{"world": "{[acc,{}],[accCC,{}],[newaddr,null],[step,initial]}"}\n',
+    "undecodable.slog": b"X = \xff\xfe\n",
+    "list.json": b"[1,2]\n",
+    "string.json": b'"x"\n',
+}
+
+
+def _three_nodes(monkeypatch):
+    """eval, prove FILE and the mbt conditions search at most 3 nodes."""
+    def solve(f, scope=DEFAULT_SCOPE, sorts=None, budget=None):
+        return solver.solve(f, scope, sorts=sorts, budget=3)
+    monkeypatch.setattr(cli, "solve", solve)
+    monkeypatch.setattr(ttf, "solve", solve)
+
+
+def _counterexample(monkeypatch):
+    """Every built-in goal is falsified (no scope falsifies a shipped one)."""
+    packets = S.parse_value("{[this,a1,connectMsg]}")
+    monkeypatch.setattr(goals, "prove_goal",
+                        lambda name, scope: Counterexample({"PsD": packets, "PsAs": packets}))
+
+
+def _solver_gives_up(monkeypatch):
+    """Every solve inside the library answers Unknown."""
+    monkeypatch.setattr(solver, "solve",
+                        lambda *a, **k: Unknown("search budget exceeded (3 decision nodes)"))
+
+
+_PATCHES = {"three-nodes": _three_nodes, "counterexample": _counterexample,
+            "solver-gives-up": _solver_gives_up}
+
+
+def _report(tmp_path, monkeypatch, capsys, patch, argv):
+    """(exit code, stdout or its sha256, stderr) of one CLI run, with the
+    temporary directory written as {tmp} and the repository as {repo}."""
+    for name, data in _FILES.items():
+        (tmp_path / name).write_bytes(data)
+    if patch:
+        _PATCHES[patch](monkeypatch)
+    paths = {"{tmp}": str(tmp_path), "{repo}": str(REPO)}
+    for key, path in paths.items():
+        argv = [a.replace(key, path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    for key, path in paths.items():
+        out, err = out.replace(path, key), err.replace(path, key)
+    if len(out) > _PIN_CHARS:
+        out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+    return code, out, err
+
+
+REPORTS = [
+    (None, ["eval", "{tmp}/sat.slog"], 0,
+     "Sat\n"
+     "  As = {a2}\n"
+     "  As_ = {a1,a2}\n",
+     ""),
+    (None, ["eval", "{tmp}/sat.slog", "--json"], 0,
+     "{\n"
+     '  "command": "eval",\n'
+     '  "scope": "atoms=3, ints=0..8, card=3, seq=4",\n'
+     '  "verdict": "sat",\n'
+     '  "witness": {\n'
+     '    "As": "{a2}",\n'
+     '    "As_": "{a1,a2}"\n'
+     "  }\n"
+     "}\n",
+     ""),
+    (None, ["eval", "{tmp}/unsat.slog"], 1,
+     "Unsat (scope: atoms=3, ints=0..8, card=3, seq=4)\n",
+     ""),
+    (None, ["eval", "{tmp}/unsat.slog", "--json"], 1,
+     "{\n"
+     '  "command": "eval",\n'
+     '  "scope": "atoms=3, ints=0..8, card=3, seq=4",\n'
+     '  "verdict": "unsat"\n'
+     "}\n",
+     ""),
+    (None, ["eval", "{tmp}/clauses.slog", "--goal", "one"], 0,
+     "Sat\n"
+     "  X = a1\n",
+     ""),
+    (None, ["eval", "{tmp}/clauses.slog", "--goal", "one", "--json"], 0,
+     "{\n"
+     '  "command": "eval",\n'
+     '  "scope": "atoms=3, ints=0..8, card=3, seq=4",\n'
+     '  "verdict": "sat",\n'
+     '  "witness": {\n'
+     '    "X": "a1"\n'
+     "  }\n"
+     "}\n",
+     ""),
+    (None, ["eval", "{tmp}/clauses.slog", "--goal", "two"], 1,
+     "Unsat (scope: atoms=3, ints=0..8, card=3, seq=4)\n",
+     ""),
+    (None, ["eval", "{tmp}/clauses.slog", "--goal", "two", "--json"], 1,
+     "{\n"
+     '  "command": "eval",\n'
+     '  "scope": "atoms=3, ints=0..8, card=3, seq=4",\n'
+     '  "verdict": "unsat"\n'
+     "}\n",
+     ""),
+    (None, ["eval", "{tmp}/clauses.slog", "--goal", "three"], 2,
+     "",
+     "error: no clause 'three' in {tmp}/clauses.slog\n"),
+    (None, ["eval", "{tmp}/clauses.slog", "--goal", "three", "--json"], 2,
+     "",
+     "error: no clause 'three' in {tmp}/clauses.slog\n"),
+    (None, ["eval", "{tmp}/clauses.slog"], 2,
+     "",
+     "error: {tmp}/clauses.slog has several clauses; pick one with --goal\n"),
+    (None, ["eval", "{tmp}/clauses.slog", "--json"], 2,
+     "",
+     "error: {tmp}/clauses.slog has several clauses; pick one with --goal\n"),
+    (None, ["eval", "{tmp}/syntax.slog"], 2,
+     "",
+     "error: expected a term (line 2, column 1 at 'end of input')\n"),
+    (None, ["eval", "{tmp}/syntax.slog", "--json"], 2,
+     "",
+     "error: expected a term (line 2, column 1 at 'end of input')\n"),
+    (None, ["eval", "{tmp}/missing.slog"], 2,
+     "",
+     "error: cannot read {tmp}/missing.slog: [Errno 2] No such file or directory: '{tmp}/missing.slog'\n"),
+    (None, ["eval", "{tmp}/missing.slog", "--json"], 2,
+     "",
+     "error: cannot read {tmp}/missing.slog: [Errno 2] No such file or directory: '{tmp}/missing.slog'\n"),
+    ("three-nodes", ["eval", "{tmp}/search.slog"], 1,
+     "Unknown: search budget exceeded (3 decision nodes)\n",
+     ""),
+    ("three-nodes", ["eval", "{tmp}/search.slog", "--json"], 1,
+     "{\n"
+     '  "command": "eval",\n'
+     '  "reason": "search budget exceeded (3 decision nodes)",\n'
+     '  "verdict": "unknown"\n'
+     "}\n",
+     ""),
+    (None, ["eval", "{tmp}/sat.slog", "--scope", "atoms=x"], 2,
+     "",
+     "error: bad scope value 'x' for atoms\n"),
+    (None, ["eval", "{tmp}/sat.slog", "--scope", "atoms=x", "--json"], 2,
+     "",
+     "error: bad scope value 'x' for atoms\n"),
+    (None, ["prove", "{tmp}/holds.slog"], 0,
+     "Verified: negation unsatisfiable (scope: atoms=3, ints=0..8, card=3, seq=4)\n",
+     ""),
+    (None, ["prove", "{tmp}/holds.slog", "--json"], 0,
+     "{\n"
+     '  "command": "prove",\n'
+     '  "file": "{tmp}/holds.slog",\n'
+     '  "scope": "atoms=3, ints=0..8, card=3, seq=4",\n'
+     '  "verdict": "verified"\n'
+     "}\n",
+     ""),
+    (None, ["prove", "{tmp}/fails.slog"], 1,
+     "Falsified, the negation has a model:\n"
+     "  A = {a1}\n"
+     "  B = {}\n",
+     ""),
+    (None, ["prove", "{tmp}/fails.slog", "--json"], 1,
+     "{\n"
+     '  "command": "prove",\n'
+     '  "file": "{tmp}/fails.slog",\n'
+     '  "scope": "atoms=3, ints=0..8, card=3, seq=4",\n'
+     '  "verdict": "falsified",\n'
+     '  "witness": {\n'
+     '    "A": "{a1}",\n'
+     '    "B": "{}"\n'
+     "  }\n"
+     "}\n",
+     ""),
+    ("three-nodes", ["prove", "{tmp}/search.slog"], 1,
+     "Unknown: search budget exceeded (3 decision nodes)\n",
+     ""),
+    ("three-nodes", ["prove", "{tmp}/search.slog", "--json"], 1,
+     "{\n"
+     '  "command": "prove",\n'
+     '  "file": "{tmp}/search.slog",\n'
+     '  "reason": "search budget exceeded (3 decision nodes)",\n'
+     '  "verdict": "unknown"\n'
+     "}\n",
+     ""),
+    (None, ["prove"], 2,
+     "",
+     "error: prove needs a goal file or --goal NAME\n"),
+    (None, ["prove", "--json"], 2,
+     "",
+     "error: prove needs a goal file or --goal NAME\n"),
+    (None, ["prove", "--goal", "psd-psas-disjoint"], 0,
+     "Verified (scope: atoms=3, ints=0..8, card=3, seq=4)\n",
+     ""),
+    (None, ["prove", "--goal", "psd-psas-disjoint", "--json"], 0,
+     "{\n"
+     '  "command": "prove",\n'
+     '  "goal": "psd-psas-disjoint",\n'
+     '  "scope": "atoms=3, ints=0..8, card=3, seq=4",\n'
+     '  "verdict": "verified"\n'
+     "}\n",
+     ""),
+    (None, ["prove", "--goal", "checkpoint-pfun", "--scope", "atoms=2,ints=0..2,card=2,seq=2"], 0,
+     "Verified (scope: atoms=2, ints=0..2, card=2, seq=2)\n",
+     ""),
+    (None, ["prove", "--goal", "checkpoint-pfun", "--scope", "atoms=2,ints=0..2,card=2,seq=2", "--json"], 0,
+     "{\n"
+     '  "command": "prove",\n'
+     '  "goal": "checkpoint-pfun",\n'
+     '  "scope": "atoms=2, ints=0..2, card=2, seq=2",\n'
+     '  "verdict": "verified"\n'
+     "}\n",
+     ""),
+    ("counterexample", ["prove", "--goal", "checkpoint-pfun"], 1,
+     "Falsified, counterexample:\n"
+     "  PsAs = {[this,a1,connectMsg]}\n"
+     "  PsD = {[this,a1,connectMsg]}\n",
+     ""),
+    ("counterexample", ["prove", "--goal", "checkpoint-pfun", "--json"], 1,
+     "{\n"
+     '  "command": "prove",\n'
+     '  "goal": "checkpoint-pfun",\n'
+     '  "scope": "atoms=3, ints=0..8, card=3, seq=4",\n'
+     '  "verdict": "falsified",\n'
+     '  "witness": {\n'
+     '    "PsAs": "{[this,a1,connectMsg]}",\n'
+     '    "PsD": "{[this,a1,connectMsg]}"\n'
+     "  }\n"
+     "}\n",
+     ""),
+    ("solver-gives-up", ["prove", "--goal", "psd-psas-disjoint"], 1,
+     "",
+     "unknown: search budget exceeded (3 decision nodes)\n"),
+    ("solver-gives-up", ["prove", "--goal", "psd-psas-disjoint", "--json"], 1,
+     "",
+     "unknown: search budget exceeded (3 decision nodes)\n"),
+    (None, ["prove", "--goal", "nope"], 2,
+     "",
+     "error: unknown goal 'nope'; known: checkpoint-pfun, psd-psas-disjoint, checkpoint-ttf\n"),
+    (None, ["prove", "--goal", "nope", "--json"], 2,
+     "",
+     "error: unknown goal 'nope'; known: checkpoint-pfun, psd-psas-disjoint, checkpoint-ttf\n"),
+    (None, ["prove", "--goal", "checkpoint-ttf"], 0,
+     "Verified (scope: atoms=3, ints=0..8, card=3, seq=4)\n"
+     "  raw conditions: 8, satisfiable: [4, 5]\n",
+     ""),
+    (None, ["prove", "--goal", "checkpoint-ttf", "--json"], 0,
+     "{\n"
+     '  "command": "prove",\n'
+     '  "goal": "checkpoint-ttf",\n'
+     '  "satisfiable_cases": [\n'
+     "    4,\n"
+     "    5\n"
+     "  ],\n"
+     '  "scope": "atoms=3, ints=0..8, card=3, seq=4",\n'
+     '  "verdict": "verified"\n'
+     "}\n",
+     ""),
+    (None, ["prove", "--goal", "checkpoint-ttf", "--scope", "atoms=1,card=1"], 1,
+     "Falsified (scope: atoms=1, ints=0..8, card=1, seq=4)\n"
+     "  raw conditions: 8, satisfiable: [4]\n",
+     ""),
+    (None, ["prove", "--goal", "checkpoint-ttf", "--scope", "atoms=1,card=1", "--json"], 1,
+     "{\n"
+     '  "command": "prove",\n'
+     '  "goal": "checkpoint-ttf",\n'
+     '  "satisfiable_cases": [\n'
+     "    4\n"
+     "  ],\n"
+     '  "scope": "atoms=1, ints=0..8, card=1, seq=4",\n'
+     '  "verdict": "falsified"\n'
+     "}\n",
+     ""),
+    (None, ["mbt", "--transition", "checkpoint_state", "--occurrence", "oplus"], 0,
+     "sha256:5f136e74ad55c336fc90a05346bcf3245e051379c6e48e3dd1e2f0be409eb961",
+     ""),
+    (None, ["mbt", "--transition", "checkpoint_state", "--occurrence", "oplus", "--json"], 0,
+     "sha256:43fa68ac8cb5ec4ac067a53021e1a2fd367bf600c862bdb855682643c37cb865",
+     ""),
+    (None, ["mbt", "--transition", "rcv_addr", "--all"], 0,
+     "sha256:0009f30dd23f96ec90b5657c2c924289d24bf675b419b2eebaeb02cbb8ee951c",
+     ""),
+    (None, ["mbt", "--transition", "rcv_addr", "--all", "--json"], 0,
+     "sha256:46ffa8466f3cd28694205be071b508c63ce938c34762e80478d4e2d8078471a7",
+     ""),
+    (None, ["mbt", "--transition", "rcv_addr", "--occurrence", "un:9"], 2,
+     "",
+     "error: transition rcv_addr has no un occurrence #9\n"),
+    (None, ["mbt", "--transition", "rcv_addr", "--occurrence", "un:9", "--json"], 2,
+     "",
+     "error: transition rcv_addr has no un occurrence #9\n"),
+    (None, ["mbt", "--transition", "rcv_addr", "--occurrence", "un:x"], 2,
+     "",
+     "error: bad occurrence ordinal 'x'\n"),
+    (None, ["mbt", "--transition", "rcv_addr", "--occurrence", "un:x", "--json"], 2,
+     "",
+     "error: bad occurrence ordinal 'x'\n"),
+    (None, ["mbt", "--transition", "rcv_addr"], 2,
+     "",
+     "error: mbt needs --occurrence KIND[:ORDINAL] or --all\n"),
+    (None, ["mbt", "--transition", "rcv_addr", "--json"], 2,
+     "",
+     "error: mbt needs --occurrence KIND[:ORDINAL] or --all\n"),
+    ("three-nodes", ["mbt", "--transition", "rcv_addr", "--occurrence", "un:2"], 0,
+     "sha256:1d9419cb25a0b42bcd82916297e62c18d7479c5e44014052a55709ad25f96a35",
+     ""),
+    ("three-nodes", ["mbt", "--transition", "rcv_addr", "--occurrence", "un:2", "--json"], 0,
+     "sha256:14f03ccd0fea0447c285797889b3ef8c88e25ad51f8211e9a1e22ac59a8e1612",
+     ""),
+    (None, ["simulate", "{repo}/scenarios/rcvaddr2.json"], 0,
+     "sha256:7eb7662620a2007dfd85f562ae02ecd2b1e7ead65ad7fb219918a924b55aa4c6",
+     ""),
+    (None, ["simulate", "{repo}/scenarios/rcvaddr2.json", "--json"], 0,
+     "sha256:4be2ace32653193557ccb6cfe3757102470bd04568538f1123f14be6a456b2aa",
+     ""),
+    (None, ["simulate", "{repo}/scenarios/rcvaddr2.json", "--trace-out", "{tmp}/trace.txt"], 0,
+     "sha256:4804a994345f025179940981847fbb1dccc8a1c19ad5aacd071ef8d111617694",
+     ""),
+    (None, ["simulate", "{repo}/scenarios/rcvaddr2.json", "--trace-out", "{tmp}/trace.txt", "--json"], 0,
+     "sha256:4be2ace32653193557ccb6cfe3757102470bd04568538f1123f14be6a456b2aa",
+     ""),
+    (None, ["evm", "step", "--op", "checkpoint", "--fixture", "{repo}/scenarios/evm_checkpoint.json"], 0,
+     "world' = {[acc,{[a1,{[bal,80],[code,prog({})],[nonce,1]}]}],[accCC,{}],[newaddr,null],[step,ccbegins]}\n",
+     ""),
+    (None, ["evm", "step", "--op", "checkpoint", "--fixture", "{repo}/scenarios/evm_checkpoint.json", "--json"], 0,
+     "{\n"
+     '  "command": "evm-step",\n'
+     '  "op": "checkpoint",\n'
+     '  "world": "{[acc,{[a1,{[bal,80],[code,prog({})],[nonce,1]}]}],[accCC,{}],[newaddr,null],[step,ccbegins]}"\n'
+     "}\n",
+     ""),
+    (None, ["evm", "step", "--op", "create", "--fixture", "{repo}/scenarios/evm_create.json"], 0,
+     "created\n"
+     "  args = {[e,8],[g,6300],[i,prog({[0,7],[1,9]})],[o,a2],[p,2],[s,a1],[v,5]}\n"
+     "  machine' = {[g,6400],[i,2],[m,{[0,7],[1,9]}],[out,seq([])],[pc,0],[s,seq([a1_n2,7])]}\n"
+     "  step' = ccbegins\n",
+     ""),
+    (None, ["evm", "step", "--op", "create", "--fixture", "{repo}/scenarios/evm_create.json", "--json"], 0,
+     "{\n"
+     '  "args": "{[e,8],[g,6300],[i,prog({[0,7],[1,9]})],[o,a2],[p,2],[s,a1],[v,5]}",\n'
+     '  "command": "evm-step",\n'
+     '  "machine": "{[g,6400],[i,2],[m,{[0,7],[1,9]}],[out,seq([])],[pc,0],[s,seq([a1_n2,7])]}",\n'
+     '  "op": "create",\n'
+     '  "outcome": "created",\n'
+     '  "step": "ccbegins"\n'
+     "}\n",
+     ""),
+    (None, ["evm", "step", "--op", "create", "--fixture", "{tmp}/notcreated.json"], 0,
+     "not-created\n"
+     "  machine' = {[g,6400],[i,2],[m,{[0,7],[1,9]}],[out,seq([])],[pc,0],[s,seq([0,7])]}\n",
+     ""),
+    (None, ["evm", "step", "--op", "create", "--fixture", "{tmp}/notcreated.json", "--json"], 0,
+     "{\n"
+     '  "command": "evm-step",\n'
+     '  "machine": "{[g,6400],[i,2],[m,{[0,7],[1,9]}],[out,seq([])],[pc,0],[s,seq([0,7])]}",\n'
+     '  "op": "create",\n'
+     '  "outcome": "not-created"\n'
+     "}\n",
+     ""),
+    (None, ["evm", "step", "--op", "checkpoint", "--fixture", "{tmp}/nofield.json"], 2,
+     "",
+     "error: fixture is missing field 'transaction'\n"),
+    (None, ["evm", "step", "--op", "checkpoint", "--fixture", "{tmp}/nofield.json", "--json"], 2,
+     "",
+     "error: fixture is missing field 'transaction'\n"),
+    # hostile files: a usage error, never a traceback
+    (None, ["eval", "{tmp}/undecodable.slog"], 2,
+     "",
+     "error: cannot read {tmp}/undecodable.slog: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n"),
+    (None, ["eval", "{tmp}/undecodable.slog", "--json"], 2,
+     "",
+     "error: cannot read {tmp}/undecodable.slog: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n"),
+    (None, ["prove", "{tmp}/undecodable.slog"], 2,
+     "",
+     "error: cannot read {tmp}/undecodable.slog: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n"),
+    (None, ["prove", "{tmp}/undecodable.slog", "--json"], 2,
+     "",
+     "error: cannot read {tmp}/undecodable.slog: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n"),
+    (None, ["simulate", "{tmp}/undecodable.slog"], 2,
+     "",
+     "error: cannot read {tmp}/undecodable.slog: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n"),
+    (None, ["simulate", "{tmp}/undecodable.slog", "--json"], 2,
+     "",
+     "error: cannot read {tmp}/undecodable.slog: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n"),
+    (None, ["evm", "step", "--op", "checkpoint", "--fixture", "{tmp}/undecodable.slog"], 2,
+     "",
+     "error: cannot read {tmp}/undecodable.slog: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n"),
+    (None, ["evm", "step", "--op", "checkpoint", "--fixture", "{tmp}/undecodable.slog", "--json"], 2,
+     "",
+     "error: cannot read {tmp}/undecodable.slog: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n"),
+    (None, ["simulate", "{repo}/scenarios/rcvaddr2.json", "--trace-out", "{tmp}/missing/trace.txt"], 2,
+     "",
+     "error: cannot write {tmp}/missing/trace.txt: [Errno 2] No such file or directory: '{tmp}/missing/trace.txt'\n"),
+    (None, ["simulate", "{repo}/scenarios/rcvaddr2.json", "--trace-out", "{tmp}/missing/trace.txt", "--json"], 2,
+     "",
+     "error: cannot write {tmp}/missing/trace.txt: [Errno 2] No such file or directory: '{tmp}/missing/trace.txt'\n"),
+    (None, ["simulate", "{repo}/scenarios/rcvaddr2.json", "--trace-out", "{tmp}"], 2,
+     "",
+     "error: cannot write {tmp}: [Errno 21] Is a directory: '{tmp}'\n"),
+    (None, ["simulate", "{repo}/scenarios/rcvaddr2.json", "--trace-out", "{tmp}", "--json"], 2,
+     "",
+     "error: cannot write {tmp}: [Errno 21] Is a directory: '{tmp}'\n"),
+    (None, ["evm", "step", "--op", "checkpoint", "--fixture", "{tmp}/list.json"], 2,
+     "",
+     "error: fixture is not a JSON object\n"),
+    (None, ["evm", "step", "--op", "checkpoint", "--fixture", "{tmp}/list.json", "--json"], 2,
+     "",
+     "error: fixture is not a JSON object\n"),
+    (None, ["evm", "step", "--op", "create", "--fixture", "{tmp}/string.json"], 2,
+     "",
+     "error: fixture is not a JSON object\n"),
+    (None, ["evm", "step", "--op", "create", "--fixture", "{tmp}/string.json", "--json"], 2,
+     "",
+     "error: fixture is not a JSON object\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "patch, argv, code, out, err", REPORTS,
+    ids=[(f"{r[0]}: " if r[0] else "") + " ".join(r[1]) for r in REPORTS],
+)
+def test_report_is_as_pinned(tmp_path, monkeypatch, capsys, patch, argv, code, out, err):
+    assert _report(tmp_path, monkeypatch, capsys, patch, argv) == (code, out, err)

@@ -4,7 +4,7 @@ from setforge import consensus as CN
 from setforge import evm as E
 from setforge import goals
 from setforge import kernel as K
-from setforge.errors import SetforgeError
+from setforge.errors import SetforgeError, UnknownName
 from setforge.solver import Counterexample, Verified, eval_ground_formula, prove_implication
 from setforge.universe import DEFAULT_SCOPE, Scope
 from setforge.values import atom, intv, tup, vseq, vset
@@ -15,6 +15,13 @@ def test_goal_registry_rejects_unknown():
         goals.get_goal("nope")
     with pytest.raises(SetforgeError):
         goals.get_transition("nope")
+
+
+def test_goal_registry_names_only_the_goals_it_proves():
+    # checkpoint-ttf is a partition check that only the command line serves
+    with pytest.raises(UnknownName) as e:
+        goals.prove_goal("checkpoint-ttf")
+    assert str(e.value) == "unknown goal 'checkpoint-ttf'; known: checkpoint-pfun, psd-psas-disjoint"
 
 
 def test_packet_sets_disjointness_verified():
