@@ -66,6 +66,16 @@ def _read(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {e}") from None
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in path; what names it in the error messages."""
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"bad {what} JSON: {e.msg}", e.lineno, e.colno) from None
+    except RecursionError:
+        raise _UsageError(f"bad {what} JSON: nested too deeply") from None
+
+
 def _witness_strings(witness: dict) -> dict:
     return {k: speclang.print_value(v) for k, v in sorted(witness.items())}
 
@@ -127,10 +137,7 @@ def _parse_entry(src: str, where: str):
 
 
 def _load_scenario(path: str):
-    try:
-        obj = json.loads(_read(path))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad scenario JSON: {e.msg}", e.lineno, e.colno) from None
+    obj = _read_json(path, "scenario")
     try:
         nodes = vset([_parse_entry(n, f"nodes[{i}]") for i, n in enumerate(obj["nodes"])])
         soup = vset([_parse_entry(p, f"soup[{i}]") for i, p in enumerate(obj.get("soup", []))])
@@ -270,10 +277,7 @@ def cmd_mbt(args):
 
 
 def _load_fixture(path: str) -> dict:
-    try:
-        obj = json.loads(_read(path))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad fixture JSON: {e.msg}", e.lineno, e.colno) from None
+    obj = _read_json(path, "fixture")
     if not isinstance(obj, dict):
         raise _UsageError("fixture is not a JSON object")
     out = {}

@@ -3,10 +3,13 @@
 These are the operators the schema predicates use.  All functions are pure,
 validate argument kinds, and raise the errors named in errors.py.  The hot
 element-level loops are the primitives in _backend.py; this module owns the
-value-level contracts.
+value-level contracts.  Every set built here is ``SetV(elems, key)`` from a
+primitive's result, or from a splice of an operand's elements and key.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from . import _backend
 from .errors import (
@@ -82,57 +85,57 @@ def union(a: Value, b: Value) -> SetV:
     """a ∪ b."""
     a = _need_set(a, "union")
     b = _need_set(b, "union")
-    return SetV(_backend.union(a.elems, b.elems), _canonical=True)
+    return SetV(*_backend.union(a.elems, a._key, b.elems, b._key))
 
 
 def difference(a: Value, b: Value) -> SetV:
     """a ∖ b."""
     a = _need_set(a, "difference")
     b = _need_set(b, "difference")
-    return SetV(_backend.difference(a.elems, b.elems), _canonical=True)
+    return SetV(*_backend.difference(a.elems, a._key, b.elems, b._key))
 
 
 def intersection(a: Value, b: Value) -> SetV:
     a = _need_set(a, "intersection")
     b = _need_set(b, "intersection")
-    return SetV(_backend.intersection(a.elems, b.elems), _canonical=True)
+    return SetV(*_backend.intersection(a.elems, a._key, b.elems, b._key))
 
 
 def subset(a: Value, b: Value) -> bool:
     a = _need_set(a, "subset")
     b = _need_set(b, "subset")
-    return len(_backend.difference(a.elems, b.elems)) == 0
+    return len(_backend.difference(a.elems, a._key, b.elems, b._key)[0]) == 0
 
 
 def disjoint(a: Value, b: Value) -> bool:
     a = _need_set(a, "disjoint")
     b = _need_set(b, "disjoint")
-    return len(_backend.intersection(a.elems, b.elems)) == 0
+    return len(_backend.intersection(a.elems, a._key, b.elems, b._key)[0]) == 0
 
 
 def dom(r: Value) -> SetV:
     """Set of first components of a binary relation."""
     r = _need_rel(r, "dom")
-    return SetV(_backend.dom_elems(r.elems), _canonical=True)
+    return SetV(*_backend.dom_elems(r.elems, r._key))
 
 
 def in_dom(x: Value, r: Value) -> bool:
     """x ∈ dom r, by bisection into r's pairs: the domain is not built."""
     r = _need_rel(r, "dom")
-    return len(_backend.lookup(r.elems, x)) > 0
+    return len(_backend.lookup(r.elems, r._key, x)) > 0
 
 
 def ran(r: Value) -> SetV:
     """Set of second components of a binary relation."""
     r = _need_rel(r, "ran")
-    return SetV(_backend.ran_elems(r.elems), _canonical=True)
+    return SetV(*_backend.ran_elems(r.elems, r._key))
 
 
 def override(r: Value, g: Value) -> SetV:
     """Relational override: pairs of g replace same-key pairs of r."""
     r = _need_rel(r, "override")
     g = _need_rel(g, "override")
-    out = SetV(_backend.override_elems(r.elems, g.elems), _canonical=True)
+    out = SetV(*_backend.override_elems(r.elems, r._key, g.elems, g._key))
     if r._facts == _PFUN and (g._facts == _PFUN or len(g.elems) < 2):
         _set_facts(out, _PFUN)
     return out
@@ -142,7 +145,7 @@ def dres(d: Value, r: Value) -> SetV:
     """Domain restriction: keep the pairs of r whose key lies in d."""
     d = _need_set(d, "dres")
     r = _need_rel(r, "dres")
-    return SetV(_backend.dres_elems(d.elems, r.elems), _canonical=True)
+    return SetV(*_backend.dres_elems(d._key, r.elems, r._key))
 
 
 def is_pfun(r: Value) -> bool:
@@ -155,7 +158,7 @@ def apply(f: Value, x: Value) -> Value:
     f = _need_rel(f, "apply")
     if not _is_pfun(f):
         raise AmbiguousApplicationError("application on a relation that is not a function")
-    hits = _backend.lookup(f.elems, x)
+    hits = _backend.lookup(f.elems, f._key, x)
     if not hits:
         raise OutsideDomainError(f"application outside domain: {x!r}")
     return hits[0]
@@ -217,14 +220,19 @@ def _record_pairs(r: Value, op: str):
 
 def record_get(r: Value, f: Atom) -> Value:
     r = _record_pairs(r, "record_get")
-    hits = _backend.lookup(r.elems, f)
+    hits = _backend.lookup(r.elems, r._key, f)
     if not hits:
         raise MissingFieldError(f"record has no field {f.name!r}")
     return hits[0]
 
 
 def record_set(r: Value, f: Atom, v: Value) -> SetV:
+    """r with field f set to v: the new pair is spliced into r's elements and
+    its key into r's key, at f's bisected position, in place of f's pair."""
     r = _record_pairs(r, "record_set")
-    kept = [p for p in r.elems if p.elems[0] != f]
-    kept.append(TupV((f, v)))
-    return SetV(kept)
+    p = TupV((f, v))
+    elems, key, fk = r.elems, r._key, f._key
+    i = bisect_left(key, (2, 2, fk), 2)
+    j = i + 1 if i < len(key) and key[i][2] == fk else i
+    return SetV(elems[:i - 2] + (p,) + elems[j - 2:],
+                (3, len(elems) + 1 - (j - i)) + key[2:i] + (p._key,) + key[j:])

@@ -1170,7 +1170,7 @@ def _sort_candidates(sort, st):
         for card in range(0, scope.max_set_card + 1):
             for combo in itertools.combinations(base, card):
                 if _is_canonical(combo, fresh):
-                    yield SetV(combo, _canonical=True)
+                    yield SetV(combo)
         return
     yield from enumerate_sort(sort, scope)
 
@@ -1356,8 +1356,8 @@ def _candidates(decision, st):
         for combo in itertools.product((_PLACE_A, _PLACE_B, _PLACE_BOTH), repeat=len(out.elems)):
             st.tick()
             _undo(env, mark)
-            left = SetV([e for e, w in zip(out.elems, combo) if w != _PLACE_B], _canonical=True)
-            right = SetV([e for e, w in zip(out.elems, combo) if w != _PLACE_A], _canonical=True)
+            left = SetV([e for e, w in zip(out.elems, combo) if w != _PLACE_B])
+            right = SetV([e for e, w in zip(out.elems, combo) if w != _PLACE_A])
             if unify(a, left, env) != _FAIL and unify(b, right, env) != _FAIL:
                 yield True
         return

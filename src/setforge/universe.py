@@ -110,7 +110,7 @@ def enumerate_sort(sort: Sort, scope: Scope):
         base = sorted(enumerate_sort(sort.elem, scope))
         for card in range(0, scope.max_set_card + 1):
             for combo in itertools.combinations(base, card):
-                yield SetV(combo, _canonical=True)
+                yield SetV(combo)
     elif isinstance(sort, RelS):
         pairs = sorted(
             TupV((k, v))
@@ -119,7 +119,7 @@ def enumerate_sort(sort: Sort, scope: Scope):
         )
         for card in range(0, scope.max_set_card + 1):
             for combo in itertools.combinations(pairs, card):
-                yield SetV(combo, _canonical=True)
+                yield SetV(combo)
     elif isinstance(sort, SeqS):
         base = list(enumerate_sort(sort.elem, scope))
         for ln in range(0, scope.max_seq_len + 1):

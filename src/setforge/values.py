@@ -7,6 +7,13 @@ order over all values.  Set elements are stored deduplicated and sorted by
 that key, so structural equality of sets is order-insensitive for free and
 printing is canonical.
 
+A set's key is the flat tuple ``(3, n, k1, ..., kn)`` of its element keys in
+that order, so element i's key is ``key[i + 2]``.  The kernel primitives in
+_backend.py build each result's key by slicing runs of their operands' keys
+and search a set by bisecting its key, so the kernel never rebuilds a key
+element by element from sets it already has.  Comparing two values
+compares their keys, one tuple comparison in C.
+
 Values remember what they are asked once: the hash of a value is computed
 from its key on first use, and a set remembers whether it is a binary
 relation and whether it is a partial function (see kernel.py).
@@ -149,6 +156,10 @@ class TupV(Value):
 class SetV(Value):
     """Finite set; elements stored deduplicated in canonical key order.
 
+    ``SetV(elems)`` canonicalises any elements.  ``SetV(elems, key)`` takes
+    a canonical element tuple and the set's key as they are: the kernel
+    passes them as a _backend primitive or a splice built them.
+
     ``_facts`` stays unset until kernel.py first asks whether the set is a
     binary relation; it then records that, and later whether it is a
     partial function, computed from the elements alone.  kernel.override
@@ -157,22 +168,20 @@ class SetV(Value):
 
     __slots__ = ("elems", "_facts")
 
-    def __init__(self, elems=(), _canonical=False):
-        if _canonical:
-            elems = tuple(elems)
-        else:
+    def __init__(self, elems=(), key=None):
+        if key is None:
             for e in elems:
                 if not isinstance(e, Value):
                     raise KindError(f"set element is not a Value: {e!r}")
-            elems = _backend.canon(elems)
+            elems, key = _backend.canon(elems)
         _set_set(self, elems)
-        _set_key(self, (3, len(elems), *[e._key for e in elems]))
+        _set_key(self, key)
 
     def __len__(self):
         return len(self.elems)
 
     def __contains__(self, v):
-        return _backend.member(self.elems, v)
+        return _backend.member(self._key, v)
 
     def __iter__(self):
         return iter(self.elems)

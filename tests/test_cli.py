@@ -350,6 +350,7 @@ _FILES = {
     "undecodable.slog": b"X = \xff\xfe\n",
     "list.json": b"[1,2]\n",
     "string.json": b'"x"\n',
+    "deep.json": b"[" * 100_000 + b"]" * 100_000,
 }
 
 
@@ -755,6 +756,18 @@ REPORTS = [
     (None, ["evm", "step", "--op", "create", "--fixture", "{tmp}/string.json", "--json"], 2,
      "",
      "error: fixture is not a JSON object\n"),
+    (None, ["simulate", "{tmp}/deep.json"], 2,
+     "",
+     "error: bad scenario JSON: nested too deeply\n"),
+    (None, ["simulate", "{tmp}/deep.json", "--json"], 2,
+     "",
+     "error: bad scenario JSON: nested too deeply\n"),
+    (None, ["evm", "step", "--op", "create", "--fixture", "{tmp}/deep.json"], 2,
+     "",
+     "error: bad fixture JSON: nested too deeply\n"),
+    (None, ["evm", "step", "--op", "create", "--fixture", "{tmp}/deep.json", "--json"], 2,
+     "",
+     "error: bad fixture JSON: nested too deeply\n"),
 ]
 
 

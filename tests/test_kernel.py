@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 from conftest import values_st
+from test_simulate_oracle import _check_pass
 from setforge import _backend
 from setforge import kernel as K
 from setforge.errors import (
@@ -16,8 +17,8 @@ from setforge.errors import (
 )
 from setforge.solver import solve
 from setforge.speclang import parse_formula
-from setforge.universe import AtomS, IntS, RelS, Scope, SetS, enumerate_sort
-from setforge.values import EMPTY_SET, IntV, SetV, atom, intv, is_pair, tup, vseq, vset
+from setforge.universe import AtomS, Scope, SetS
+from setforge.values import EMPTY_SET, Atom, IntV, SetV, atom, intv, is_pair, tup, vseq, vset
 
 a1, a2, a3 = atom("a1"), atom("a2"), atom("a3")
 s_, t_, acc1 = atom("s"), atom("t"), atom("acc1")
@@ -47,31 +48,32 @@ def test_backend_primitives(gen):
     for _ in range(200):
         a = gen.value_set()
         b = gen.value_set()
-        assert _backend.canon(list(a.elems) + list(a.elems)) == a.elems
+        assert _backend.canon(list(a.elems) + list(a.elems)) == (a.elems, a._key)
         assert _canonical(a.elems)
-        assert set(_backend.union(a.elems, b.elems)) == set(a.elems) | set(b.elems)
-        assert set(_backend.difference(a.elems, b.elems)) == set(a.elems) - set(b.elems)
-        assert set(_backend.intersection(a.elems, b.elems)) == set(a.elems) & set(b.elems)
+        args = (a.elems, a._key, b.elems, b._key)
+        assert set(_backend.union(*args)[0]) == set(a.elems) | set(b.elems)
+        assert set(_backend.difference(*args)[0]) == set(a.elems) - set(b.elems)
+        assert set(_backend.intersection(*args)[0]) == set(a.elems) & set(b.elems)
         for v in list(a.elems) + list(b.elems):
-            assert _backend.member(a.elems, v) == (v in set(a.elems))
+            assert _backend.member(a._key, v) == (v in set(a.elems))
         keys = [gen.value(1) for _ in range(3)]
         for r, g in ((gen.relation(), gen.relation()),
                      (_dense_relation(gen, keys), _dense_relation(gen, keys))):
             pairs = [p.elems for p in r.elems]
-            dom_r = _backend.dom_elems(r.elems)
+            dom_r = _backend.dom_elems(r.elems, r._key)[0]
             assert _canonical(dom_r) and set(dom_r) == {x for x, _ in pairs}
-            ran_r = _backend.ran_elems(r.elems)
+            ran_r = _backend.ran_elems(r.elems, r._key)[0]
             assert _canonical(ran_r) and set(ran_r) == {y for _, y in pairs}
             assert _backend.is_pfun_elems(r.elems) == (len({x for x, _ in pairs}) == len(pairs))
             g_dom = {p.elems[0] for p in g.elems}
-            o = _backend.override_elems(r.elems, g.elems)
+            o = _backend.override_elems(r.elems, r._key, g.elems, g._key)[0]
             assert _canonical(o)
             assert set(o) == {p for p in r.elems if p.elems[0] not in g_dom} | set(g.elems)
             d = vset(gen.rng.sample(keys, gen.rng.randrange(0, 4)) + [gen.base()])
-            dr = _backend.dres_elems(d.elems, r.elems)
+            dr = _backend.dres_elems(d._key, r.elems, r._key)[0]
             assert _canonical(dr) and set(dr) == {p for p in r.elems if p.elems[0] in set(d.elems)}
             for x in keys + [gen.base()] + [x for x, _ in pairs]:
-                hits = _backend.lookup(r.elems, x)
+                hits = _backend.lookup(r.elems, r._key, x)
                 assert _canonical(hits) and set(hits) == {y for k, y in pairs if k == x}
 
 
@@ -400,7 +402,7 @@ def test_union_difference_oracle(x, y):
 def _plain_union(a, b):
     """Sorted, duplicate-free a + b; on equal keys the element of a, which
     the stable sort puts first."""
-    return _backend.canon(list(a) + list(b))
+    return _backend.canon(list(a) + list(b))[0]
 
 
 def _same_objects(x, y):
@@ -408,33 +410,35 @@ def _same_objects(x, y):
 
 
 def _merge_cases(rng):
-    """Pairs of canonical tuples: short and long sides, the short side first
-    and second, equal sizes, empty sides, overlapping keys, and equal keys
-    held by distinct objects."""
+    """Pairs of sets: short and long sides, the short side first and
+    second, equal sizes, empty sides, overlapping keys, and equal keys held
+    by distinct objects."""
     pool = ([intv(i) for i in range(90)] + [atom(f"a{i}") for i in range(30)]
             + [tup(atom(f"a{i}"), intv(i % 4)) for i in range(30)])
     sizes = [0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 23, 24, 25, 40]
     for small in (0, 1, 2, 3):
         for large in sizes:
             for _ in range(3):
-                a = SetV(rng.sample(pool, small)).elems
-                b = SetV(rng.sample(pool, large)).elems
+                a = SetV(rng.sample(pool, small))
+                b = SetV(rng.sample(pool, large))
                 yield a, b
                 yield b, a
     for large in sizes:
-        a = SetV(rng.sample(pool, large)).elems
-        twins = SetV([intv(v.n) if isinstance(v, IntV) else v for v in a]).elems
+        a = SetV(rng.sample(pool, large))
+        twins = SetV([intv(v.n) if isinstance(v, IntV) else v for v in a.elems])
         yield a, a
         yield a, twins
-        yield a[::9], twins
-        yield twins, a[::9]
-        yield a, a[::3]
-        yield a[1::4], a
+        yield SetV(a.elems[::9]), twins
+        yield twins, SetV(a.elems[::9])
+        yield a, SetV(a.elems[::3])
+        yield SetV(a.elems[1::4]), a
 
 
 def test_union_and_difference_match_models_on_both_paths(gen):
     for a, b in _merge_cases(gen.rng):
-        u, d = _backend.union(a, b), _backend.difference(a, b)
+        args = (a.elems, a._key, b.elems, b._key)
+        (u, _), (d, _) = _backend.union(*args), _backend.difference(*args)
+        a, b = a.elems, b.elems
         assert set(u) == set(a) | set(b)
         assert set(d) == set(a) - set(b)
         assert _same_objects(u, _plain_union(a, b))
@@ -467,33 +471,76 @@ def test_dom_elems_is_canon_of_first_components(gen):
     for _ in range(300):
         for r in (gen.relation(max_card=8), _dense_relation(gen, keys)):
             firsts = [p.elems[0] for p in r.elems]
-            assert _same_objects(_backend.dom_elems(r.elems), _backend.canon(firsts))
+            got, want = _backend.dom_elems(r.elems, r._key), _backend.canon(firsts)
+            assert _same_objects(got[0], want[0]) and got[1] == want[1]
     accounts = rel(*[(atom(f"a{i:03d}"), intv(i)) for i in range(300)])
-    assert _backend.dom_elems(accounts.elems) == tuple(atom(f"a{i:03d}") for i in range(300))
+    assert _backend.dom_elems(accounts.elems, accounts._key)[0] == tuple(
+        atom(f"a{i:03d}") for i in range(300))
 
 
-def test_every_canonical_set_outside_the_backend_is_sorted_and_distinct(monkeypatch):
-    """The O(1) relation fact reads only a set's first and last element, so
-    it holds only if sets built with _canonical=True really are canonical."""
+# -- every set a kernel operation builds carries the key SetV would give it ------------
+
+
+def _assert_keyed_like_a_fresh_set(s):
+    """s has the key, and keeps the element objects, that SetV gives a new
+    set of its own elements."""
+    fresh = SetV(list(s.elems))
+    assert type(s._key) is tuple and s._key == fresh._key, s
+    assert _same_objects(s.elems, fresh.elems), s
+
+
+def test_every_set_operation_builds_the_canonical_key(gen):
+    """Results are assembled from slices of their operands' elements and
+    keys, at bisected positions: an index off by the key's two-item head
+    shows here as a key that no longer matches the elements."""
+    for a, b in _merge_cases(gen.rng):
+        for op in (K.union, K.difference, K.intersection):
+            _assert_keyed_like_a_fresh_set(op(a, b))
+    keys = [gen.value(1) for _ in range(3)]
+    accounts = rel(*[(atom(f"a{i:03d}"), intv(i)) for i in range(300)])
+    some = [atom(f"a{i:03d}") for i in (0, 1, 150, 298, 299)] + [atom("a1500"), atom("a999")]
+    cases = [(accounts, rel(*[(x, intv(-1)) for x in sub]))
+             for sub in ([], some[:1], some[2:3], some[3:5], some, [Atom("a", "addr")])]
+    cases += [(accounts, accounts), (EMPTY_SET, accounts)]
+    for _ in range(150):
+        cases.append((gen.relation(), gen.relation()))
+        cases.append((_dense_relation(gen, keys), _dense_relation(gen, keys)))
+        cases.append((gen.relation(max_card=8), _dense_relation(gen, keys)))
+    for r, g in cases:
+        for s in (K.union(r, g), K.difference(r, g), K.intersection(r, g), K.override(r, g),
+                  K.override(g, r), K.dom(r), K.ran(r), K.dres(K.dom(g), r), K.dres(K.dom(r), g)):
+            _assert_keyed_like_a_fresh_set(s)
+        for d in (vset(gen.rng.sample(keys, gen.rng.randrange(0, 4)) + [gen.base()]),
+                  vset(some), vset(accounts.elems[:3])):
+            _assert_keyed_like_a_fresh_set(K.dres(d, r))
+    fields = [atom(f) for f in ("as", "bf", "tp", "nonce")]
+    records = [accounts, EMPTY_SET] + [
+        vset([tup(f, gen.value(1)) for f in gen.rng.sample(fields, gen.rng.randrange(0, 5))])
+        for _ in range(100)]
+    for r in records:
+        for f in fields[:2] + some + [Atom("a", "addr")]:
+            _assert_keyed_like_a_fresh_set(K.record_set(r, f, gen.value(1)))
+
+
+def test_every_set_built_from_a_key_gets_the_canonical_key(monkeypatch):
+    """SetV(elems, key) trusts its key; every one built during a simulate
+    pass and two solves must be the key SetV(elems) computes."""
     real_init = SetV.__init__
     sites = set()
 
-    def checked_init(self, elems=(), _canonical=False):
-        if _canonical:
-            elems = tuple(elems)
+    def checked_init(self, elems=(), key=None):
+        if key is not None:
             caller = sys._getframe(1)
             sites.add((caller.f_globals["__name__"], caller.f_code.co_name))
-            ascending = all(x._key < y._key for x, y in zip(elems, elems[1:]))
-            assert ascending, (caller.f_code.co_name, elems)
-        real_init(self, elems, _canonical)
+            assert isinstance(elems, tuple) and _canonical(elems), (caller.f_code.co_name, elems)
+            assert key == (3, len(elems), *[e._key for e in elems]), caller.f_code.co_name
+        real_init(self, elems, key)
 
     monkeypatch.setattr(SetV, "__init__", checked_init)
+    _check_pass(1)
     scope = Scope(atoms_per_namespace=3, int_lo=0, int_hi=2, max_set_card=2)
-    for sort in (SetS(AtomS("addr")), SetS(IntS()), SetS(SetS(AtomS("hash"))),
-                 RelS(AtomS("addr"), IntS()), RelS(IntS(), AtomS("tx"))):
-        list(enumerate_sort(sort, scope))
     sorts = {"X": SetS(AtomS("addr")), "A": SetS(AtomS("addr")), "B": SetS(AtomS("addr"))}
     for src in ("X neq {} & subset(X,{a1,a2})", "un(A,B,{a1,a2,a3}) & A neq B & disj(A,B)"):
         solve(parse_formula(src), scope, sorts)
-    assert {("setforge.universe", "enumerate_sort"), ("setforge.solver", "_sort_candidates"),
-            ("setforge.solver", "_candidates")} <= sites
+    assert {("setforge.kernel", name) for name in (
+        "union", "difference", "override", "record_set")} <= sites, sites
