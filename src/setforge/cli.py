@@ -143,7 +143,7 @@ def _load_scenario(path: str):
         soup = vset([_parse_entry(p, f"soup[{i}]") for i, p in enumerate(obj.get("soup", []))])
         schedule = []
         for i, sel in enumerate(obj.get("schedule", [])):
-            schedule.append(sel if isinstance(sel, int) else _parse_entry(sel, f"schedule[{i}]"))
+            schedule.append(sel if type(sel) is int else _parse_entry(sel, f"schedule[{i}]"))
         this = _parse_entry(obj["this"], "this") if "this" in obj else None
     except (KeyError, TypeError) as e:
         raise _UsageError(f"scenario is missing or mistypes a field: {e}") from None

@@ -190,7 +190,7 @@ class Trace(Frozen):
 
 
 def _select_packet(soup: SetV, selector, stepno: int) -> Value:
-    if isinstance(selector, int):
+    if type(selector) is int:  # a bool is no index
         if not 0 <= selector < len(soup.elems):
             raise ScheduleError(stepno, f"index {selector} outside soup of size {len(soup.elems)}")
         return soup.elems[selector]

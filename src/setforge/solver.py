@@ -7,6 +7,9 @@ work is moved ahead of search wherever possible:
   and one row of argument kinds (set, relation, integer, sequence): a
   ground argument of the wrong kind makes the constraint false before the
   rule runs, and the same row gives unsorted variables their sorts;
+* every rule, and the matcher unify, answers True (holds, possibly after
+  binding), False (fails) or None (not decided yet); a reader that cannot
+  give its value, such as _listed_pairs, returns the answer instead;
 * functional constraints (un, diff, oplus, dom, apply, arithmetic, ...)
   compute their result as soon as their inputs are known;
 * unify is the one structural matcher: neq is decided by trying the
@@ -211,6 +214,10 @@ class _Defer(Exception):
     """Internal: a term cannot be evaluated yet."""
 
 
+# _set_value of a comprehension or an open extension that denotes no set
+_NO_SET = object()
+
+
 def term_pval(t: Term, env):
     """The resolved pval of a term.  Children come back resolved already, so
     a compound is built straight from them.  An unbound variable is a hole,
@@ -236,23 +243,12 @@ def term_pval(t: Term, env):
     v = _set_value(t, env)
     if v is None:
         raise _Defer()
-    if v is _FAIL:
+    if v is _NO_SET:
         raise KindError("a comprehension or an open extension denotes no set")
     return v
 
 
 # -- unification ------------------------------------------------------------------
-
-_OK, _FAIL, _DEFER = "ok", "fail", "defer"
-
-
-def _occurs(var, p, env):
-    p = _walk(p, env)
-    if isinstance(p, PHole):
-        return p.var == var
-    if isinstance(p, (PTup, PSet, PSeq)):
-        return any(_occurs(var, e, env) for e in p.elems)
-    return False
 
 
 def _pair_key(p, env):
@@ -271,30 +267,32 @@ def _keyed_elems(p, env):
     """If every member is a definite pair with a ground, pairwise distinct
     key, return the key -> value mapping in key order; else None."""
     pairs = _listed_pairs(p, env)
-    if pairs is None or pairs is _FAIL or len({k for k, _, _ in pairs}) != len(pairs):
+    if type(pairs) is not list or len({k for k, _, _ in pairs}) != len(pairs):
         return None
     return dict(sorted(((k, v) for k, v, _ in pairs), key=lambda kv: kv[0]._key))
 
 
 def unify(a, b, env):
-    """Make a and b equal, binding holes in env.  Mutates env; partial
-    bindings on _FAIL are fine because the branch is abandoned."""
+    """Make a and b equal, binding holes in env.  True when they are equal
+    now, False when they cannot be, None when that is not decided yet (two
+    listed sets whose members are still open).  Mutates env; partial
+    bindings on False are fine because the branch is abandoned."""
     a = resolve(a, env)
     b = resolve(b, env)
     if isinstance(a, Value) and isinstance(b, Value):
-        return _OK if a == b else _FAIL
+        return a == b
     if isinstance(a, PHole):
         if isinstance(b, PHole) and b.var == a.var:
-            return _OK
-        if _occurs(a.var, b, env):
-            return _FAIL
+            return True
+        if a.var in _open_holes(b, env, []):
+            return False
         env[a.var] = b
-        return _OK
+        return True
     if isinstance(b, PHole):
-        if _occurs(b.var, a, env):
-            return _FAIL
+        if b.var in _open_holes(a, env, []):
+            return False
         env[b.var] = a
-        return _OK
+        return True
     return _unify_struct(a, b, env)
 
 
@@ -302,37 +300,37 @@ def _unify_struct(a, b, env):
     akind = _shape(a)
     bkind = _shape(b)
     if akind != bkind:
-        return _FAIL
+        return False
     if akind in ("tuple", "seq"):
         if len(a.elems) != len(b.elems):
-            return _FAIL
+            return False
         return _unify_pointwise(a.elems, b.elems, env)
     if akind == "set":
         if _is_empty_set(a) != _is_empty_set(b):
-            return _FAIL
+            return False
         ka = _keyed_elems(a, env)
         kb = _keyed_elems(b, env)
         if ka is not None and kb is not None:
             if list(ka.keys()) != list(kb.keys()):
-                return _FAIL
+                return False
             return _unify_pointwise(list(ka.values()), list(kb.values()), env)
         # single listed member against a singleton set
         ae = a.elems
         be = b.elems
         if len(ae) == 1 and len(be) == 1:
             return unify(ae[0], be[0], env)
-        return _DEFER
-    return _FAIL
+        return None
+    return False
 
 
 def _unify_pointwise(xs, ys, env):
-    result = _OK
+    result = True
     for x, y in zip(xs, ys):
         r = unify(x, y, env)
-        if r == _FAIL:
-            return _FAIL
-        if r == _DEFER:
-            result = _DEFER
+        if r is False:
+            return False
+        if r is None:
+            result = None
     return result
 
 
@@ -360,9 +358,9 @@ def _neq_decide(a, b, env):
     r = unify(a, b, env)
     bound = len(env) > mark
     _undo(env, mark)
-    if r == _FAIL:
+    if r is False:
         return True
-    return False if r == _OK and not bound else None
+    return False if r is True and not bound else None
 
 
 # -- listed-set structure helpers ------------------------------------------------
@@ -375,8 +373,9 @@ def _listed(p):
 
 def _listed_pairs(p, env):
     """(key, value, elem) triples when every member is a definite pair with
-    a ground key; None when structure is still open; _FAIL sentinel when a
-    member is definitely not a pair (the constraint cannot hold)."""
+    a ground key.  Otherwise the answer of a constraint that needs them:
+    False when a member is definitely not a pair, None while the structure
+    is still open.  An empty list is falsy, so test the result by type."""
     elems = _listed(p)
     if elems is None:
         return None
@@ -384,9 +383,9 @@ def _listed_pairs(p, env):
     for e in elems:
         w = _walk(e, env)
         if isinstance(w, Value) and not is_pair(w):
-            return _FAIL
+            return False
         if isinstance(w, (PSet, PSeq)) or (isinstance(w, PTup) and len(w.elems) != 2):
-            return _FAIL
+            return False
         k = _pair_key(w, env)
         if k is None:
             return None
@@ -404,40 +403,32 @@ def _ground_int(p):
 
 # -- single-constraint evaluation -------------------------------------------------
 #
-# Every constraint kind has one rule, in _RULES.  A ground argument at a
-# position that _ARG_KINDS tags, of another kind than the tag's, makes the
-# constraint false before its rule runs, so no rule checks the kinds of its
-# arguments itself.  eq and neq have no tags: their rules take the terms,
-# because a comprehension or an open extension has no pval.  A dual kind
-# (nin, ndisj, nsubset, npfun) shares the rule of its positive kind.  Rules
-# call kernel functions through the module, so that wrappers installed on
-# it see every call.
-
-_TRUE, _FALSE = "true", "false"
-
-
-def _from_unify(r):
-    return _TRUE if r == _OK else (_FALSE if r == _FAIL else _DEFER)
-
-
-def _from_decision(v):
-    """The verdict of a three-valued test: True, False or None (unknown)."""
-    return _DEFER if v is None else (_TRUE if v else _FALSE)
+# Every constraint kind has one rule, in _RULES.  A rule answers True (the
+# constraint holds, possibly after binding), False (it fails) or None (not
+# decided yet), as unify does, so a rule that ends in a unification
+# returns its answer.  A ground argument at a position that _ARG_KINDS
+# tags, of another kind than the tag's, makes the constraint false before
+# its rule runs, so no rule checks the kinds of its arguments itself.  eq
+# and neq have no tags: their rules take the terms, because a
+# comprehension or an open extension has no pval.  A dual kind (nin,
+# ndisj, nsubset, npfun) shares the rule of its positive kind.  Rules call
+# kernel functions through the module, so that wrappers installed on it
+# see every call.
 
 
 def _eval_constraint(c: Constraint, env):
     """Evaluate or propagate one constraint against the current bindings.
-    Returns 'true' (satisfied, possibly after binding), 'false', or 'defer'.
-    Only an eq or neq operand is a comprehension or an open extension: the
-    compile lifts every other one into an equation, so term_pval reads the
-    arguments of every other kind without raising."""
+    Returns True (satisfied, possibly after binding), False, or None (not
+    decided yet).  Only an eq or neq operand is a comprehension or an open
+    extension: the compile lifts every other one into an equation, so
+    term_pval reads the arguments of every other kind without raising."""
     tags = _ARG_KINDS[c.kind]
     if tags is None:
         return _RULES[c.kind](*c.args, env)
     args = [term_pval(a, env) for a in c.args]
     for tag, v in zip(tags, args):
         if tag is not None and isinstance(v, Value) and not isinstance(v, tag.ground):
-            return _FALSE
+            return False
     return _RULES[c.kind](args, env)
 
 
@@ -445,24 +436,24 @@ def _member(positive, args, env):
     x, s = args
     if isinstance(s, SetV):
         if isinstance(x, Value):
-            return _TRUE if (x in s) == positive else _FALSE
+            return (x in s) == positive
         if positive and len(s.elems) == 0:
-            return _FALSE
-        return _DEFER
+            return False
+        return None
     listed = _listed(s)
     if listed is not None and isinstance(x, Value):
         grounds = [e for e in (resolve(e, env) for e in listed) if isinstance(e, Value)]
         if any(e == x for e in grounds):
-            return _TRUE if positive else _FALSE
-    return _DEFER
+            return positive
+    return None
 
 
 def _set_op(op, args, env):
     """un, diff or inters: op names the kernel function."""
     a, b, out = args
     if isinstance(a, SetV) and isinstance(b, SetV):
-        return _from_unify(unify(out, getattr(kernel, op)(a, b), env))
-    return _DEFER
+        return unify(out, getattr(kernel, op)(a, b), env)
+    return None
 
 
 def _empty_beside_set(a, b):
@@ -474,121 +465,113 @@ def _empty_beside_set(a, b):
 def _disjoint(positive, args, env):
     a, b = args
     if isinstance(a, SetV) and isinstance(b, SetV):
-        return _TRUE if kernel.disjoint(a, b) == positive else _FALSE
+        return kernel.disjoint(a, b) == positive
     if _empty_beside_set(a, b) or _empty_beside_set(b, a):
-        return _TRUE if positive else _FALSE
+        return positive
     la, lb = _listed(a), _listed(b)
     if la is not None and lb is not None:
         ga = {e for e in (resolve(e, env) for e in la) if isinstance(e, Value)}
         gb = {e for e in (resolve(e, env) for e in lb) if isinstance(e, Value)}
         if ga & gb:
-            return _FALSE if positive else _TRUE
-    return _DEFER
+            return not positive
+    return None
 
 
 def _subset(positive, args, env):
     a, b = args
     if isinstance(a, SetV) and isinstance(b, SetV):
-        return _TRUE if kernel.subset(a, b) == positive else _FALSE
+        return kernel.subset(a, b) == positive
     if _empty_beside_set(a, b):
-        return _TRUE if positive else _FALSE
-    return _DEFER
+        return positive
+    return None
 
 
 def _dom(args, env):
     r, d = args
     pairs = _listed_pairs(r, env)
-    if pairs is _FAIL:
-        return _FALSE
-    if pairs is None:
-        return _DEFER
-    return _from_unify(unify(d, SetV([k for k, _, _ in pairs]), env))
+    if type(pairs) is not list:
+        return pairs
+    return unify(d, SetV([k for k, _, _ in pairs]), env)
 
 
 def _ran(args, env):
     r, d = args
     if isinstance(r, SetV):
         try:
-            return _from_unify(unify(d, kernel.ran(r), env))
+            return unify(d, kernel.ran(r), env)
         except KindError:
-            return _FALSE
+            return False
     elems = _listed(r)
     if elems is None:
-        return _DEFER
+        return None
     vals = []
     for e in elems:
         w = _walk(e, env)
         if not (is_pair(w) if isinstance(w, Value) else isinstance(w, PTup) and len(w.elems) == 2):
-            return _FALSE if isinstance(w, Value) else _DEFER
+            return False if isinstance(w, Value) else None
         v = resolve(w.elems[1], env)
         if not isinstance(v, Value):
-            return _DEFER
+            return None
         vals.append(v)
-    return _from_unify(unify(d, SetV(vals), env))
+    return unify(d, SetV(vals), env)
 
 
 def _apply(args, env):
     f, x, y = args
     if not isinstance(x, Value):
-        return _DEFER
+        return None
     pairs = _listed_pairs(f, env)
-    if pairs is _FAIL:
-        return _FALSE
-    if pairs is None:
-        return _DEFER
+    if type(pairs) is not list:
+        return pairs
     hits = [v for k, v, _ in pairs if k == x]
     if not hits:
-        return _FALSE
+        return False
     if len(hits) == 1:
-        return _from_unify(unify(y, hits[0], env))
+        return unify(y, hits[0], env)
     roots = [_walk(h, env) for h in hits]
     if all(
         isinstance(r, PHole) and isinstance(roots[0], PHole) and r.var == roots[0].var
         for r in roots
     ):
-        return _from_unify(unify(y, roots[0], env))
+        return unify(y, roots[0], env)
     grounds = [resolve(h, env) for h in hits]
     if all(isinstance(g, Value) for g in grounds):
         if all(g == grounds[0] for g in grounds):
-            return _from_unify(unify(y, grounds[0], env))
-        return _FALSE
-    return _DEFER
+            return unify(y, grounds[0], env)
+        return False
+    return None
 
 
 def _oplus(args, env):
     r, g, out = args
     rp = _listed_pairs(r, env)
     gp = _listed_pairs(g, env)
-    if rp is _FAIL or gp is _FAIL:
-        return _FALSE
+    if rp is False or gp is False:
+        return False
     if rp is None or gp is None:
-        return _DEFER
+        return None
     gkeys = {k for k, _, _ in gp}
     kept = [e for k, _, e in rp if k not in gkeys]
     kept.extend(e for _, _, e in gp)
-    return _from_unify(unify(out, resolve(PSet(kept), env), env))
+    return unify(out, resolve(PSet(kept), env), env)
 
 
 def _dres(args, env):
     d, r, out = args
     if not isinstance(d, SetV):
-        return _DEFER
+        return None
     pairs = _listed_pairs(r, env)
-    if pairs is _FAIL:
-        return _FALSE
-    if pairs is None:
-        return _DEFER
+    if type(pairs) is not list:
+        return pairs
     kept = [e for k, _, e in pairs if k in d]
-    return _from_unify(unify(out, resolve(PSet(kept), env), env))
+    return unify(out, resolve(PSet(kept), env), env)
 
 
 def _pfun(positive, args, env):
     (r,) = args
     pairs = _listed_pairs(r, env)
-    if pairs is _FAIL:
-        return _FALSE
-    if pairs is None:
-        return _DEFER
+    if type(pairs) is not list:
+        return pairs
     groups = {}
     for k, v, _ in pairs:
         groups.setdefault(k, []).append(v)
@@ -596,63 +579,57 @@ def _pfun(positive, args, env):
         # a listed member pair with a repeated key collapses exactly when
         # the values coincide, so pfun forces the values in each key
         # group to be equal: propagate that by unification
-        result = _TRUE
-        for vs in groups.values():
-            for other in vs[1:]:
-                u = unify(vs[0], other, env)
-                if u == _FAIL:
-                    return _FALSE
-                if u == _DEFER:
-                    result = _DEFER
-        return result
+        firsts = [vs[0] for vs in groups.values() for _ in vs[1:]]
+        others = [v for vs in groups.values() for v in vs[1:]]
+        return _unify_pointwise(firsts, others, env)
     all_collapse = True
     for vs in groups.values():
         if len(vs) == 1:
             continue
         verdicts = [_neq_decide(x, y, env) for x, y in itertools.combinations(vs, 2)]
         if any(v is True for v in verdicts):
-            return _TRUE  # two definitely-distinct values share a key
+            return True  # two definitely-distinct values share a key
         if not all(v is False for v in verdicts):
             all_collapse = False
-    return _FALSE if all_collapse else _DEFER
+    return False if all_collapse else None
 
 
 def _seq_head(args, env):
     s, h = args
     elems = _seq_elems(s)
     if elems is None:
-        return _DEFER
+        return None
     if len(elems) == 0:
-        return _FALSE
-    return _from_unify(unify(h, elems[0], env))
+        return False
+    return unify(h, elems[0], env)
 
 
 def _seq_tail(args, env):
     s, t = args
     elems = _seq_elems(s)
     if elems is None:
-        return _DEFER
+        return None
     if len(elems) == 0:
-        return _FALSE
-    return _from_unify(unify(t, resolve(PSeq(elems[1:]), env), env))
+        return False
+    return unify(t, resolve(PSeq(elems[1:]), env), env)
 
 
 def _seq_concat(args, env):
     a, b, out = args
     ea, eb, ec = _seq_elems(a), _seq_elems(b), _seq_elems(out)
     if ea is not None and eb is not None:
-        return _from_unify(unify(out, resolve(PSeq(ea + eb), env), env))
+        return unify(out, resolve(PSeq(ea + eb), env), env)
     if ec is None or (ea is None and eb is None):
-        return _DEFER
+        return None
     # one part is known: it matches its end of out, and the rest is the other
     cut = len(ea) if ea is not None else len(ec) - len(eb)
     if not 0 <= cut <= len(ec):
-        return _FALSE
+        return False
     if ea is not None:
         xs, ys = [*ea, b], [*ec[:cut], PSeq(ec[cut:])]
     else:
         xs, ys = [*eb, a], [*ec[cut:], PSeq(ec[:cut])]
-    return _from_unify(_unify_pointwise(xs, ys, env))
+    return _unify_pointwise(xs, ys, env)
 
 
 def _seq_nth(args, env):
@@ -660,22 +637,22 @@ def _seq_nth(args, env):
     elems = _seq_elems(s)
     n = _ground_int(i)
     if elems is None or n is None:
-        return _DEFER
+        return None
     if not 1 <= n <= len(elems):
-        return _FALSE
-    return _from_unify(unify(y, elems[n - 1], env))
+        return False
+    return unify(y, elems[n - 1], env)
 
 
 def _plus(args, env):
     a, b, out = args
     na, nb, nc = map(_ground_int, args)
     if na is not None and nb is not None:
-        return _from_unify(unify(out, IntV(na + nb), env))
+        return unify(out, IntV(na + nb), env)
     if nc is not None:
         for n, other in ((na, b), (nb, a)):
             if n is not None:
-                return _from_unify(unify(other, IntV(nc - n), env))
-    return _DEFER
+                return unify(other, IntV(nc - n), env)
+    return None
 
 
 def _minus(args, env):
@@ -688,60 +665,60 @@ def _times(args, env):
     a, b, out = args
     na, nb, nc = map(_ground_int, args)
     if na is not None and nb is not None:
-        return _from_unify(unify(out, IntV(na * nb), env))
+        return unify(out, IntV(na * nb), env)
     if nc is not None:
         for n, other in ((na, b), (nb, a)):
             if n is not None:
                 if n == 0:
-                    return _FALSE if nc != 0 else _DEFER
+                    return None if nc == 0 else False
                 if nc % n != 0:
-                    return _FALSE
-                return _from_unify(unify(other, IntV(nc // n), env))
-    return _DEFER
+                    return False
+                return unify(other, IntV(nc // n), env)
+    return None
 
 
 def _intdiv(args, env):
     # floor division, undefined for divisor 0
     na, nb, _ = map(_ground_int, args)
     if na is None or nb is None:
-        return _DEFER
+        return None
     if nb == 0:
-        return _FALSE
-    return _from_unify(unify(args[2], IntV(na // nb), env))
+        return False
+    return unify(args[2], IntV(na // nb), env)
 
 
 def _compare(holds, args, env):
     na, nb = map(_ground_int, args)
     if na is None or nb is None:
-        return _DEFER
-    return _TRUE if holds(na, nb) else _FALSE
+        return None
+    return holds(na, nb)
 
 
 def _set_value(t, env):
     """The value of a comprehension or an open extension once its inputs
-    are ground, else None; _FAIL when it denotes no set.  Its domain, or its
-    elements and then its tail, are read by term_pval, so a set term among
-    them raises as term_pval does; the compile lifts every such one out of
-    the search's constraints.  A comprehension's binder is set in env while
-    its filter and pattern are evaluated, and restored after; a pattern
-    that has no value or denotes no set makes the whole None or _FAIL.  An
-    open extension {e1,...,ek / T} is the union of T and the ei, when T is a
-    set that lists no ei."""
+    are ground, else None; _NO_SET when it denotes no set.  Its domain, or
+    its elements and then its tail, are read by term_pval, so a set term
+    among them raises as term_pval does; the compile lifts every such one
+    out of the search's constraints.  A comprehension's binder is set in
+    env while its filter and pattern are evaluated, and restored after; a
+    pattern that has no value or denotes no set makes the whole None or
+    _NO_SET.  An open extension {e1,...,ek / T} is the union of T and the
+    ei, when T is a set that lists no ei."""
     if isinstance(t, SetT):
         elems = [term_pval(e, env) for e in t.elems]
         tail = term_pval(t.tail, env)
         if isinstance(tail, Value) and not isinstance(tail, SetV):
-            return _FAIL
+            return _NO_SET
         if not isinstance(tail, SetV) or not all(isinstance(e, Value) for e in elems):
             return None
         if any(e in tail for e in elems):
-            return _FAIL
+            return _NO_SET
         return kernel.union(SetV(elems), tail)
     domain = term_pval(t.domain, env)
     if not isinstance(domain, Value):
         return None
     if not isinstance(domain, SetV):
-        return _FAIL
+        return _NO_SET
     out = []
     binder = t.binder
     saved = env.get(binder)
@@ -758,7 +735,7 @@ def _set_value(t, env):
             except _Defer:
                 return None
             except KindError:
-                return _FAIL
+                return _NO_SET
             if not isinstance(y, Value):
                 return None
             out.append(y)
@@ -778,11 +755,16 @@ def _operand(t, env):
 
 def _eval_eq(lhs: Term, rhs: Term, env):
     for one, other in ((lhs, rhs), (rhs, lhs)):
-        if isinstance(one, RisT):
-            return _eval_ris_eq(one, other, env)
         if isinstance(one, SetT) and one.tail is not None:
             return _eval_open_eq(one, _operand(other, env), env)
-    return _from_unify(unify(term_pval(lhs, env), term_pval(rhs, env), env))
+    try:
+        a = term_pval(lhs, env)
+        b = term_pval(rhs, env)
+    except _Defer:
+        return None
+    except KindError:
+        return False  # a comprehension that denotes no set
+    return unify(a, b, env)
 
 
 def _eval_neq(lhs: Term, rhs: Term, env):
@@ -793,13 +775,13 @@ def _eval_neq(lhs: Term, rhs: Term, env):
         # an operand is a comprehension or an open extension, whose value is
         # a set once known: decided then, and at once when a side is no set
         a, b = _operand(lhs, env), _operand(rhs, env)
-        if a is _FAIL or b is _FAIL or any(
+        if a is _NO_SET or b is _NO_SET or any(
             isinstance(v, Value) and not isinstance(v, SetV) for v in (a, b)
         ):
-            return _TRUE
+            return True
         if a is None or b is None:
-            return _DEFER
-    return _from_decision(_neq_decide(a, b, env))
+            return None
+    return _neq_decide(a, b, env)
 
 
 _RULES = {
@@ -834,29 +816,15 @@ _RULES = {
 }
 
 
-def _eval_ris_eq(ris: RisT, other: Term, env):
-    got = _set_value(ris, env)
-    if got is _FAIL:
-        return _FALSE
-    if got is None:
-        return _DEFER
-    if isinstance(other, SetT) and other.tail is not None:
-        return _eval_open_eq(other, got, env)
-    o = _operand(other, env)
-    if o is None:
-        return _DEFER
-    return _FALSE if o is _FAIL else _from_unify(unify(o, got, env))
-
-
 def _eval_open_eq(pat: SetT, s, env):
     """S = {e1,...,ek / T}, where s is the pval of S, or its _set_value when
     S is a comprehension or an open extension: the listed elements are
     members of S and the tail is exactly S without them (set-unification
     normal form)."""
     if s is None:
-        return _DEFER
-    if s is _FAIL:
-        return _FALSE
+        return None
+    if s is _NO_SET:
+        return False
     elem_pvals = [term_pval(e, env) for e in pat.elems]
     tail_pval = term_pval(pat.tail, env)
 
@@ -867,32 +835,30 @@ def _eval_open_eq(pat: SetT, s, env):
         if keyed is not None and s_keyed is not None:
             for k in keyed:
                 if k not in s_keyed:
-                    return _FALSE
+                    return False
             rest = SetV([e for e in s.elems if _pair_key(e, env) not in keyed])
-            return _from_unify(_unify_pointwise(
+            return _unify_pointwise(
                 [*keyed.values(), tail_pval], [*(s_keyed[k] for k in keyed), rest], env
-            ))
+            )
         grounds = [e for e in elem_pvals if isinstance(e, Value)]
         if len(grounds) == len(elem_pvals):
             for e in grounds:
                 if e not in s:
-                    return _FALSE
+                    return False
             rest = kernel.difference(s, SetV(grounds))
-            return _from_unify(unify(tail_pval, rest, env))
+            return unify(tail_pval, rest, env)
         if len(s.elems) == 1 and len(elem_pvals) == 1:
-            return _from_unify(_unify_pointwise(
-                [elem_pvals[0], tail_pval], [s.elems[0], EMPTY_SET], env
-            ))
-        return _DEFER
+            return _unify_pointwise([elem_pvals[0], tail_pval], [s.elems[0], EMPTY_SET], env)
+        return None
 
     if isinstance(s, (PHole, PSet)):
         whole = _set_value(pat, env)
         if whole is None:
-            return _DEFER
-        return _FALSE if whole is _FAIL else _from_unify(unify(s, whole, env))
+            return None
+        return False if whole is _NO_SET else unify(s, whole, env)
     if isinstance(s, Value):  # ground but not a set
-        return _FALSE
-    return _DEFER
+        return False
+    return None
 
 
 # -- ground evaluation -------------------------------------------------------------
@@ -921,7 +887,7 @@ def _ground_operand(t: Term, env):
     v = _set_value(t, env)
     if v is None:
         raise _Defer()
-    return None if v is _FAIL else v
+    return None if v is _NO_SET else v
 
 
 def _need(cls, v):
@@ -1235,15 +1201,15 @@ def _propagate(st, pending, mark, queue):
             i = heapq.heappop(queue)
             before = len(env)
             r = _eval_constraint(constraints[i], env)
-            if r == _FALSE:
+            if r is False:
                 return None
-            if r == _DEFER:
+            if r is None:
                 _watch(st, i)
             else:
                 closed.add(i)
             if len(env) == before:
                 continue
-            if r == _DEFER:
+            if r is None:
                 again[i] = None
             for name in _bound_since(env, before):
                 for j in watch.get(name, ()):
@@ -1358,7 +1324,7 @@ def _candidates(decision, st):
             _undo(env, mark)
             left = SetV([e for e, w in zip(out.elems, combo) if w != _PLACE_B])
             right = SetV([e for e, w in zip(out.elems, combo) if w != _PLACE_A])
-            if unify(a, left, env) != _FAIL and unify(b, right, env) != _FAIL:
+            if unify(a, left, env) is not False and unify(b, right, env) is not False:
                 yield True
         return
     _, var, candidates, tick = decision

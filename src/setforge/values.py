@@ -170,6 +170,8 @@ class SetV(Value):
 
     def __init__(self, elems=(), key=None):
         if key is None:
+            if not isinstance(elems, (list, tuple)):
+                elems = tuple(elems)  # the check below must not consume an iterator
             for e in elems:
                 if not isinstance(e, Value):
                     raise KindError(f"set element is not a Value: {e!r}")

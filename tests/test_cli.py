@@ -351,6 +351,8 @@ _FILES = {
     "list.json": b"[1,2]\n",
     "string.json": b'"x"\n',
     "deep.json": b"[" * 100_000 + b"]" * 100_000,
+    "boolindex.json": b'{"nodes": ["this", "a1"], "this": "this", "schedule": [true],'
+                      b' "soup": ["[env,this,addrMsg({a1})]", "[env,this,addrMsg({})]"]}\n',
 }
 
 
@@ -768,6 +770,14 @@ REPORTS = [
     (None, ["evm", "step", "--op", "create", "--fixture", "{tmp}/deep.json", "--json"], 2,
      "",
      "error: bad fixture JSON: nested too deeply\n"),
+    (None, ["simulate", "{tmp}/boolindex.json"], 2,
+     "",
+     "error: scenario is missing or mistypes a field: expected string or bytes-like object,"
+     " got 'bool'\n"),
+    (None, ["simulate", "{tmp}/boolindex.json", "--json"], 2,
+     "",
+     "error: scenario is missing or mistypes a field: expected string or bytes-like object,"
+     " got 'bool'\n"),
 ]
 
 

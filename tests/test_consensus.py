@@ -195,6 +195,9 @@ def test_indices_select_in_canonical_order():
     assert tr.steps[0].packet == p1
     with pytest.raises(ScheduleError):
         CN.run_schedule(c, [5])
+    for flag in (False, True):  # a bool is no index, though Python counts it an int
+        with pytest.raises(ScheduleError, match="selector must be an index or a packet"):
+            CN.run_schedule(c, [flag])
 
 
 def test_schedule_error_names_the_step():

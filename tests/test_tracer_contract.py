@@ -9,6 +9,7 @@ kernel functions the same way, so the solver must look them up on the
 kernel module at each call.
 """
 
+import ast
 import importlib.util
 import inspect
 from collections import Counter
@@ -119,6 +120,50 @@ def test_the_compile_module_defines_no_public_function():
         and fn.__module__ == _compile.__name__
     ]
     assert public == []
+
+
+def _module_level_private_names(tree):
+    """(name, first line, last line) of each module-level function, class or
+    assignment whose name is private but no dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno
+
+
+def test_every_private_module_level_name_is_used():
+    # a name, an attribute or an import mentions a name; one inside the
+    # name's own definition (a recursive call) does not count
+    defined = {}  # (file, name) -> line spans of its definitions
+    mentions = {}  # name -> (file, line) of each mention
+    for path in sorted(Path(setforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, first, last in _module_level_private_names(tree):
+            defined.setdefault((path.name, name), []).append((first, last))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = [node.name, node.asname]
+            else:
+                continue
+            for name in names:
+                mentions.setdefault(name, []).append((path.name, node.lineno))
+    orphans = [
+        f"{file}: {name}" for (file, name), spans in defined.items()
+        if all(f == file and any(a <= line <= b for a, b in spans)
+               for f, line in mentions.get(name, ()))
+    ]
+    assert orphans == []
 
 
 def test_a_wrapper_on_the_ground_evaluator_sees_the_sat_recheck(monkeypatch):

@@ -94,6 +94,12 @@ def test_set_rejects_non_values():
         SetV([1, 2])
 
 
+def test_a_set_built_from_an_iterator_keeps_its_elements():
+    assert SetV(x for x in [a1, a2]) == SetV([a1, a2])
+    assert vset(iter([a1])) == vset([a1])
+    assert SetV(iter([a2, a1, a2])).elems == SetV([a2, a1, a2]).elems == (a1, a2)
+
+
 def test_int_requires_python_int():
     with pytest.raises(KindError):
         IntV("5")
