@@ -44,7 +44,6 @@ so a witness is ground and a sort with no values in the scope has none.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import operator
@@ -187,8 +186,22 @@ def _walk(p, env):
     return p
 
 
+def _walk_name(name, env):
+    """_walk(PHole(name), env) without building the hole: the pval that
+    variable name walks to, or the name of the unbound hole it ends at."""
+    p = env.get(name)
+    while p is not None:
+        if type(p) is not PHole:
+            return p
+        name = p.var
+        p = env.get(name)
+    return name
+
+
 def resolve(p, env):
-    """Walk bindings and collapse fully ground structure to a Value."""
+    """Walk bindings and collapse fully ground structure to a Value.  A
+    structure none of whose children changed comes back as itself, and a
+    child that is a Value already is kept without a call."""
     # _walk inlined: this is the search's most frequent call
     while type(p) is PHole:
         bound = env.get(p.var)
@@ -200,10 +213,11 @@ def resolve(p, env):
         if isinstance(p, Value):
             return p
         raise KindError(f"not a pval: {p!r}")
-    rs = [resolve(e, env) for e in p.elems]
+    elems = p.elems
+    rs = [e if isinstance(e, Value) else resolve(e, env) for e in elems]
     for r in rs:
         if not isinstance(r, Value):
-            return type(p)(rs)
+            return p if all(map(operator.is_, rs, elems)) else type(p)(rs)
     return ground(rs)
 
 
@@ -223,22 +237,24 @@ def term_pval(t: Term, env):
     a compound is built straight from them.  An unbound variable is a hole,
     so every comprehension and open extension in t is valued (_set_value),
     left to right: _Defer at the first that has no value yet, KindError at
-    the first that denotes no set."""
-    if isinstance(t, Lit):
-        return t.value
-    if isinstance(t, Var):
+    the first that denotes no set.  No term class has subclasses, so the
+    dispatch is on the exact type, most frequent first."""
+    kind = type(t)
+    if kind is Var:
         bound = env.get(t.name)
         return PHole(t.name) if bound is None else resolve(bound, env)
-    if isinstance(t, TupT):
+    if kind is Lit:
+        return t.value
+    if kind is TupT:
         rs = [term_pval(e, env) for e in t.elems]
         return TupV(rs) if all(isinstance(r, Value) for r in rs) else PTup(rs)
-    if isinstance(t, SeqT):
+    if kind is SeqT:
         rs = [term_pval(e, env) for e in t.elems]
         return SeqV(rs) if all(isinstance(r, Value) for r in rs) else PSeq(rs)
-    if isinstance(t, SetT) and t.tail is None:
+    if kind is SetT and t.tail is None:
         rs = [term_pval(e, env) for e in t.elems]
         return SetV(rs) if all(isinstance(r, Value) for r in rs) else PSet(rs)
-    if not isinstance(t, (SetT, RisT)):
+    if kind is not SetT and kind is not RisT:
         raise KindError(f"not a term: {t!r}")
     v = _set_value(t, env)
     if v is None:
@@ -1021,7 +1037,8 @@ class _State:
         # deferred while they could observe it; entries are never removed,
         # so a stale one only wakes a constraint that then defers again
         self.watch = {}
-        # hole -> the declared variables that were not ground while it was open
+        # hole -> the declared variables that wait on it: each one not ground
+        # waits on one of its open holes; stale entries are never removed
         self.sort_watch = {name: {name: None} for name in validate}
         # the literal atoms of the constraints and those held by the
         # enumerated bindings of the current decision path
@@ -1051,15 +1068,25 @@ def _bound_since(env, mark):
 
 
 def _open_holes(p, env, out):
-    """Append to out the unbound holes that pval p reaches through env;
-    returns out."""
+    """Append to out the unbound holes that pval p reaches through env,
+    left to right; returns out."""
     p = _walk(p, env)
-    if isinstance(p, PHole):
+    kind = type(p)
+    if kind is PHole:
         out.append(p.var)
-    elif isinstance(p, (PTup, PSet, PSeq)):
+    elif kind is PTup or kind is PSet or kind is PSeq:
         for e in p.elems:
             _open_holes(e, env, out)
     return out
+
+
+def _open_names(name, env, out):
+    """_open_holes(PHole(name), env, out) without building the hole."""
+    bound = env.get(name)
+    if bound is None:
+        out.append(name)
+        return out
+    return _open_holes(bound, env, out)
 
 
 def _atom_pool(st, ns, by_value, n):
@@ -1143,27 +1170,27 @@ def _sort_candidates(sort, st):
 
 def _in_declared_universe(st, mark):
     """Whether each declared variable that the bindings since the trail mark
-    made ground lies in its sort's universe.  One still open is filed under
-    the holes it waits for."""
+    made ground lies in its sort's universe.  A variable waits on one open
+    hole, as a watched literal does: when that hole binds, the variable is
+    checked if it is ground now, else filed under its first open hole."""
     env, sort_watch = st.env, st.sort_watch
     for name in _bound_since(env, mark):
         for var in sort_watch.get(name, ()):
-            holes = _open_holes(PHole(var), env, [])
+            holes = _open_names(var, env, [])
             if holes:
-                for h in holes:
-                    sort_watch.setdefault(h, {})[var] = None
-            elif not sort_contains(st.validate[var], resolve(PHole(var), env), st.scope):
+                sort_watch.setdefault(holes[0], {})[var] = None
+            elif not sort_contains(st.validate[var], resolve(env[var], env), st.scope):
                 return False
     return True
 
 
 def _watch(st, i):
     """File deferred constraint i under every unbound hole it can observe:
-    the roots of its free variables and the holes inside their values."""
+    the roots of its free names and the holes in their values (_open_names)."""
     env, watch = st.env, st.watch
     holes = []
     for name in st.free[i]:
-        _open_holes(PHole(name), env, holes)
+        _open_names(name, env, holes)
     for h in holes:
         watch.setdefault(h, {})[i] = None
 
@@ -1182,16 +1209,11 @@ def _propagate(st, pending, mark, queue):
     same order.  Returns the constraints left open, or None when one fails
     or a declared variable grounds outside its universe."""
     env, constraints, watch = st.env, st.constraints, st.watch
-    closed = set()
-
-    def is_open(j):
-        k = bisect.bisect_left(pending, j)
-        return k < len(pending) and pending[k] == j and j not in closed
-
+    live = set(pending)  # the constraints still open
     queued = set(queue)
     for name in _bound_since(env, mark):
         for j in watch.get(name, ()):
-            if j not in queued and is_open(j):
+            if j not in queued and j in live:
                 queued.add(j)
                 queue.append(j)
     heapq.heapify(queue)
@@ -1206,14 +1228,14 @@ def _propagate(st, pending, mark, queue):
             if r is None:
                 _watch(st, i)
             else:
-                closed.add(i)
+                live.discard(i)
             if len(env) == before:
                 continue
             if r is None:
                 again[i] = None
             for name in _bound_since(env, before):
                 for j in watch.get(name, ()):
-                    if j == i or not is_open(j):
+                    if j == i or j not in live:
                         continue
                     if j < i:
                         again[j] = None
@@ -1227,27 +1249,22 @@ def _propagate(st, pending, mark, queue):
         mark = len(env)
         queue = sorted(again)
         queued = set(queue)
-    left = list(pending)
-    for i in sorted(closed, reverse=True):
-        del left[bisect.bisect_left(left, i)]
-    return left
+    return [i for i in pending if i in live]
 
 
 _PLACE_A, _PLACE_B, _PLACE_BOTH = 0, 1, 2
 
 
 def _pending_holes(st, pending):
-    """Unbound variables the pending constraints can still observe, in first
-    observation order (the keys of a dict)."""
+    """Unbound variables the pending constraints can still observe (the
+    keys of a dict), free name by free name.  The holes that one name
+    reaches come in name order, not observation order, so _H10 before _H2:
+    the decision order rests on that."""
     env = st.env
     out = {}
     for i in pending:
         for name in st.free[i]:
-            root = _walk(PHole(name), env)
-            if isinstance(root, PHole):
-                out[root.var] = None
-            else:
-                out.update(dict.fromkeys(sorted(set(_open_holes(root, env, [])))))
+            out.update(dict.fromkeys(sorted(set(_open_names(name, env, [])))))
     return out
 
 
@@ -1262,7 +1279,7 @@ def _pick_decision(st, pending):
         # of the caller's names and the constraints'.  The first fill is no
         # decision node, and an empty universe fails the branch
         for name in itertools.chain([v for v in st.validate if v in env], st.names):
-            holes = _open_holes(PHole(name), env, [])
+            holes = _open_names(name, env, [])
             if holes:
                 var = min(holes, key=lambda h: order.get(h, len(order)))
                 return ("bind", var, _sort_candidates(st.registry.get(var) or AnyS(), st), False)
@@ -1291,17 +1308,16 @@ def _pick_decision(st, pending):
         if c.kind == "eq":
             for one, other in (c.args, c.args[::-1]):
                 if isinstance(one, Var) and _is_set_term(other):
-                    root = _walk(PHole(one.name), env)
-                    if isinstance(root, PHole):
-                        defined.add(root.var)
+                    root = _walk_name(one.name, env)
+                    if type(root) is str:
+                        defined.add(root)
     var = min([v for v in live if v not in defined] or live, key=lambda v: order[v])
     within = None  # the members of every ground B of a pending subset(var,B)
     for i in pending:
         c = st.constraints[i]
         if c.kind == "subset" and isinstance(c.args[0], Var):
-            root = _walk(PHole(c.args[0].name), env)
             b = term_pval(c.args[1], env)
-            if isinstance(root, PHole) and root.var == var and isinstance(b, SetV):
+            if _walk_name(c.args[0].name, env) == var and isinstance(b, SetV):
                 within = set(b.elems) if within is None else within.intersection(b.elems)
     stream = _sort_candidates(st.registry.get(var) or AnyS(), st)
     if within is not None:
@@ -1412,8 +1428,8 @@ def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DE
         env = st.env
         assignment = {}
         for name in st.registry:
-            val = resolve(PHole(name), env)
-            if isinstance(val, Value):
+            bound = env.get(name)
+            if bound is not None and isinstance(val := resolve(bound, env), Value):
                 assignment[name] = val
         for name in problem.caller:  # the caller's names are registered too
             if name not in assignment:

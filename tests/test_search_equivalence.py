@@ -24,6 +24,13 @@ diff1 cases 5, 7 and 8, `checkpoint-ttf` condition 5 at 3 and 4, and
 have since dropped from 11 to 7 nodes with the same witness: when a
 pending subset(A,B) has a ground B, the search tries only the subsets of B
 for A (`rcv_addr` un1 case 5 and diff1 case 7).
+
+WORK pins, for the same solves, the propagation work behind each answer:
+the constraint evaluations (`solver._eval_constraint` calls) and the
+declared-universe checks (`sort_contains` calls from the search).  A change
+that only removes bookkeeping leaves both exactly as they are, so an
+evaluation skipped, repeated or moved to another branch shows up here even
+when the answer and the node count do not change.
 """
 
 import pytest
@@ -485,6 +492,84 @@ PINNED = {
 }
 
 
+# label -> (constraint evaluations, declared-universe checks)
+WORK = {
+    "psd-psas-disjoint@3": (0, 0),
+    "checkpoint-pfun@3": (0, 0),
+    "checkpoint-ttf:1@3": (17, 0),
+    "checkpoint-ttf:2@3": (20, 1),
+    "checkpoint-ttf:3@3": (17, 0),
+    "checkpoint-ttf:4@3": (46, 17),
+    "checkpoint-ttf:5@3": (79, 19),
+    "checkpoint-ttf:6@3": (0, 0),
+    "checkpoint-ttf:7@3": (0, 0),
+    "checkpoint-ttf:8@3": (0, 0),
+    "psd-psas-disjoint@4": (0, 0),
+    "checkpoint-pfun@4": (0, 0),
+    "checkpoint-ttf:1@4": (17, 0),
+    "checkpoint-ttf:2@4": (20, 1),
+    "checkpoint-ttf:3@4": (17, 0),
+    "checkpoint-ttf:4@4": (46, 17),
+    "checkpoint-ttf:5@4": (79, 19),
+    "checkpoint-ttf:6@4": (0, 0),
+    "checkpoint-ttf:7@4": (0, 0),
+    "checkpoint-ttf:8@4": (0, 0),
+    "rcv_addr:un1:1@3": (12, 4),
+    "rcv_addr:un1:2@3": (21, 4),
+    "rcv_addr:un1:3@3": (21, 4),
+    "rcv_addr:un1:4@3": (25, 4),
+    "rcv_addr:un1:5@3": (54, 5),
+    "rcv_addr:un1:6@3": (38, 4),
+    "rcv_addr:un1:7@3": (49, 4),
+    "rcv_addr:un1:8@3": (121, 5),
+    "rcv_addr:diff1:1@3": (12, 4),
+    "rcv_addr:diff1:2@3": (21, 4),
+    "rcv_addr:diff1:3@3": (21, 4),
+    "rcv_addr:diff1:4@3": (24, 4),
+    "rcv_addr:diff1:5@3": (49, 4),
+    "rcv_addr:diff1:6@3": (38, 4),
+    "rcv_addr:diff1:7@3": (54, 5),
+    "rcv_addr:diff1:8@3": (121, 5),
+    "rcv_addr:un2:1@3": (16, 4),
+    "rcv_addr:un2:2@3": (23, 4),
+    "rcv_addr:un2:3@3": (22, 4),
+    "rcv_addr:un2:4@3": (13, 0),
+    "rcv_addr:un2:5@3": (12, 0),
+    "rcv_addr:un2:6@3": (36, 4),
+    "rcv_addr:un2:7@3": (12, 0),
+    "rcv_addr:un2:8@3": (0, 0),
+    "checkpoint_state:oplus1:1@3": (17, 0),
+    "checkpoint_state:oplus1:2@3": (20, 1),
+    "checkpoint_state:oplus1:3@3": (17, 0),
+    "checkpoint_state:oplus1:4@3": (46, 17),
+    "checkpoint_state:oplus1:5@3": (79, 19),
+    "checkpoint_state:oplus1:6@3": (0, 0),
+    "checkpoint_state:oplus1:7@3": (0, 0),
+    "checkpoint_state:oplus1:8@3": (0, 0),
+}
+
+
+@pytest.fixture
+def count_work(monkeypatch):
+    """Counts constraint evaluations and declared-universe checks by
+    wrapping the solver module's functions, as count_nodes wraps tick.
+    Only the declared-universe check calls sort_contains in the search."""
+    counter = [0, 0]
+    evaluate, contains = solver._eval_constraint, solver.sort_contains
+
+    def counting_eval(*args):
+        counter[0] += 1
+        return evaluate(*args)
+
+    def counting_contains(*args):
+        counter[1] += 1
+        return contains(*args)
+
+    monkeypatch.setattr(solver, "_eval_constraint", counting_eval)
+    monkeypatch.setattr(solver, "sort_contains", counting_contains)
+    return counter
+
+
 def _solves():
     """(label, formula, scope, sorts) of every pinned solve."""
     for k in (3, 4):
@@ -510,14 +595,15 @@ SOLVES = {label: rest for label, *rest in _solves()}
 
 
 def test_pinned_solves_cover_the_benchmark_and_mbt_conditions():
-    assert list(SOLVES) == list(PINNED)
+    assert list(SOLVES) == list(PINNED) == list(WORK)
 
 
 @pytest.mark.parametrize("label", list(PINNED))
-def test_search_answers_are_unchanged(label, count_nodes):
+def test_search_answers_are_unchanged(label, count_nodes, count_work):
     formula, scope, sorts = SOLVES[label]
     r = solver.solve(formula, scope, sorts=sorts)
     witness = None
     if isinstance(r, solver.Sat):
         witness = {k: speclang.print_value(v) for k, v in sorted(r.witness.items())}
     assert (type(r).__name__, witness, count_nodes[0]) == PINNED[label]
+    assert tuple(count_work) == WORK[label]

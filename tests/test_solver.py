@@ -46,7 +46,7 @@ from setforge.universe import (
     scope_atoms,
     sort_contains,
 )
-from setforge.values import EMPTY_SET, Atom, IntV, SeqV, SetV, TupV, atom, vset
+from setforge.values import EMPTY_SET, Atom, IntV, SeqV, SetV, TupV, Value, atom, vset
 
 TINY = Scope(atoms_per_namespace=2, int_lo=0, int_hi=3, max_set_card=2, max_seq_len=2)
 
@@ -287,6 +287,20 @@ def test_a_declared_variable_with_an_empty_universe_has_no_value():
         f = F(src)
         assert isinstance(solve(f, scope, sorts=sorts), Unsat), src
         assert brute_force_sat(f, scope, sorts) is False, src
+
+
+@pytest.mark.parametrize("src", [
+    "X = {[a1,P],[a2,Q],[a1,7]}",
+    "X = {[a1,P],[a2,Q],[a1,7]} & in(P,{0,1}) & in(Q,{0,1})",
+])
+def test_a_declared_variable_is_checked_when_its_last_hole_binds(src):
+    """X binds at the root with holes P and Q open, and waits on P.  P is
+    decided first, so X must then wait on Q: when Q is decided X grounds
+    outside its universe (7 is above int_hi).  The Sat re-check reads no
+    declared sort, so a search that stopped watching X would answer Sat."""
+    sorts = {"X": RelS(AtomS("addr"), IntS())}
+    assert solve(F(src), TINY, sorts=sorts) == Unsat()
+    assert brute_force_sat(F(src), TINY, sorts) is False
 
 
 def test_unsat_means_no_model_in_scope():
@@ -1141,6 +1155,90 @@ def test_neq_decide_is_three_valued_and_leaves_env_as_it_was():
         env = {"W": two, "Y": a1}
         assert solver._neq_decide(a, b, env) is expected, (a, b)
         assert list(env.items()) == [("W", two), ("Y", a1)], (a, b)
+
+
+# -- walks over partial values -------------------------------------------------------
+
+
+def _random_pval(gen, names, depth):
+    """A seeded pval: values, holes named from names, and PTup, PSet and
+    PSeq nodes nested up to depth.  As term_pval builds them, a node whose
+    children are all values is a value."""
+    roll = gen.rng.random()
+    if not names or roll < 0.2 or (depth == 0 and roll < 0.5):
+        return gen.value(1)
+    if depth == 0 or roll < 0.5:
+        return solver.PHole(gen.rng.choice(names))
+    node = gen.rng.choice([solver.PTup, solver.PSet, solver.PSeq])
+    size = gen.rng.randrange(2 if node is solver.PTup else 0, 4)
+    elems = [_random_pval(gen, names, depth - 1) for _ in range(size)]
+    if all(isinstance(e, Value) for e in elems):
+        return solver._GROUND_OF[node](elems)
+    return node(elems)
+
+
+def _random_env(gen, names):
+    """A partial env over names, acyclic because a name is bound only to
+    pvals over the names after it; some bindings are hole-to-hole chains."""
+    env = {}
+    for i, name in enumerate(names):
+        later, roll = names[i + 1:], gen.rng.random()
+        if later and roll < 0.25:
+            env[name] = solver.PHole(gen.rng.choice(later))
+        elif roll < 0.6:
+            env[name] = _random_pval(gen, later, 2)
+    return env
+
+
+def _rebuilt(p, env):
+    """resolve as first written: every structure is rebuilt."""
+    p = solver._walk(p, env)
+    if isinstance(p, (Value, solver.PHole)):
+        return p
+    rs = [_rebuilt(e, env) for e in p.elems]
+    if all(isinstance(r, Value) for r in rs):
+        return solver._GROUND_OF[type(p)](rs)
+    return type(p)(rs)
+
+
+def _plain(p):
+    """A pval as nested tuples of its node types, hole names and values."""
+    if isinstance(p, solver.PHole):
+        return ("?", p.var)
+    if isinstance(p, Value):
+        return p
+    return (type(p).__name__, tuple(_plain(e) for e in p.elems))
+
+
+def _bound_under(p, env):
+    if isinstance(p, solver.PHole):
+        return p.var in env
+    return not isinstance(p, Value) and any(_bound_under(e, env) for e in p.elems)
+
+
+def test_name_walks_and_resolve_agree_with_the_hole_walks(gen):
+    names = [f"H{i}" for i in range(8)]
+    kept = rebuilt = 0
+    for _ in range(300):
+        env = _random_env(gen, names)
+        for name in names:
+            root = solver._walk(solver.PHole(name), env)
+            got = solver._walk_name(name, env)
+            assert got == root.var if isinstance(root, solver.PHole) else got is root
+            assert solver._open_names(name, env, []) == solver._open_holes(
+                solver.PHole(name), env, []
+            )
+        for _ in range(10):
+            p = _random_pval(gen, names, 3)
+            got, want = solver.resolve(p, env), _rebuilt(p, env)
+            assert type(got) is type(want) and _plain(got) == _plain(want), p
+            if isinstance(p, (solver.PTup, solver.PSet, solver.PSeq)) and not isinstance(got, Value):
+                if _bound_under(p, env):
+                    rebuilt += 1
+                else:
+                    kept += 1
+                    assert got is p, p
+    assert kept > 100 and rebuilt > 100, (kept, rebuilt)
 
 
 def test_an_override_by_nothing_is_no_other_relation(count_nodes):
