@@ -1253,6 +1253,8 @@ def _propagate(st, pending, mark, queue):
 
 
 _PLACE_A, _PLACE_B, _PLACE_BOTH = 0, 1, 2
+# the kinds a candidate is tested against before it costs a decision node
+_UNARY_TESTED = frozenset(("in", "nin", "subset", "nsubset", "disj", "ndisj", "neq"))
 
 
 def _pending_holes(st, pending):
@@ -1270,8 +1272,10 @@ def _pending_holes(st, pending):
 
 def _pick_decision(st, pending):
     """The next decision: ("split", a, b, out) for a union with a ground
-    result, else ("bind", var, candidates, tick_first), whose candidates are
-    bound to var in turn."""
+    result, else ("bind", var, candidates, tick_first, tests), whose
+    candidates are bound to var in turn.  tests lists the pending set
+    constraints (_UNARY_TESTED) that var alone decides: var is a bare
+    argument and every other one is ground."""
     env, order = st.env, st.order
     if not pending:
         # a leaf grounds every hole it still has: first those of the bound
@@ -1282,7 +1286,7 @@ def _pick_decision(st, pending):
             holes = _open_names(name, env, [])
             if holes:
                 var = min(holes, key=lambda h: order.get(h, len(order)))
-                return ("bind", var, _sort_candidates(st.registry.get(var) or AnyS(), st), False)
+                return ("bind", var, _sort_candidates(st.registry.get(var) or AnyS(), st), False, ())
         return None
     for i in pending:
         c = st.constraints[i]
@@ -1290,7 +1294,7 @@ def _pick_decision(st, pending):
             x = term_pval(c.args[0], env)
             s = term_pval(c.args[1], env)
             if isinstance(s, SetV) and isinstance(x, PHole):
-                return ("bind", x.var, s.elems, True)
+                return ("bind", x.var, s.elems, True, ())
         if c.kind == "un":
             a = term_pval(c.args[0], env)
             b = term_pval(c.args[1], env)
@@ -1312,25 +1316,26 @@ def _pick_decision(st, pending):
                     if type(root) is str:
                         defined.add(root)
     var = min([v for v in live if v not in defined] or live, key=lambda v: order[v])
-    within = None  # the members of every ground B of a pending subset(var,B)
+    tests = []
     for i in pending:
         c = st.constraints[i]
-        if c.kind == "subset" and isinstance(c.args[0], Var):
-            b = term_pval(c.args[1], env)
-            if _walk_name(c.args[0].name, env) == var and isinstance(b, SetV):
-                within = set(b.elems) if within is None else within.intersection(b.elems)
-    stream = _sort_candidates(st.registry.get(var) or AnyS(), st)
-    if within is not None:
-        # a member outside B makes subset(var,B) false
-        stream = (v for v in stream if not isinstance(v, SetV) or within.issuperset(v.elems))
-    return ("bind", var, stream, True)
+        if c.kind in _UNARY_TESTED:
+            mine = [isinstance(a, Var) and _walk_name(a.name, env) == var for a in c.args]
+            if any(mine) and all(
+                m or not _is_set_term(a) and isinstance(term_pval(a, env), Value)
+                for m, a in zip(mine, c.args)
+            ):
+                tests.append(c)
+    return ("bind", var, _sort_candidates(st.registry.get(var) or AnyS(), st), True, tests)
 
 
 def _candidates(decision, st):
     """Bind the decision's candidates in env one after another, undoing the
-    previous one first; yields after each binding.  Every candidate tried
-    is a decision node, except the first of a bind whose tick_first is
-    False."""
+    previous one first; yields after each binding.  A bind's candidate that
+    one of its tests answers False is skipped, env left at the trail mark:
+    the next propagation would have failed on that test, which watches var
+    (forward checking).  Every other candidate is a decision node, except
+    the first of a bind whose tick_first is False."""
     env = st.env
     mark = len(env)
     if decision[0] == "split":
@@ -1343,16 +1348,22 @@ def _candidates(decision, st):
             if unify(a, left, env) is not False and unify(b, right, env) is not False:
                 yield True
         return
-    _, var, candidates, tick = decision
+    _, var, candidates, tick, tests = decision
     # fresh vars registered by abandoned candidates stay in the registry:
     # they are unreachable, and keeping it append-only keeps runs identical
     used = st.used_atoms
     added = set()  # the atoms the current candidate brought into use
     for cand in candidates:
+        _undo(env, mark)
+        if tests:
+            env[var] = cand
+            admitted = all(_eval_constraint(c, env) is not False for c in tests)
+            _undo(env, mark)
+            if not admitted:
+                continue
         if tick:
             st.tick()
         tick = True
-        _undo(env, mark)
         used -= added
         added = set()
         _add_atoms(cand, added)

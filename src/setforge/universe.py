@@ -14,7 +14,7 @@ import itertools
 
 from ._frozen import Frozen
 from .errors import KindError
-from .values import ENUMERABLE_NS, NS_PREFIX, Atom, IntV, SeqV, SetV, TupV
+from .values import ENUMERABLE_NS, NS_PREFIX, Atom, IntV, SeqV, SetV, TupV, Value
 
 
 class Scope(Frozen):
@@ -140,8 +140,6 @@ def enumerate_sort(sort: Sort, scope: Scope):
 
 def sort_contains(sort: Sort, v, scope: Scope) -> bool:
     """Membership in the sort's enumerated universe, without enumerating."""
-    from .values import Value  # local import keeps the module cycle-free
-
     if not isinstance(v, Value):
         return False
     if isinstance(sort, AtomS):

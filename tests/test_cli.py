@@ -342,7 +342,7 @@ _FILES = {
     "unsat.slog": b"X = {} & X neq {}.\n",
     "clauses.slog": b"one(X) :- X = a1.\ntwo(Y) :- Y = {} & Y neq {}.\n",
     "syntax.slog": b"X = {\n",
-    "search.slog": b"subset(A,B) & subset(B,C) & C neq A & A neq {} & B neq C.\n",
+    "search.slog": b"subset(A,B) & subset(B,C) & un(A,D,C) & A neq {} & A neq B & B neq C & D neq C.\n",
     "holds.slog": b"pfun({[a1,1],[a1,2]}).\n",
     "fails.slog": b"un(A,B,{a1}).\n",
     "notcreated.json": EVM_CREATE.read_bytes().replace(b"seq([5,0,64,7])", b"seq([500,0,64,7])"),

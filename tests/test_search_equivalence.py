@@ -23,7 +23,14 @@ diff1 cases 5, 7 and 8, `checkpoint-ttf` condition 5 at 3 and 4, and
 `checkpoint_state` oplus1 case 5, the same condition at 3).  Two of them
 have since dropped from 11 to 7 nodes with the same witness: when a
 pending subset(A,B) has a ground B, the search tries only the subsets of B
-for A (`rcv_addr` un1 case 5 and diff1 case 7).
+for A (`rcv_addr` un1 case 5 and diff1 case 7).  Twenty Sat rows have
+since taken fewer nodes with the same witness (forward checking): a
+candidate that a pending in, nin, subset, nsubset, disj, ndisj or neq
+refutes on its own, every other argument being ground, is skipped before
+it costs a node (`rcv_addr` un1 and diff1 cases 2 to 8, `checkpoint-ttf`
+conditions 4 and 5 at 3 and 4, and `checkpoint_state` oplus1 cases 4 and
+5).  Un1 and diff1 case 8 fell from 15 to 3 nodes: `As = {a1}` is ground,
+so ndisj(As,Asm) and nsubset(As,Asm) reject each candidate for Asm.
 
 WORK pins, for the same solves, the propagation work behind each answer:
 the constraint evaluations (`solver._eval_constraint` calls) and the
@@ -71,7 +78,7 @@ PINNED = {
             "_DomL13": "{a1}",
             "_DomR13": "{a1}",
         },
-        8,
+        7,
     ),
     "checkpoint-ttf:5@3": (
         "Sat",
@@ -98,7 +105,7 @@ PINNED = {
             "_DomL13": "{a1,a2}",
             "_DomR13": "{a1}",
         },
-        12,
+        11,
     ),
     "checkpoint-ttf:6@3": ("Unsat", None, 0),
     "checkpoint-ttf:7@3": ("Unsat", None, 0),
@@ -133,7 +140,7 @@ PINNED = {
             "_DomL13": "{a1}",
             "_DomR13": "{a1}",
         },
-        8,
+        7,
     ),
     "checkpoint-ttf:5@4": (
         "Sat",
@@ -160,7 +167,7 @@ PINNED = {
             "_DomL13": "{a1,a2}",
             "_DomR13": "{a1}",
         },
-        12,
+        11,
     ),
     "checkpoint-ttf:6@4": ("Unsat", None, 0),
     "checkpoint-ttf:7@4": ("Unsat", None, 0),
@@ -189,7 +196,7 @@ PINNED = {
             "PsAs": "{}",
             "PsD": "{[this,a1,connectMsg]}",
         },
-        2,
+        1,
     ),
     "rcv_addr:un1:3@3": (
         "Sat",
@@ -202,7 +209,7 @@ PINNED = {
             "PsAs": "{[this,a1,addrMsg({a1})]}",
             "PsD": "{}",
         },
-        2,
+        1,
     ),
     "rcv_addr:un1:4@3": (
         "Sat",
@@ -215,7 +222,7 @@ PINNED = {
             "PsAs": "{[this,a1,addrMsg({a1})]}",
             "PsD": "{}",
         },
-        2,
+        1,
     ),
     "rcv_addr:un1:5@3": (
         "Sat",
@@ -228,7 +235,7 @@ PINNED = {
             "PsAs": "{[this,a1,addrMsg({a1,a2})],[this,a2,addrMsg({a1,a2})]}",
             "PsD": "{}",
         },
-        7,
+        3,
     ),
     "rcv_addr:un1:6@3": (
         "Sat",
@@ -241,7 +248,7 @@ PINNED = {
             "PsAs": "{[this,a1,addrMsg({a1,a2})]}",
             "PsD": "{[this,a2,connectMsg]}",
         },
-        5,
+        2,
     ),
     "rcv_addr:un1:7@3": (
         "Sat",
@@ -254,7 +261,7 @@ PINNED = {
             "PsAs": "{[this,a1,addrMsg({a1,a2})]}",
             "PsD": "{[this,a2,connectMsg]}",
         },
-        6,
+        2,
     ),
     "rcv_addr:un1:8@3": (
         "Sat",
@@ -267,7 +274,7 @@ PINNED = {
             "PsAs": "{[this,a1,addrMsg({a1,a2,a3})],[this,a2,addrMsg({a1,a2,a3})]}",
             "PsD": "{[this,a3,connectMsg]}",
         },
-        15,
+        3,
     ),
     "rcv_addr:diff1:1@3": (
         "Sat",
@@ -293,7 +300,7 @@ PINNED = {
             "PsAs": "{[this,a1,addrMsg({a1})]}",
             "PsD": "{}",
         },
-        2,
+        1,
     ),
     "rcv_addr:diff1:3@3": (
         "Sat",
@@ -306,7 +313,7 @@ PINNED = {
             "PsAs": "{}",
             "PsD": "{[this,a1,connectMsg]}",
         },
-        2,
+        1,
     ),
     "rcv_addr:diff1:4@3": (
         "Sat",
@@ -319,7 +326,7 @@ PINNED = {
             "PsAs": "{[this,a1,addrMsg({a1})]}",
             "PsD": "{}",
         },
-        2,
+        1,
     ),
     "rcv_addr:diff1:5@3": (
         "Sat",
@@ -332,7 +339,7 @@ PINNED = {
             "PsAs": "{[this,a1,addrMsg({a1,a2})]}",
             "PsD": "{[this,a2,connectMsg]}",
         },
-        6,
+        2,
     ),
     "rcv_addr:diff1:6@3": (
         "Sat",
@@ -345,7 +352,7 @@ PINNED = {
             "PsAs": "{[this,a1,addrMsg({a1,a2})]}",
             "PsD": "{[this,a2,connectMsg]}",
         },
-        5,
+        2,
     ),
     "rcv_addr:diff1:7@3": (
         "Sat",
@@ -358,7 +365,7 @@ PINNED = {
             "PsAs": "{[this,a1,addrMsg({a1,a2})],[this,a2,addrMsg({a1,a2})]}",
             "PsD": "{}",
         },
-        7,
+        3,
     ),
     "rcv_addr:diff1:8@3": (
         "Sat",
@@ -371,7 +378,7 @@ PINNED = {
             "PsAs": "{[this,a1,addrMsg({a1,a2,a3})],[this,a2,addrMsg({a1,a2,a3})]}",
             "PsD": "{[this,a3,connectMsg]}",
         },
-        15,
+        3,
     ),
     "rcv_addr:un2:1@3": (
         "Sat",
@@ -457,7 +464,7 @@ PINNED = {
             "_DomL13": "{a1}",
             "_DomR13": "{a1}",
         },
-        8,
+        7,
     ),
     "checkpoint_state:oplus1:5@3": (
         "Sat",
@@ -484,7 +491,7 @@ PINNED = {
             "_DomL13": "{a1,a2}",
             "_DomR13": "{a1}",
         },
-        12,
+        11,
     ),
     "checkpoint_state:oplus1:6@3": ("Unsat", None, 0),
     "checkpoint_state:oplus1:7@3": ("Unsat", None, 0),
@@ -499,8 +506,8 @@ WORK = {
     "checkpoint-ttf:1@3": (17, 0),
     "checkpoint-ttf:2@3": (20, 1),
     "checkpoint-ttf:3@3": (17, 0),
-    "checkpoint-ttf:4@3": (46, 17),
-    "checkpoint-ttf:5@3": (79, 19),
+    "checkpoint-ttf:4@3": (45, 17),
+    "checkpoint-ttf:5@3": (80, 19),
     "checkpoint-ttf:6@3": (0, 0),
     "checkpoint-ttf:7@3": (0, 0),
     "checkpoint-ttf:8@3": (0, 0),
@@ -509,27 +516,27 @@ WORK = {
     "checkpoint-ttf:1@4": (17, 0),
     "checkpoint-ttf:2@4": (20, 1),
     "checkpoint-ttf:3@4": (17, 0),
-    "checkpoint-ttf:4@4": (46, 17),
-    "checkpoint-ttf:5@4": (79, 19),
+    "checkpoint-ttf:4@4": (45, 17),
+    "checkpoint-ttf:5@4": (80, 19),
     "checkpoint-ttf:6@4": (0, 0),
     "checkpoint-ttf:7@4": (0, 0),
     "checkpoint-ttf:8@4": (0, 0),
     "rcv_addr:un1:1@3": (12, 4),
-    "rcv_addr:un1:2@3": (21, 4),
-    "rcv_addr:un1:3@3": (21, 4),
-    "rcv_addr:un1:4@3": (25, 4),
-    "rcv_addr:un1:5@3": (54, 5),
-    "rcv_addr:un1:6@3": (38, 4),
-    "rcv_addr:un1:7@3": (49, 4),
-    "rcv_addr:un1:8@3": (121, 5),
+    "rcv_addr:un1:2@3": (18, 4),
+    "rcv_addr:un1:3@3": (17, 4),
+    "rcv_addr:un1:4@3": (22, 4),
+    "rcv_addr:un1:5@3": (48, 5),
+    "rcv_addr:un1:6@3": (27, 4),
+    "rcv_addr:un1:7@3": (34, 4),
+    "rcv_addr:un1:8@3": (68, 5),
     "rcv_addr:diff1:1@3": (12, 4),
-    "rcv_addr:diff1:2@3": (21, 4),
-    "rcv_addr:diff1:3@3": (21, 4),
-    "rcv_addr:diff1:4@3": (24, 4),
-    "rcv_addr:diff1:5@3": (49, 4),
-    "rcv_addr:diff1:6@3": (38, 4),
-    "rcv_addr:diff1:7@3": (54, 5),
-    "rcv_addr:diff1:8@3": (121, 5),
+    "rcv_addr:diff1:2@3": (17, 4),
+    "rcv_addr:diff1:3@3": (18, 4),
+    "rcv_addr:diff1:4@3": (21, 4),
+    "rcv_addr:diff1:5@3": (34, 4),
+    "rcv_addr:diff1:6@3": (27, 4),
+    "rcv_addr:diff1:7@3": (48, 5),
+    "rcv_addr:diff1:8@3": (68, 5),
     "rcv_addr:un2:1@3": (16, 4),
     "rcv_addr:un2:2@3": (23, 4),
     "rcv_addr:un2:3@3": (22, 4),
@@ -541,8 +548,8 @@ WORK = {
     "checkpoint_state:oplus1:1@3": (17, 0),
     "checkpoint_state:oplus1:2@3": (20, 1),
     "checkpoint_state:oplus1:3@3": (17, 0),
-    "checkpoint_state:oplus1:4@3": (46, 17),
-    "checkpoint_state:oplus1:5@3": (79, 19),
+    "checkpoint_state:oplus1:4@3": (45, 17),
+    "checkpoint_state:oplus1:5@3": (80, 19),
     "checkpoint_state:oplus1:6@3": (0, 0),
     "checkpoint_state:oplus1:7@3": (0, 0),
     "checkpoint_state:oplus1:8@3": (0, 0),
@@ -607,3 +614,19 @@ def test_search_answers_are_unchanged(label, count_nodes, count_work):
         witness = {k: speclang.print_value(v) for k, v in sorted(r.witness.items())}
     assert (type(r).__name__, witness, count_nodes[0]) == PINNED[label]
     assert tuple(count_work) == WORK[label]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_mbt_conditions_take_as_many_nodes_in_every_scope(k, count_nodes):
+    # the 32 `mbt --all` conditions took 111, 115 and 119 nodes at 3, 4 and
+    # 5 before forward checking: un1 and diff1 case 8 tried every set for
+    # Asm against the ground singleton As, two more nodes per scope step
+    scope = Scope(atoms_per_namespace=k, max_set_card=k)
+    conditions = []
+    for name in ("rcv_addr", "checkpoint_state"):
+        t = goals.get_transition(name)
+        for occ in ttf.find_occurrences(t):
+            conditions += ttf.instantiate_partition(occ, t)
+    assert len(conditions) == 32
+    ttf.prune(conditions, scope)
+    assert count_nodes[0] == 57

@@ -1041,13 +1041,19 @@ def test_skipping_renamings_keeps_verdicts_and_witnesses(monkeypatch, count_node
 
 
 def test_subset_of_a_ground_set_tries_only_its_subsets(count_nodes):
-    # Y's candidates are {} and {a2}, the subsets of X, in every scope
-    f = F("X = {a2} & subset(Y,X) & Y neq {} & Y neq {a2}")
-    sorts = {"X": SetS(AtomS("addr")), "Y": SetS(AtomS("addr"))}
-    for k in (3, 5):
-        count_nodes[0] = 0
-        assert solve(f, Scope(atoms_per_namespace=k, max_set_card=k), sorts=sorts) == Unsat()
-        assert count_nodes[0] == 2
+    # Y's candidates are {} and {a2}, the subsets of X, in every scope.  The
+    # neq constraints refute both before they cost a node; un is no tested
+    # kind, so with W = Y both are drawn as nodes and the branch fails after
+    sets = SetS(AtomS("addr"))
+    sorts = {"X": sets, "Y": sets, "W": sets}
+    for text, nodes in (
+        ("X = {a2} & subset(Y,X) & Y neq {} & Y neq {a2}", 0),
+        ("X = {a2} & subset(Y,X) & un(Y,Y,W) & W neq {} & W neq {a2}", 2),
+    ):
+        for k in (3, 5):
+            count_nodes[0] = 0
+            assert solve(F(text), Scope(atoms_per_namespace=k, max_set_card=k), sorts=sorts) == Unsat()
+            assert count_nodes[0] == nodes, (text, k)
 
 
 # -- the structural matcher: =, neq and npfun ------------------------------------------
