@@ -84,8 +84,9 @@ from .universe import (
     Scope,
     SetS,
     TupleS,
+    _scope_atom_stream,
+    _scope_index,
     enumerate_sort,
-    scope_atoms,
     sort_contains,
 )
 from .values import EMPTY_SET, Atom, IntV, SeqV, SetV, TupV, Value, _add_atoms, is_pair
@@ -129,19 +130,10 @@ class UnknownOutcome(SetforgeError):
 
 # -- partial values -------------------------------------------------------------
 
-# A pval is either a ground Value, a PHole (reference to a possibly unbound
-# variable), or a structural node whose children are pvals.  PSet lists all
-# members of the set it denotes; duplicates merge when the set grounds.
-
-
-class PHole:
-    __slots__ = ("var",)
-
-    def __init__(self, var):
-        self.var = var
-
-    def __repr__(self):
-        return f"?{self.var}"
+# A pval is either a ground Value, the name (a str) of a variable, which
+# stands for itself while env leaves it unbound, or a structural node whose
+# children are pvals.  PSet lists all members of the set it denotes;
+# duplicates merge when the set grounds.
 
 
 class PTup:
@@ -178,24 +170,14 @@ _GROUND_OF = {PTup: TupV, PSet: SetV, PSeq: SeqV}
 
 
 def _walk(p, env):
-    while type(p) is PHole:
-        bound = env.get(p.var)
+    """The pval at the end of p's chain of variable bindings: a value, a
+    structural node or the name of an unbound variable."""
+    while type(p) is str:
+        bound = env.get(p)
         if bound is None:
             return p
         p = bound
     return p
-
-
-def _walk_name(name, env):
-    """_walk(PHole(name), env) without building the hole: the pval that
-    variable name walks to, or the name of the unbound hole it ends at."""
-    p = env.get(name)
-    while p is not None:
-        if type(p) is not PHole:
-            return p
-        name = p.var
-        p = env.get(name)
-    return name
 
 
 def resolve(p, env):
@@ -203,8 +185,8 @@ def resolve(p, env):
     structure none of whose children changed comes back as itself, and a
     child that is a Value already is kept without a call."""
     # _walk inlined: this is the search's most frequent call
-    while type(p) is PHole:
-        bound = env.get(p.var)
+    while type(p) is str:
+        bound = env.get(p)
         if bound is None:
             return p
         p = bound
@@ -234,15 +216,15 @@ _NO_SET = object()
 
 def term_pval(t: Term, env):
     """The resolved pval of a term.  Children come back resolved already, so
-    a compound is built straight from them.  An unbound variable is a hole,
-    so every comprehension and open extension in t is valued (_set_value),
-    left to right: _Defer at the first that has no value yet, KindError at
-    the first that denotes no set.  No term class has subclasses, so the
-    dispatch is on the exact type, most frequent first."""
+    a compound is built straight from them.  An unbound variable is its
+    name, so every comprehension and open extension in t is valued
+    (_set_value), left to right: _Defer at the first that has no value yet,
+    KindError at the first that denotes no set.  No term class has
+    subclasses, so the dispatch is on the exact type, most frequent first."""
     kind = type(t)
     if kind is Var:
         bound = env.get(t.name)
-        return PHole(t.name) if bound is None else resolve(bound, env)
+        return t.name if bound is None else resolve(bound, env)
     if kind is Lit:
         return t.value
     if kind is TupT:
@@ -297,31 +279,31 @@ def unify(a, b, env):
     b = resolve(b, env)
     if isinstance(a, Value) and isinstance(b, Value):
         return a == b
-    if isinstance(a, PHole):
-        if isinstance(b, PHole) and b.var == a.var:
+    if type(a) is str:
+        if type(b) is str and a == b:
             return True
-        if a.var in _open_holes(b, env, []):
+        if a in _open_holes(b, env, []):
             return False
-        env[a.var] = b
+        env[a] = b
         return True
-    if isinstance(b, PHole):
-        if b.var in _open_holes(a, env, []):
+    if type(b) is str:
+        if b in _open_holes(a, env, []):
             return False
-        env[b.var] = a
+        env[b] = a
         return True
     return _unify_struct(a, b, env)
 
 
 def _unify_struct(a, b, env):
-    akind = _shape(a)
-    bkind = _shape(b)
-    if akind != bkind:
+    # a partial node has the kind of the value it grounds to
+    kind = _GROUND_OF.get(type(a), type(a))
+    if kind is not _GROUND_OF.get(type(b), type(b)):
         return False
-    if akind in ("tuple", "seq"):
+    if kind is TupV or kind is SeqV:
         if len(a.elems) != len(b.elems):
             return False
         return _unify_pointwise(a.elems, b.elems, env)
-    if akind == "set":
+    if kind is SetV:
         if _is_empty_set(a) != _is_empty_set(b):
             return False
         ka = _keyed_elems(a, env)
@@ -350,14 +332,6 @@ def _unify_pointwise(xs, ys, env):
     return result
 
 
-_SHAPES = {TupV: "tuple", PTup: "tuple", SetV: "set", PSet: "set", SeqV: "seq", PSeq: "seq",
-           Atom: "atom", IntV: "int"}
-
-
-def _shape(p):
-    return _SHAPES.get(type(p), "hole")
-
-
 def _is_empty_set(p):
     return isinstance(p, (SetV, PSet)) and not p.elems
 
@@ -365,11 +339,11 @@ def _is_empty_set(p):
 def _neq_decide(a, b, env):
     """Three-valued disequality: True, False, or None (unknown), by a trial
     unification undone on the trail, as Prolog's dif/2 decides it.  An
-    unbound side decides nothing, unless both are the same hole."""
+    unbound side decides nothing, unless both are the same variable."""
     a = resolve(a, env)
     b = resolve(b, env)
-    if isinstance(a, PHole) or isinstance(b, PHole):
-        return False if type(a) is type(b) and a.var == b.var else None
+    if type(a) is str or type(b) is str:
+        return False if type(a) is type(b) and a == b else None
     mark = len(env)
     r = unify(a, b, env)
     bound = len(env) > mark
@@ -545,10 +519,7 @@ def _apply(args, env):
     if len(hits) == 1:
         return unify(y, hits[0], env)
     roots = [_walk(h, env) for h in hits]
-    if all(
-        isinstance(r, PHole) and isinstance(roots[0], PHole) and r.var == roots[0].var
-        for r in roots
-    ):
+    if all(type(r) is str and r == roots[0] for r in roots):
         return unify(y, roots[0], env)
     grounds = [resolve(h, env) for h in hits]
     if all(isinstance(g, Value) for g in grounds):
@@ -867,7 +838,7 @@ def _eval_open_eq(pat: SetT, s, env):
             return _unify_pointwise([elem_pvals[0], tail_pval], [s.elems[0], EMPTY_SET], env)
         return None
 
-    if isinstance(s, (PHole, PSet)):
+    if type(s) is str or isinstance(s, PSet):
         whole = _set_value(pat, env)
         if whole is None:
             return None
@@ -1017,7 +988,7 @@ class _State:
 
     __slots__ = ("scope", "constraints", "free", "names", "registry", "order", "budget", "nodes",
                  "fresh_names", "validate", "env", "watch", "sort_watch",
-                 "used_atoms", "atom_orders")
+                 "used_atoms")
 
     def __init__(self, scope, problem, budget, validate, nodes=0):
         self.scope = scope
@@ -1043,7 +1014,6 @@ class _State:
         # the literal atoms of the constraints and those held by the
         # enumerated bindings of the current decision path
         self.used_atoms = set().union(*problem.atoms)
-        self.atom_orders = {}  # (namespace, by value) -> scope atom -> position
 
     def tick(self):
         self.nodes += 1
@@ -1068,47 +1038,29 @@ def _bound_since(env, mark):
 
 
 def _open_holes(p, env, out):
-    """Append to out the unbound holes that pval p reaches through env,
-    left to right; returns out."""
+    """Append to out the names of the unbound variables (holes) that pval p
+    reaches through env, left to right; returns out."""
     p = _walk(p, env)
     kind = type(p)
-    if kind is PHole:
-        out.append(p.var)
+    if kind is str:
+        out.append(p)
     elif kind is PTup or kind is PSet or kind is PSeq:
         for e in p.elems:
             _open_holes(e, env, out)
     return out
 
 
-def _open_names(name, env, out):
-    """_open_holes(PHole(name), env, out) without building the hole."""
-    bound = env.get(name)
-    if bound is None:
-        out.append(name)
-        return out
-    return _open_holes(bound, env, out)
-
-
 def _atom_pool(st, ns, by_value, n):
     """The scope atoms of namespace ns that candidates are drawn from, in
     the stream's own order (value order, where a10 sorts before a2, or
     index order), and the unused ones among them in that order: every used
-    atom and the first n unused ones."""
-    order = st.atom_orders.get((ns, by_value))
-    if order is None:
-        atoms = scope_atoms(ns, st.scope)
-        order = st.atom_orders[ns, by_value] = {
-            a: i for i, a in enumerate(sorted(atoms) if by_value else atoms)
-        }
-    used = st.used_atoms
-    fresh = []
-    for a in order:
-        if len(fresh) == n:
-            break
-        if a not in used:
-            fresh.append(a)
-    pool = [a for a in used if a in order] + fresh
-    pool.sort(key=order.__getitem__)
+    atom and the first n unused ones.  The scope atoms are walked lazily up
+    to the n-th unused one, so the work does not grow with atoms=."""
+    scope, used = st.scope, st.used_atoms
+    stream = _scope_atom_stream(ns, scope, by_value)
+    fresh = list(itertools.islice((a for a in stream if a not in used), n))
+    pool = [a for a in used if _scope_index(a, ns, scope)] + fresh
+    pool.sort(key=None if by_value else lambda a: _scope_index(a, ns, scope))
     return pool, fresh
 
 
@@ -1135,12 +1087,11 @@ def _sort_candidates(sort, st):
     if isinstance(sort, RecordS):
         elems = []
         for fname, fsort in sort.fields:
-            hole = st.fresh(fsort)
-            elems.append(PTup((Atom(fname, "field"), PHole(hole))))
+            elems.append(PTup((Atom(fname, "field"), st.fresh(fsort))))
         yield PSet(elems)
         return
     if isinstance(sort, TupleS):
-        yield PTup(tuple(PHole(st.fresh(s)) for s in sort.elems))
+        yield PTup(tuple(st.fresh(s) for s in sort.elems))
         return
     if isinstance(sort, RelS):
         # key multisets: repeated keys with open values cover the relations
@@ -1152,7 +1103,7 @@ def _sort_candidates(sort, st):
         for card in range(0, scope.max_set_card + 1):
             for combo in itertools.combinations_with_replacement(keys, card):
                 if _is_canonical(combo, fresh):
-                    elems = [PTup((k, PHole(st.fresh(sort.val)))) for k in combo]
+                    elems = [PTup((k, st.fresh(sort.val))) for k in combo]
                     yield PSet(elems) if elems else SetV(())
         return
     if isinstance(sort, AtomS):
@@ -1176,7 +1127,7 @@ def _in_declared_universe(st, mark):
     env, sort_watch = st.env, st.sort_watch
     for name in _bound_since(env, mark):
         for var in sort_watch.get(name, ()):
-            holes = _open_names(var, env, [])
+            holes = _open_holes(var, env, [])
             if holes:
                 sort_watch.setdefault(holes[0], {})[var] = None
             elif not sort_contains(st.validate[var], resolve(env[var], env), st.scope):
@@ -1186,11 +1137,11 @@ def _in_declared_universe(st, mark):
 
 def _watch(st, i):
     """File deferred constraint i under every unbound hole it can observe:
-    the roots of its free names and the holes in their values (_open_names)."""
+    the roots of its free names and the holes in their values (_open_holes)."""
     env, watch = st.env, st.watch
     holes = []
     for name in st.free[i]:
-        _open_names(name, env, holes)
+        _open_holes(name, env, holes)
     for h in holes:
         watch.setdefault(h, {})[i] = None
 
@@ -1266,7 +1217,7 @@ def _pending_holes(st, pending):
     out = {}
     for i in pending:
         for name in st.free[i]:
-            out.update(dict.fromkeys(sorted(set(_open_names(name, env, [])))))
+            out.update(dict.fromkeys(sorted(set(_open_holes(name, env, [])))))
     return out
 
 
@@ -1283,7 +1234,7 @@ def _pick_decision(st, pending):
         # of the caller's names and the constraints'.  The first fill is no
         # decision node, and an empty universe fails the branch
         for name in itertools.chain([v for v in st.validate if v in env], st.names):
-            holes = _open_names(name, env, [])
+            holes = _open_holes(name, env, [])
             if holes:
                 var = min(holes, key=lambda h: order.get(h, len(order)))
                 return ("bind", var, _sort_candidates(st.registry.get(var) or AnyS(), st), False, ())
@@ -1293,8 +1244,8 @@ def _pick_decision(st, pending):
         if c.kind == "in":
             x = term_pval(c.args[0], env)
             s = term_pval(c.args[1], env)
-            if isinstance(s, SetV) and isinstance(x, PHole):
-                return ("bind", x.var, s.elems, True, ())
+            if isinstance(s, SetV) and type(x) is str:
+                return ("bind", x, s.elems, True, ())
         if c.kind == "un":
             a = term_pval(c.args[0], env)
             b = term_pval(c.args[1], env)
@@ -1312,7 +1263,7 @@ def _pick_decision(st, pending):
         if c.kind == "eq":
             for one, other in (c.args, c.args[::-1]):
                 if isinstance(one, Var) and _is_set_term(other):
-                    root = _walk_name(one.name, env)
+                    root = _walk(one.name, env)
                     if type(root) is str:
                         defined.add(root)
     var = min([v for v in live if v not in defined] or live, key=lambda v: order[v])
@@ -1320,7 +1271,7 @@ def _pick_decision(st, pending):
     for i in pending:
         c = st.constraints[i]
         if c.kind in _UNARY_TESTED:
-            mine = [isinstance(a, Var) and _walk_name(a.name, env) == var for a in c.args]
+            mine = [isinstance(a, Var) and _walk(a.name, env) == var for a in c.args]
             if any(mine) and all(
                 m or not _is_set_term(a) and isinstance(term_pval(a, env), Value)
                 for m, a in zip(mine, c.args)
@@ -1332,10 +1283,11 @@ def _pick_decision(st, pending):
 def _candidates(decision, st):
     """Bind the decision's candidates in env one after another, undoing the
     previous one first; yields after each binding.  A bind's candidate that
-    one of its tests answers False is skipped, env left at the trail mark:
-    the next propagation would have failed on that test, which watches var
-    (forward checking).  Every other candidate is a decision node, except
-    the first of a bind whose tick_first is False."""
+    one of its tests answers False is skipped: the next propagation would
+    have failed on that test, which watches var (forward checking).  No
+    tested kind binds anything, so a test reads the candidate's own binding.
+    Every other candidate is a decision node, except the first of a bind
+    whose tick_first is False."""
     env = st.env
     mark = len(env)
     if decision[0] == "split":
@@ -1355,12 +1307,9 @@ def _candidates(decision, st):
     added = set()  # the atoms the current candidate brought into use
     for cand in candidates:
         _undo(env, mark)
-        if tests:
-            env[var] = cand
-            admitted = all(_eval_constraint(c, env) is not False for c in tests)
-            _undo(env, mark)
-            if not admitted:
-                continue
+        env[var] = cand
+        if tests and any(_eval_constraint(c, env) is False for c in tests):
+            continue
         if tick:
             st.tick()
         tick = True
@@ -1369,7 +1318,6 @@ def _candidates(decision, st):
         _add_atoms(cand, added)
         added -= used
         used |= added
-        env[var] = cand
         yield True
     used -= added
 
@@ -1444,7 +1392,7 @@ def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DE
                 assignment[name] = val
         for name in problem.caller:  # the caller's names are registered too
             if name not in assignment:
-                val = resolve(PHole(name), env)
+                val = resolve(name, env)
                 raise SetforgeError(f"internal: witness for {name} is not ground: {val!r}")
         witness = {name: assignment[name] for name in problem.caller}
         # no second binder check: f passed it, and a comprehension lifted out

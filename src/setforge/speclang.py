@@ -274,7 +274,7 @@ class _Parser:
         return TupT(elems)
 
     def ris(self) -> Term:
-        start = self.expect("LIDENT", "'ris'")
+        self.expect("LIDENT", "'ris'")
         self.expect("LP", "'('")
         binder_tok = self.next()
         if binder_tok.kind != "UIDENT" or binder_tok.text == "_":
@@ -303,7 +303,6 @@ class _Parser:
             extra = self.formula()
             filt = conj_formulas([filt, extra])
         self.expect("RP", "')'")
-        _ = start
         return RisT(binder_tok.text, domain, filt, pattern)
 
     def seq(self) -> Term:

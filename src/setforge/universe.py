@@ -90,8 +90,45 @@ class RecordS(Sort):
 
 
 def scope_atoms(ns: str, scope: Scope):
+    return list(_scope_atom_stream(ns, scope, False))
+
+
+def _scope_atom_stream(ns: str, scope: Scope, by_value: bool):
+    """scope_atoms(ns, scope) lazily, in index order or in value order,
+    which is the order of the decimal names: a1, a10, a100, ..., a2."""
     prefix = NS_PREFIX[ns]
-    return [Atom(f"{prefix}{i}", ns) for i in range(1, scope.atoms_per_namespace + 1)]
+    count = scope.atoms_per_namespace
+    i = 1
+    for _ in range(count):
+        yield Atom(f"{prefix}{i}", ns)
+        if not by_value:
+            i += 1
+        elif i * 10 <= count:
+            i *= 10
+        else:
+            # the next name that is not an extension of i's
+            while i % 10 == 9 or i + 1 > count:
+                i //= 10
+            i += 1
+
+
+def _scope_index(v, ns: str, scope: Scope) -> int:
+    """The position of v in scope_atoms(ns, scope), from 1, or 0 when v is
+    none of them; found without listing them."""
+    if not isinstance(v, Atom) or v.ns != ns:
+        return 0
+    # only the names scope_atoms generates: no zero padding, ASCII digits
+    prefix = NS_PREFIX[ns]
+    suffix = v.name[len(prefix):]
+    if not (
+        v.name.startswith(prefix)
+        and suffix.isascii()
+        and suffix.isdigit()
+        and not suffix.startswith("0")
+    ):
+        return 0
+    i = int(suffix)
+    return i if i <= scope.atoms_per_namespace else 0
 
 
 def enumerate_sort(sort: Sort, scope: Scope):
@@ -143,18 +180,7 @@ def sort_contains(sort: Sort, v, scope: Scope) -> bool:
     if not isinstance(v, Value):
         return False
     if isinstance(sort, AtomS):
-        if not isinstance(v, Atom) or v.ns != sort.ns:
-            return False
-        # only the names scope_atoms generates: no zero padding, ASCII digits
-        prefix = NS_PREFIX[sort.ns]
-        suffix = v.name[len(prefix):]
-        return (
-            v.name.startswith(prefix)
-            and suffix.isascii()
-            and suffix.isdigit()
-            and not suffix.startswith("0")
-            and int(suffix) <= scope.atoms_per_namespace
-        )
+        return _scope_index(v, sort.ns, scope) > 0
     if isinstance(sort, IntS):
         return isinstance(v, IntV) and scope.int_lo <= v.n <= scope.int_hi
     if isinstance(sort, AnyS):

@@ -1,4 +1,7 @@
 import itertools
+import random
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -42,11 +45,12 @@ from setforge.universe import (
     RecordS,
     SetS,
     TupleS,
+    _scope_atom_stream,
     enumerate_sort,
     scope_atoms,
     sort_contains,
 )
-from setforge.values import EMPTY_SET, Atom, IntV, SeqV, SetV, TupV, Value, atom, vset
+from setforge.values import EMPTY_SET, NS_PREFIX, Atom, IntV, SeqV, SetV, TupV, Value, atom, vset
 
 TINY = Scope(atoms_per_namespace=2, int_lo=0, int_hi=3, max_set_card=2, max_seq_len=2)
 
@@ -1017,6 +1021,61 @@ def _every_atom_used(st, ns, by_value, n):
     return (sorted(atoms) if by_value else atoms), []
 
 
+def _listed_scope_atoms(ns, scope):
+    """scope_atoms as first written, a reference: the list built at once."""
+    return [Atom(f"{NS_PREFIX[ns]}{i}", ns) for i in range(1, scope.atoms_per_namespace + 1)]
+
+
+def _listed_atom_pool(st, ns, by_value, n):
+    """solver._atom_pool as first written, a reference: every scope atom is
+    listed and given its position in the stream's order."""
+    atoms = _listed_scope_atoms(ns, st.scope)
+    order = {a: i for i, a in enumerate(sorted(atoms) if by_value else atoms)}
+    fresh = [a for a in order if a not in st.used_atoms][:n]
+    pool = sorted([a for a in st.used_atoms if a in order] + fresh, key=order.__getitem__)
+    return pool, fresh
+
+
+def test_atom_pool_agrees_with_the_listed_pool():
+    rng = random.Random(25)
+    for k in [*range(121), 1000]:
+        scope = Scope(atoms_per_namespace=k)
+        for ns in ("addr", "proof"):
+            listed = _listed_scope_atoms(ns, scope)
+            assert scope_atoms(ns, scope) == list(_scope_atom_stream(ns, scope, False)) == listed
+            assert list(_scope_atom_stream(ns, scope, True)) == sorted(listed)
+        for dense in (False, False, True, True):
+            # in-scope atoms, ones just past the scope, zero-padded names and
+            # atoms of other namespaces that share a name
+            used = set()
+            for _ in range(rng.randrange(12)):
+                prefix, ns = rng.choice(
+                    [("a", "addr"), ("pr", "proof"), ("a", "opaque"), ("a0", "addr"), ("h", "hash")]
+                )
+                used.add(Atom(f"{prefix}{rng.randint(1, k + 2)}", ns))
+            if dense:  # all but a few scope atoms, so the unused ones lie deep in the stream
+                for ns in ("addr", "proof"):
+                    kept = max(0, k - rng.randrange(6))
+                    used.update(rng.sample(_listed_scope_atoms(ns, scope), kept))
+            st = SimpleNamespace(scope=scope, used_atoms=used)
+            for ns, by_value, n in itertools.product(("addr", "proof"), (False, True), (0, 1, 3)):
+                got = solver._atom_pool(st, ns, by_value, n)
+                assert got == _listed_atom_pool(st, ns, by_value, n), (k, dense, ns, by_value, n)
+
+
+def test_atom_pool_lists_no_scope_atoms_it_does_not_return():
+    st = SimpleNamespace(scope=Scope(atoms_per_namespace=50_000),
+                         used_atoms={atom("a1"), atom("a10"), atom("a49999")})
+    for by_value in (False, True):
+        tracemalloc.start()
+        try:
+            solver._atom_pool(st, "addr", by_value, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (by_value, peak)
+
+
 def test_skipping_renamings_keeps_verdicts_and_witnesses(monkeypatch, count_nodes):
     """Against the full enumeration at atoms=3, where the generated literals
     name only a1 and a2: the same answers, never more nodes, and fewer on
@@ -1136,9 +1195,9 @@ def test_the_matcher_answers_as_recorded(src, sorts, verdict, witness, nodes, co
 
 
 def test_neq_decide_is_three_valued_and_leaves_env_as_it_was():
-    PHole, PSeq, PSet, PTup = solver.PHole, solver.PSeq, solver.PSet, solver.PTup
+    PSeq, PSet, PTup = solver.PSeq, solver.PSet, solver.PTup
     a1, a2, one, two = atom("a1"), atom("a2"), IntV(1), IntV(2)
-    x, z, y = PHole("X"), PHole("Z"), PHole("Y")  # Y is bound to a1
+    x, z, y = "X", "Z", "Y"  # a variable is its name; Y is bound to a1
     cases = [
         (a1, a2, True),
         (a1, a1, False),
@@ -1174,7 +1233,7 @@ def _random_pval(gen, names, depth):
     if not names or roll < 0.2 or (depth == 0 and roll < 0.5):
         return gen.value(1)
     if depth == 0 or roll < 0.5:
-        return solver.PHole(gen.rng.choice(names))
+        return gen.rng.choice(names)
     node = gen.rng.choice([solver.PTup, solver.PSet, solver.PSeq])
     size = gen.rng.randrange(2 if node is solver.PTup else 0, 4)
     elems = [_random_pval(gen, names, depth - 1) for _ in range(size)]
@@ -1190,7 +1249,7 @@ def _random_env(gen, names):
     for i, name in enumerate(names):
         later, roll = names[i + 1:], gen.rng.random()
         if later and roll < 0.25:
-            env[name] = solver.PHole(gen.rng.choice(later))
+            env[name] = gen.rng.choice(later)
         elif roll < 0.6:
             env[name] = _random_pval(gen, later, 2)
     return env
@@ -1199,7 +1258,7 @@ def _random_env(gen, names):
 def _rebuilt(p, env):
     """resolve as first written: every structure is rebuilt."""
     p = solver._walk(p, env)
-    if isinstance(p, (Value, solver.PHole)):
+    if isinstance(p, (Value, str)):
         return p
     rs = [_rebuilt(e, env) for e in p.elems]
     if all(isinstance(r, Value) for r in rs):
@@ -1209,33 +1268,43 @@ def _rebuilt(p, env):
 
 def _plain(p):
     """A pval as nested tuples of its node types, hole names and values."""
-    if isinstance(p, solver.PHole):
-        return ("?", p.var)
+    if isinstance(p, str):
+        return ("?", p)
     if isinstance(p, Value):
         return p
     return (type(p).__name__, tuple(_plain(e) for e in p.elems))
 
 
 def _bound_under(p, env):
-    if isinstance(p, solver.PHole):
-        return p.var in env
+    if isinstance(p, str):
+        return p in env
     return not isinstance(p, Value) and any(_bound_under(e, env) for e in p.elems)
 
 
-def test_name_walks_and_resolve_agree_with_the_hole_walks(gen):
+def _root(p, env):
+    """_walk by recursion: a name that env binds walks on to its binding."""
+    return _root(env[p], env) if isinstance(p, str) and p in env else p
+
+
+def _holes(p, env):
+    """_open_holes by recursion: the unbound names under p, left to right."""
+    p = _root(p, env)
+    if isinstance(p, str):
+        return [p]
+    return [] if isinstance(p, Value) else [h for e in p.elems for h in _holes(e, env)]
+
+
+def test_walks_and_resolve_agree_with_reference_walkers(gen):
     names = [f"H{i}" for i in range(8)]
     kept = rebuilt = 0
     for _ in range(300):
         env = _random_env(gen, names)
         for name in names:
-            root = solver._walk(solver.PHole(name), env)
-            got = solver._walk_name(name, env)
-            assert got == root.var if isinstance(root, solver.PHole) else got is root
-            assert solver._open_names(name, env, []) == solver._open_holes(
-                solver.PHole(name), env, []
-            )
+            assert solver._walk(name, env) is _root(name, env)
+            assert solver._open_holes(name, env, []) == _holes(name, env)
         for _ in range(10):
             p = _random_pval(gen, names, 3)
+            assert solver._open_holes(p, env, []) == _holes(p, env)
             got, want = solver.resolve(p, env), _rebuilt(p, env)
             assert type(got) is type(want) and _plain(got) == _plain(want), p
             if isinstance(p, (solver.PTup, solver.PSet, solver.PSeq)) and not isinstance(got, Value):
