@@ -28,11 +28,11 @@ work is moved ahead of search wherever possible:
   comprehensions and open extensions into equations, gives variables
   their sorts and rewrites by rules that hold in every scope, so a
   conjunct it refutes has no model in any scope;
-* atoms are symmetric until something names them: an atom, a set of atoms
-  or a relation keyed by atoms is tried only as the canonical renaming of
-  the scope atoms that no literal names and no enumerated binding of the
-  decision path holds, so the search never retries a subtree that mirrors
-  one already refuted.
+* one generator gives every sort's candidates (_values), drawing atoms
+  from the used ones and the first few unused ones, so a decision costs
+  the same at any atoms=; a set of atoms or a relation's keys are tried
+  only as the canonical renaming of the unused atoms, so the search never
+  retries a subtree that mirrors one already refuted.
 
 Unsat therefore always means "no model within the scope's universes", and
 every Sat answer carries a witness that is re-checked by direct ground
@@ -79,17 +79,18 @@ from .universe import (
     DEFAULT_SCOPE,
     AnyS,
     AtomS,
+    IntS,
     RecordS,
     RelS,
     Scope,
+    SeqS,
     SetS,
     TupleS,
     _scope_atom_stream,
     _scope_index,
-    enumerate_sort,
     sort_contains,
 )
-from .values import EMPTY_SET, Atom, IntV, SeqV, SetV, TupV, Value, _add_atoms, is_pair
+from .values import EMPTY_SET, ENUMERABLE_NS, Atom, IntV, SeqV, SetV, TupV, Value, _add_atoms, is_pair
 
 DEFAULT_BUDGET = 500_000
 
@@ -986,11 +987,11 @@ class _State:
     """Search state of one disjunct: its compiled problem, the env, the
     watch lists and the atoms in use."""
 
-    __slots__ = ("scope", "constraints", "free", "names", "registry", "order", "budget", "nodes",
-                 "fresh_names", "validate", "env", "watch", "sort_watch",
+    __slots__ = ("scope", "constraints", "free", "names", "registry", "order", "budget", "tried",
+                 "nodes", "fresh_names", "validate", "env", "watch", "sort_watch",
                  "used_atoms")
 
-    def __init__(self, scope, problem, budget, validate, nodes=0):
+    def __init__(self, scope, problem, budget, validate, tried=0):
         self.scope = scope
         self.constraints = problem.constraints
         self.free = problem.free  # per constraint: its free names in first-occurrence order
@@ -998,7 +999,8 @@ class _State:
         self.registry = dict(problem.sorts)  # ordered: var -> Sort
         self.order = {name: i for i, name in enumerate(problem.sorts)}
         self.budget = budget
-        self.nodes = nodes  # decision nodes so far, earlier disjuncts included
+        self.tried = tried  # candidates tried so far, earlier disjuncts included
+        self.nodes = 0  # decision nodes of this disjunct
         self.fresh_names = _fresh_names("_H", self.registry)
         # caller-declared sorts define the in-scope universe of their
         # variables: a propagated binding outside it fails the branch
@@ -1015,10 +1017,13 @@ class _State:
         # enumerated bindings of the current decision path
         self.used_atoms = set().union(*problem.atoms)
 
+    def charge(self):
+        self.tried += 1
+        if self.tried > self.budget:
+            raise _Budget()
+
     def tick(self):
         self.nodes += 1
-        if self.nodes > self.budget:
-            raise _Budget()
 
     def fresh(self, sort):
         name = next(self.fresh_names)
@@ -1066,57 +1071,97 @@ def _atom_pool(st, ns, by_value, n):
 
 def _is_canonical(combo, fresh):
     """Whether the unused atoms in combo, a candidate's atoms in pool
-    order, are the first unused ones."""
-    unused = list(dict.fromkeys(a for a in combo if a in fresh))
-    return unused == fresh[: len(unused)]
+    order, are the first unused ones of each namespace: fresh lists each
+    namespace's unused pool atoms in pool order."""
+    for ns_fresh in fresh:
+        unused = list(dict.fromkeys(a for a in combo if a in ns_fresh))
+        if unused != ns_fresh[: len(unused)]:
+            return False
+    return True
+
+
+def _subsets(base, card, pick=itertools.combinations):
+    """pick(base, k) for k from 0 to card: the sub-tuples of base by size."""
+    return itertools.chain.from_iterable(pick(base, k) for k in range(card + 1))
+
+
+def _atom_bound(sort, scope):
+    """At least the most distinct atoms of one namespace in a sort's value."""
+    kind = type(sort)
+    if kind is SetS or kind is SeqS:
+        size = scope.max_set_card if kind is SetS else scope.max_seq_len
+        return size * _atom_bound(sort.elem, scope)
+    if kind is RelS:
+        return scope.max_set_card * (_atom_bound(sort.key, scope) + _atom_bound(sort.val, scope))
+    if kind is TupleS or kind is RecordS:
+        parts = sort.elems if kind is TupleS else dict(sort.fields).values()
+        return sum(_atom_bound(s, scope) for s in parts)
+    return 0 if kind is IntS else 1
+
+
+def _values(sort, st, n, by_value=False, fresh=None):
+    """The sort's ground values in its universe's order (atoms by index,
+    integers ascending, sets, a relation being one, by cardinality and then
+    by members in value order, sequences by length, tuples and records as
+    products), less those with an unused atom outside _atom_pool(st, ns,
+    by_value, n), by_value holding inside a set.  An atom sort appends each
+    namespace's unused pool atoms, a list, to fresh, if given."""
+    scope = st.scope
+    kind = type(sort)
+    if kind is AtomS or kind is AnyS:
+        for ns in (sort.ns,) if kind is AtomS else ENUMERABLE_NS:
+            pool, unused = _atom_pool(st, ns, by_value, n)
+            if fresh is not None:
+                fresh.append(unused)
+            yield from pool
+    if kind is IntS or kind is AnyS:
+        yield from map(IntV, range(scope.int_lo, scope.int_hi + 1))
+    elif kind is SetS or kind is RelS:
+        elem = sort.elem if kind is SetS else TupleS((sort.key, sort.val))
+        yield from map(SetV, _subsets(sorted(_values(elem, st, n, True)), scope.max_set_card))
+    elif kind is SeqS:
+        base = list(_values(sort.elem, st, n, by_value))
+        for length in range(scope.max_seq_len + 1):
+            yield from map(SeqV, itertools.product(base, repeat=length))
+    elif kind is TupleS:
+        yield from map(TupV, itertools.product(*[list(_values(s, st, n, by_value)) for s in sort.elems]))
+    elif kind is RecordS:
+        names = [Atom(f, "field") for f, _ in sort.fields]
+        for combo in itertools.product(*[list(_values(s, st, n, by_value)) for _, s in sort.fields]):
+            yield SetV(map(TupV, zip(names, combo)))
 
 
 def _sort_candidates(sort, st):
-    """Yield (pval, ()) decisions for a variable of the given sort.  Record,
-    tuple and relation sorts produce structural templates whose open slots
-    are fresh registered variables, so only the parts a constraint actually
-    examines get enumerated.
-
-    Atoms, sets of atoms and relations keyed by atoms skip every candidate
-    that renames an earlier one by a permutation of unused atoms: scope
-    atoms that no literal names and no enumerated binding of the decision
-    path holds.  Such a renaming maps the constraints, the scope and the
-    bindings so far to themselves, and the stream lists the canonical
-    renaming, whose unused atoms come first, before the others."""
-    scope = st.scope
-    if isinstance(sort, RecordS):
-        elems = []
-        for fname, fsort in sort.fields:
-            elems.append(PTup((Atom(fname, "field"), st.fresh(fsort))))
-        yield PSet(elems)
-        return
-    if isinstance(sort, TupleS):
+    """The candidates for a variable of the given sort, in its universe's
+    order: a structural template for a record or a tuple and one per key
+    multiset for a relation, whose open slots are fresh registered
+    variables, else the sort's ground values (_values).  A set of atoms or
+    a relation's keys skip every candidate that renames an earlier one by a
+    permutation of unused atoms: scope atoms that no literal names and no
+    enumerated binding of the decision path holds.  Such a renaming maps
+    the constraints, the scope and the bindings so far to themselves, and
+    the stream lists the canonical renaming first."""
+    scope, card = st.scope, st.scope.max_set_card
+    kind = type(sort)
+    if kind is RecordS:
+        yield PSet([PTup((Atom(f, "field"), st.fresh(s))) for f, s in sort.fields])
+    elif kind is TupleS:
         yield PTup(tuple(st.fresh(s) for s in sort.elems))
-        return
-    if isinstance(sort, RelS):
+    elif kind is RelS:
         # key multisets: repeated keys with open values cover the relations
         # that are not partial functions
-        if isinstance(sort.key, AtomS):
-            keys, fresh = _atom_pool(st, sort.key.ns, False, scope.max_set_card)
-        else:
-            keys, fresh = list(enumerate_sort(sort.key, scope)), []
-        for card in range(0, scope.max_set_card + 1):
-            for combo in itertools.combinations_with_replacement(keys, card):
-                if _is_canonical(combo, fresh):
-                    elems = [PTup((k, st.fresh(sort.val))) for k in combo]
-                    yield PSet(elems) if elems else SetV(())
-        return
-    if isinstance(sort, AtomS):
-        yield from _atom_pool(st, sort.ns, False, 1)[0]
-        return
-    if isinstance(sort, SetS) and isinstance(sort.elem, AtomS):
-        base, fresh = _atom_pool(st, sort.elem.ns, True, scope.max_set_card)
-        for card in range(0, scope.max_set_card + 1):
-            for combo in itertools.combinations(base, card):
-                if _is_canonical(combo, fresh):
-                    yield SetV(combo)
-        return
-    yield from enumerate_sort(sort, scope)
+        fresh = []
+        keys = list(_values(sort.key, st, card * _atom_bound(sort.key, scope), False, fresh))
+        for combo in _subsets(keys, card, itertools.combinations_with_replacement):
+            if _is_canonical(combo, fresh):
+                yield PSet([PTup((k, st.fresh(sort.val))) for k in combo]) if combo else EMPTY_SET
+    elif kind is SetS and type(sort.elem) in (AtomS, AnyS):
+        fresh = []
+        for combo in _subsets(sorted(_values(sort.elem, st, card, True, fresh)), card):
+            if _is_canonical(combo, fresh):
+                yield SetV(combo)
+    else:
+        yield from _values(sort, st, _atom_bound(sort, scope))
 
 
 def _in_declared_universe(st, mark):
@@ -1287,12 +1332,14 @@ def _candidates(decision, st):
     have failed on that test, which watches var (forward checking).  No
     tested kind binds anything, so a test reads the candidate's own binding.
     Every other candidate is a decision node, except the first of a bind
-    whose tick_first is False."""
+    whose tick_first is False.  Every candidate and every placement is
+    charged to the budget, before its tests run."""
     env = st.env
     mark = len(env)
     if decision[0] == "split":
         _, a, b, out = decision
         for combo in itertools.product((_PLACE_A, _PLACE_B, _PLACE_BOTH), repeat=len(out.elems)):
+            st.charge()
             st.tick()
             _undo(env, mark)
             left = SetV([e for e, w in zip(out.elems, combo) if w != _PLACE_B])
@@ -1308,6 +1355,7 @@ def _candidates(decision, st):
     for cand in candidates:
         _undo(env, mark)
         env[var] = cand
+        st.charge()
         if tests and any(_eval_constraint(c, env) is False for c in tests):
             continue
         if tick:
@@ -1363,25 +1411,25 @@ def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DE
     Unsat is scope-relative.  Enumeration order is fixed (atoms in namespace
     order, integers ascending, sets by cardinality then element order), so
     identical inputs give identical answers.  The budget bounds the
-    decision nodes of all disjuncts together.
+    candidates that all disjuncts together try, tested or not.
     """
     declared = dict(sorts or {})
     budget = DEFAULT_BUDGET if budget is None else budget
-    nodes = 0
+    tried = 0
     unknown = None
     for disjunct in f.disjuncts:
         problem = _compile(disjunct, declared)
         if problem.constraints is None:
             continue
-        st = _State(scope, problem, budget, declared, nodes)
+        st = _State(scope, problem, budget, declared, tried)
         try:
             found = _search(st)
         except _Budget:
-            return Unknown(f"search budget exceeded ({budget} decision nodes)")
+            return Unknown(f"search budget exceeded ({budget} candidates tried)")
         except _Stuck as e:
             unknown = Unknown(str(e))
             found = False
-        nodes = st.nodes
+        tried = st.tried
         if not found:
             continue
         env = st.env

@@ -1,16 +1,15 @@
-"""Enumeration scopes and sorted value universes for bounded solving.
+"""Enumeration scopes, sorts and membership in a sort's universe.
 
 A Scope fixes finite bounds: how many atoms each namespace contributes, the
 integer interval, the largest set cardinality and the longest sequence.
-Sorts describe the shape of a variable's candidate space; every sort
-enumerates to a finite, deterministically ordered stream of ground values
-(atoms in namespace order, integers ascending, sets by cardinality then
-element order, sequences by length then element order).
+Sorts describe the shape of a variable's candidate space, and a sort's
+universe is the finite set of its ground values within a scope.
+sort_contains tests membership in it without listing it; the search draws
+its candidates itself (solver._values), from the scope atoms of each
+namespace, a1 to aN, which _scope_atom_stream names lazily.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from ._frozen import Frozen
 from .errors import KindError
@@ -89,13 +88,10 @@ class RecordS(Sort):
     fields: tuple
 
 
-def scope_atoms(ns: str, scope: Scope):
-    return list(_scope_atom_stream(ns, scope, False))
-
-
 def _scope_atom_stream(ns: str, scope: Scope, by_value: bool):
-    """scope_atoms(ns, scope) lazily, in index order or in value order,
-    which is the order of the decimal names: a1, a10, a100, ..., a2."""
+    """The scope atoms of namespace ns, a1 to aN, lazily, in index order or
+    in value order, which is the order of the decimal names: a1, a10, a100,
+    ..., a2."""
     prefix = NS_PREFIX[ns]
     count = scope.atoms_per_namespace
     i = 1
@@ -113,11 +109,11 @@ def _scope_atom_stream(ns: str, scope: Scope, by_value: bool):
 
 
 def _scope_index(v, ns: str, scope: Scope) -> int:
-    """The position of v in scope_atoms(ns, scope), from 1, or 0 when v is
-    none of them; found without listing them."""
+    """The index of v among the scope atoms of namespace ns, a1 to aN, from
+    1, or 0 when v is none of them; found without listing them."""
     if not isinstance(v, Atom) or v.ns != ns:
         return 0
-    # only the names scope_atoms generates: no zero padding, ASCII digits
+    # only the scope atoms' names: no zero padding, ASCII digits
     prefix = NS_PREFIX[ns]
     suffix = v.name[len(prefix):]
     if not (
@@ -131,52 +127,8 @@ def _scope_index(v, ns: str, scope: Scope) -> int:
     return i if i <= scope.atoms_per_namespace else 0
 
 
-def enumerate_sort(sort: Sort, scope: Scope):
-    """Lazy stream of all ground values of the sort, in the fixed order."""
-    if isinstance(sort, AtomS):
-        yield from scope_atoms(sort.ns, scope)
-    elif isinstance(sort, IntS):
-        for n in range(scope.int_lo, scope.int_hi + 1):
-            yield IntV(n)
-    elif isinstance(sort, AnyS):
-        for ns in ENUMERABLE_NS:
-            yield from scope_atoms(ns, scope)
-        for n in range(scope.int_lo, scope.int_hi + 1):
-            yield IntV(n)
-    elif isinstance(sort, SetS):
-        base = sorted(enumerate_sort(sort.elem, scope))
-        for card in range(0, scope.max_set_card + 1):
-            for combo in itertools.combinations(base, card):
-                yield SetV(combo)
-    elif isinstance(sort, RelS):
-        pairs = sorted(
-            TupV((k, v))
-            for k in enumerate_sort(sort.key, scope)
-            for v in enumerate_sort(sort.val, scope)
-        )
-        for card in range(0, scope.max_set_card + 1):
-            for combo in itertools.combinations(pairs, card):
-                yield SetV(combo)
-    elif isinstance(sort, SeqS):
-        base = list(enumerate_sort(sort.elem, scope))
-        for ln in range(0, scope.max_seq_len + 1):
-            for combo in itertools.product(base, repeat=ln):
-                yield SeqV(combo)
-    elif isinstance(sort, TupleS):
-        streams = [list(enumerate_sort(s, scope)) for s in sort.elems]
-        for combo in itertools.product(*streams):
-            yield TupV(combo)
-    elif isinstance(sort, RecordS):
-        names = [f for f, _ in sort.fields]
-        streams = [list(enumerate_sort(s, scope)) for _, s in sort.fields]
-        for combo in itertools.product(*streams):
-            yield SetV([TupV((Atom(f, "field"), v)) for f, v in zip(names, combo)])
-    else:
-        raise KindError(f"cannot enumerate sort {sort!r}")
-
-
 def sort_contains(sort: Sort, v, scope: Scope) -> bool:
-    """Membership in the sort's enumerated universe, without enumerating."""
+    """Membership in the sort's universe within the scope, without listing it."""
     if not isinstance(v, Value):
         return False
     if isinstance(sort, AtomS):

@@ -82,3 +82,18 @@ def count_nodes(monkeypatch):
 
     monkeypatch.setattr(solver, "_State", CountingState)
     return counter
+
+
+@pytest.fixture
+def count_tried(monkeypatch):
+    """Counts the candidates the search tries, tested or not, by wrapping
+    the search state's charge to the budget."""
+    counter = [0]
+
+    class CountingState(solver._State):
+        def charge(self):
+            counter[0] += 1
+            super().charge()
+
+    monkeypatch.setattr(solver, "_State", CountingState)
+    return counter

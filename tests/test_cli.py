@@ -357,7 +357,7 @@ _FILES = {
 
 
 def _three_nodes(monkeypatch):
-    """eval, prove FILE and the mbt conditions search at most 3 nodes."""
+    """eval, prove FILE and the mbt conditions try at most 3 candidates."""
     def solve(f, scope=DEFAULT_SCOPE, sorts=None, budget=None):
         return solver.solve(f, scope, sorts=sorts, budget=3)
     monkeypatch.setattr(cli, "solve", solve)
@@ -374,7 +374,7 @@ def _counterexample(monkeypatch):
 def _solver_gives_up(monkeypatch):
     """Every solve inside the library answers Unknown."""
     monkeypatch.setattr(solver, "solve",
-                        lambda *a, **k: Unknown("search budget exceeded (3 decision nodes)"))
+                        lambda *a, **k: Unknown("search budget exceeded (3 candidates tried)"))
 
 
 _PATCHES = {"three-nodes": _three_nodes, "counterexample": _counterexample,
@@ -475,12 +475,12 @@ REPORTS = [
      "",
      "error: cannot read {tmp}/missing.slog: [Errno 2] No such file or directory: '{tmp}/missing.slog'\n"),
     ("three-nodes", ["eval", "{tmp}/search.slog"], 1,
-     "Unknown: search budget exceeded (3 decision nodes)\n",
+     "Unknown: search budget exceeded (3 candidates tried)\n",
      ""),
     ("three-nodes", ["eval", "{tmp}/search.slog", "--json"], 1,
      "{\n"
      '  "command": "eval",\n'
-     '  "reason": "search budget exceeded (3 decision nodes)",\n'
+     '  "reason": "search budget exceeded (3 candidates tried)",\n'
      '  "verdict": "unknown"\n'
      "}\n",
      ""),
@@ -519,13 +519,13 @@ REPORTS = [
      "}\n",
      ""),
     ("three-nodes", ["prove", "{tmp}/search.slog"], 1,
-     "Unknown: search budget exceeded (3 decision nodes)\n",
+     "Unknown: search budget exceeded (3 candidates tried)\n",
      ""),
     ("three-nodes", ["prove", "{tmp}/search.slog", "--json"], 1,
      "{\n"
      '  "command": "prove",\n'
      '  "file": "{tmp}/search.slog",\n'
-     '  "reason": "search budget exceeded (3 decision nodes)",\n'
+     '  "reason": "search budget exceeded (3 candidates tried)",\n'
      '  "verdict": "unknown"\n'
      "}\n",
      ""),
@@ -576,10 +576,10 @@ REPORTS = [
      ""),
     ("solver-gives-up", ["prove", "--goal", "psd-psas-disjoint"], 1,
      "",
-     "unknown: search budget exceeded (3 decision nodes)\n"),
+     "unknown: search budget exceeded (3 candidates tried)\n"),
     ("solver-gives-up", ["prove", "--goal", "psd-psas-disjoint", "--json"], 1,
      "",
-     "unknown: search budget exceeded (3 decision nodes)\n"),
+     "unknown: search budget exceeded (3 candidates tried)\n"),
     (None, ["prove", "--goal", "nope"], 2,
      "",
      "error: unknown goal 'nope'; known: checkpoint-pfun, psd-psas-disjoint, checkpoint-ttf\n"),
@@ -651,7 +651,7 @@ REPORTS = [
      "sha256:1d9419cb25a0b42bcd82916297e62c18d7479c5e44014052a55709ad25f96a35",
      ""),
     ("three-nodes", ["mbt", "--transition", "rcv_addr", "--occurrence", "un:2", "--json"], 0,
-     "sha256:14f03ccd0fea0447c285797889b3ef8c88e25ad51f8211e9a1e22ac59a8e1612",
+     "sha256:f0124dbc2b8ac85aeb49c2180a65f3020d3a634eef83bfe2150af037b0fa10cc",
      ""),
     (None, ["simulate", "{repo}/scenarios/rcvaddr2.json"], 0,
      "sha256:7eb7662620a2007dfd85f562ae02ecd2b1e7ead65ad7fb219918a924b55aa4c6",

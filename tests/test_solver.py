@@ -4,6 +4,7 @@ import tracemalloc
 from types import SimpleNamespace
 
 import pytest
+from oracle import enumerate_sort, scope_atoms
 
 from setforge import solver
 from setforge import speclang as S
@@ -46,11 +47,21 @@ from setforge.universe import (
     SetS,
     TupleS,
     _scope_atom_stream,
-    enumerate_sort,
-    scope_atoms,
     sort_contains,
 )
-from setforge.values import EMPTY_SET, NS_PREFIX, Atom, IntV, SeqV, SetV, TupV, Value, atom, vset
+from setforge.values import (
+    EMPTY_SET,
+    ENUMERABLE_NS,
+    Atom,
+    IntV,
+    SeqV,
+    SetV,
+    TupV,
+    Value,
+    _add_atoms,
+    atom,
+    vset,
+)
 
 TINY = Scope(atoms_per_namespace=2, int_lo=0, int_hi=3, max_set_card=2, max_seq_len=2)
 
@@ -101,14 +112,14 @@ def test_budget_exhaustion_reports_unknown():
 
 
 def test_budget_is_shared_by_all_disjuncts():
-    # alone, the first disjunct needs 16 decision nodes and the second 2
+    # alone, the first disjunct tries 11 candidates and the second 2
     sorts = {"A": SetS(AtomS("addr")), "B": SetS(AtomS("addr")), "C": SetS(AtomS("addr"))}
     first = F("un(A,B,C) & disj(A,C) & neq(A,{})")
     second = F("in(X,{a1,a2}) & X neq a1")
     assert isinstance(solve(first, TINY, sorts=sorts), Unsat)
     assert isinstance(solve(second, TINY, budget=10), Sat)
     r = solve(disj_of([first, second]), TINY, sorts=sorts, budget=10)
-    assert r == Unknown("search budget exceeded (10 decision nodes)")
+    assert r == Unknown("search budget exceeded (10 candidates tried)")
     assert isinstance(solve(disj_of([second, first]), TINY, sorts=sorts, budget=10), Sat)
 
 
@@ -1021,15 +1032,10 @@ def _every_atom_used(st, ns, by_value, n):
     return (sorted(atoms) if by_value else atoms), []
 
 
-def _listed_scope_atoms(ns, scope):
-    """scope_atoms as first written, a reference: the list built at once."""
-    return [Atom(f"{NS_PREFIX[ns]}{i}", ns) for i in range(1, scope.atoms_per_namespace + 1)]
-
-
 def _listed_atom_pool(st, ns, by_value, n):
     """solver._atom_pool as first written, a reference: every scope atom is
     listed and given its position in the stream's order."""
-    atoms = _listed_scope_atoms(ns, st.scope)
+    atoms = scope_atoms(ns, st.scope)
     order = {a: i for i, a in enumerate(sorted(atoms) if by_value else atoms)}
     fresh = [a for a in order if a not in st.used_atoms][:n]
     pool = sorted([a for a in st.used_atoms if a in order] + fresh, key=order.__getitem__)
@@ -1041,8 +1047,8 @@ def test_atom_pool_agrees_with_the_listed_pool():
     for k in [*range(121), 1000]:
         scope = Scope(atoms_per_namespace=k)
         for ns in ("addr", "proof"):
-            listed = _listed_scope_atoms(ns, scope)
-            assert scope_atoms(ns, scope) == list(_scope_atom_stream(ns, scope, False)) == listed
+            listed = scope_atoms(ns, scope)
+            assert list(_scope_atom_stream(ns, scope, False)) == listed
             assert list(_scope_atom_stream(ns, scope, True)) == sorted(listed)
         for dense in (False, False, True, True):
             # in-scope atoms, ones just past the scope, zero-padded names and
@@ -1056,7 +1062,7 @@ def test_atom_pool_agrees_with_the_listed_pool():
             if dense:  # all but a few scope atoms, so the unused ones lie deep in the stream
                 for ns in ("addr", "proof"):
                     kept = max(0, k - rng.randrange(6))
-                    used.update(rng.sample(_listed_scope_atoms(ns, scope), kept))
+                    used.update(rng.sample(scope_atoms(ns, scope), kept))
             st = SimpleNamespace(scope=scope, used_atoms=used)
             for ns, by_value, n in itertools.product(("addr", "proof"), (False, True), (0, 1, 3)):
                 got = solver._atom_pool(st, ns, by_value, n)
@@ -1357,3 +1363,104 @@ def test_sort_contains_agrees_with_the_enumerated_universe():
     wrong = [(s, v) for s, universe in zip(_SORTS, universes) for v in pool
              if sort_contains(s, v, scope) != (v in universe)]
     assert not wrong, wrong[:5]
+
+
+# -- the search's candidate generator against the oracle's universe -----------------
+
+
+def _generated(sort, st):
+    """The ground candidates of a variable of the sort, or, for a record,
+    tuple or relation sort, whose candidates are templates, the generator's
+    values of the sort."""
+    if isinstance(sort, (RecordS, TupleS, RelS)):
+        return list(solver._values(sort, st, solver._atom_bound(sort, st.scope)))
+    return list(solver._sort_candidates(sort, st))
+
+
+def _renamed(v, mapping):
+    if isinstance(v, Atom):
+        return mapping.get(v, v)
+    return v if isinstance(v, IntV) else type(v)([_renamed(e, mapping) for e in v.elems])
+
+
+def _renamings(v, unused):
+    """v under every permutation of the unused atoms within each namespace:
+    each one-to-one renaming of the unused atoms that v holds."""
+    held = set()
+    _add_atoms(v, held)
+    groups = {}
+    for a in held & unused:
+        groups.setdefault(a.ns, []).append(a)
+    images = [itertools.permutations([b for b in unused if b.ns == ns], len(g))
+              for ns, g in groups.items()]
+    for picks in itertools.product(*images):
+        yield _renamed(v, {a: b for g, p in zip(groups.values(), picks) for a, b in zip(g, p)})
+
+
+@pytest.mark.parametrize("sort", [*_SORTS, SetS(AnyS())], ids=repr)
+def test_the_generator_draws_the_oracles_universe_up_to_renaming(sort):
+    """The stream is the oracle's with values left out, in the same order.
+    Every value left out renames a generated one by a permutation of unused
+    atoms, and the first of each such class in the oracle's order, which the
+    full enumeration would try first, is generated.  At atoms=1 nothing is
+    left out.  At atoms=12, where a10 sorts before a2, only the sorts whose
+    universe is small there are drawn."""
+    used = {atom("a2"), atom("a17"), Atom("u1", "opaque"), Atom("u3", "proof")}
+    for k, held in itertools.product((1, 2, 3, 12), (set(), used)):
+        scope = Scope(atoms_per_namespace=k, int_lo=0, int_hi=1, max_set_card=2, max_seq_len=2)
+        oracle = list(itertools.islice(enumerate_sort(sort, scope), 5001))
+        if len(oracle) > 5000:
+            continue
+        got = _generated(sort, SimpleNamespace(scope=scope, used_atoms=held))
+        if k == 1:
+            assert got == oracle, held
+            continue
+        rest = iter(oracle)
+        assert all(v in rest for v in got), (k, held)
+        unused = {a for ns in ENUMERABLE_NS for a in scope_atoms(ns, scope)} - held
+        position = {v: i for i, v in enumerate(oracle)}
+        covered = set()
+        for v in got:
+            renamings = set(_renamings(v, unused))
+            assert min(renamings, key=position.__getitem__) in got, (k, held, v)
+            covered |= renamings
+        assert covered.issuperset(oracle), (k, held)
+
+
+# -- the search's work is bounded, by counts --------------------------------------------
+
+
+@pytest.fixture
+def count_evals(monkeypatch):
+    """Counts constraint evaluations by wrapping solver._eval_constraint."""
+    counter = [0]
+    evaluate = solver._eval_constraint
+
+    def counting_eval(*args):
+        counter[0] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(solver, "_eval_constraint", counting_eval)
+    return counter
+
+
+def test_a_set_of_any_values_costs_the_same_at_any_atoms(count_evals, count_tried):
+    answers = []
+    for k in (3, 200_000):
+        count_evals[0] = count_tried[0] = 0
+        r = solve(F("nsubset(A,B) & in(5,A)"), Scope(atoms_per_namespace=k))
+        answers.append((r, count_evals[0], count_tried[0]))
+    assert answers[0] == answers[1]
+    assert answers[0][0] == Sat({"A": vset([IntV(5)]), "B": vset([])})
+
+
+@pytest.mark.parametrize("k,declared", [(6, True), (8, True), (3, False)])
+def test_the_budget_bounds_the_candidates_tried(k, declared, count_evals, count_tried):
+    # every candidate forward checking refutes is charged too, so the
+    # budget stops the search after as many candidates at any scope
+    f = F("nsubset(D,A) & in(a2,C) & disj(A,B) & ndisj(A,B)")
+    sorts = {v: SetS(AtomS("addr")) for v in "ABCD"} if declared else None
+    r = solve(f, Scope(atoms_per_namespace=k, max_set_card=k), sorts=sorts, budget=1000)
+    assert r == Unknown("search budget exceeded (1000 candidates tried)")
+    assert count_tried[0] == 1001
+    assert count_evals[0] < 3000
