@@ -988,8 +988,7 @@ class _State:
     watch lists and the atoms in use."""
 
     __slots__ = ("scope", "constraints", "free", "names", "registry", "order", "budget", "tried",
-                 "nodes", "fresh_names", "validate", "env", "watch", "sort_watch",
-                 "used_atoms")
+                 "fresh_names", "validate", "env", "watch", "sort_watch", "used_atoms")
 
     def __init__(self, scope, problem, budget, validate, tried=0):
         self.scope = scope
@@ -1000,7 +999,6 @@ class _State:
         self.order = {name: i for i, name in enumerate(problem.sorts)}
         self.budget = budget
         self.tried = tried  # candidates tried so far, earlier disjuncts included
-        self.nodes = 0  # decision nodes of this disjunct
         self.fresh_names = _fresh_names("_H", self.registry)
         # caller-declared sorts define the in-scope universe of their
         # variables: a propagated binding outside it fails the branch
@@ -1023,7 +1021,7 @@ class _State:
             raise _Budget()
 
     def tick(self):
-        self.nodes += 1
+        """A decision node: a hook for the tests to count them by."""
 
     def fresh(self, sort):
         name = next(self.fresh_names)
@@ -1069,7 +1067,7 @@ def _atom_pool(st, ns, by_value, n):
     return pool, fresh
 
 
-def _is_canonical(combo, fresh):
+def _is_canonical(fresh, combo):
     """Whether the unused atoms in combo, a candidate's atoms in pool
     order, are the first unused ones of each namespace: fresh lists each
     namespace's unused pool atoms in pool order."""
@@ -1099,13 +1097,13 @@ def _atom_bound(sort, scope):
     return 0 if kind is IntS else 1
 
 
-def _values(sort, st, n, by_value=False, fresh=None):
+def _values(sort, st, n, by_value=False, fresh=None, keep=None):
     """The sort's ground values in its universe's order (atoms by index,
     integers ascending, sets, a relation being one, by cardinality and then
     by members in value order, sequences by length, tuples and records as
     products), less those with an unused atom outside _atom_pool(st, ns,
     by_value, n), by_value holding inside a set.  An atom sort appends each
-    namespace's unused pool atoms, a list, to fresh, if given."""
+    namespace's unused pool atoms, a list, to fresh; keep filters sets."""
     scope = st.scope
     kind = type(sort)
     if kind is AtomS or kind is AnyS:
@@ -1118,7 +1116,11 @@ def _values(sort, st, n, by_value=False, fresh=None):
         yield from map(IntV, range(scope.int_lo, scope.int_hi + 1))
     elif kind is SetS or kind is RelS:
         elem = sort.elem if kind is SetS else TupleS((sort.key, sort.val))
-        yield from map(SetV, _subsets(sorted(_values(elem, st, n, True)), scope.max_set_card))
+        members = list(_values(elem, st, n, True, fresh))
+        if type(elem) is not AtomS:  # an atom pool drawn by value is in value order
+            members.sort()
+        combos = _subsets(members, scope.max_set_card)
+        yield from map(SetV, combos if keep is None else filter(keep, combos))
     elif kind is SeqS:
         base = list(_values(sort.elem, st, n, by_value))
         for length in range(scope.max_seq_len + 1):
@@ -1153,13 +1155,11 @@ def _sort_candidates(sort, st):
         fresh = []
         keys = list(_values(sort.key, st, card * _atom_bound(sort.key, scope), False, fresh))
         for combo in _subsets(keys, card, itertools.combinations_with_replacement):
-            if _is_canonical(combo, fresh):
+            if _is_canonical(fresh, combo):
                 yield PSet([PTup((k, st.fresh(sort.val))) for k in combo]) if combo else EMPTY_SET
     elif kind is SetS and type(sort.elem) in (AtomS, AnyS):
         fresh = []
-        for combo in _subsets(sorted(_values(sort.elem, st, card, True, fresh)), card):
-            if _is_canonical(combo, fresh):
-                yield SetV(combo)
+        yield from _values(sort, st, card, False, fresh, partial(_is_canonical, fresh))
     else:
         yield from _values(sort, st, _atom_bound(sort, scope))
 

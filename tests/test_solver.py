@@ -116,11 +116,11 @@ def test_budget_is_shared_by_all_disjuncts():
     sorts = {"A": SetS(AtomS("addr")), "B": SetS(AtomS("addr")), "C": SetS(AtomS("addr"))}
     first = F("un(A,B,C) & disj(A,C) & neq(A,{})")
     second = F("in(X,{a1,a2}) & X neq a1")
-    assert isinstance(solve(first, TINY, sorts=sorts), Unsat)
-    assert isinstance(solve(second, TINY, budget=10), Sat)
-    r = solve(disj_of([first, second]), TINY, sorts=sorts, budget=10)
-    assert r == Unknown("search budget exceeded (10 candidates tried)")
-    assert isinstance(solve(disj_of([second, first]), TINY, sorts=sorts, budget=10), Sat)
+    assert isinstance(solve(first, TINY, sorts=sorts, budget=11), Unsat)
+    assert isinstance(solve(second, TINY, budget=11), Sat)
+    r = solve(disj_of([first, second]), TINY, sorts=sorts, budget=11)
+    assert r == Unknown("search budget exceeded (11 candidates tried)")
+    assert isinstance(solve(disj_of([second, first]), TINY, sorts=sorts, budget=11), Sat)
 
 
 def test_long_decision_chain_needs_no_recursion():
