@@ -27,7 +27,9 @@ work is moved ahead of search wherever possible:
 * before search, a compile that reads no scope (_compile) lifts nested
   comprehensions and open extensions into equations, gives variables
   their sorts and rewrites by rules that hold in every scope, so a
-  conjunct it refutes has no model in any scope;
+  conjunct it refutes has no model in any scope; a conjunct is compiled
+  once per process for each set of declared sorts, and every later solve
+  of an equal conjunct, at any scope, reuses that compile (_compiled);
 * one generator gives every sort's candidates (_values), drawing atoms
   from the used ones and the first few unused ones, so a decision costs
   the same at any atoms=; a set of atoms or a relation's keys are tried
@@ -47,7 +49,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from functools import partial
+from functools import lru_cache, partial
 
 from . import kernel
 from ._compile import _ARG_KINDS, _compile, _is_set_term
@@ -85,6 +87,7 @@ from .universe import (
     Scope,
     SeqS,
     SetS,
+    Sort,
     TupleS,
     _scope_atom_stream,
     _scope_index,
@@ -1403,22 +1406,38 @@ def _search(st):
 # -- public api ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _compiled(disjunct, declared):
+    """_compile's problem of a conjunct under the declared sorts, given as
+    (name, sort) pairs, kept for the process: the compile reads no scope,
+    so a scope sweep or any later solve of an equal conjunct reuses it."""
+    return _compile(disjunct, dict(declared))
+
+
 def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DEFAULT_BUDGET):
     """Find a witness for f within the scope, or establish there is none.
 
-    Each disjunct is compiled once, reading no scope (_compile), and a
-    disjunct that the compile refutes has no model in any scope; any other
-    Unsat is scope-relative.  Enumeration order is fixed (atoms in namespace
-    order, integers ascending, sets by cardinality then element order), so
-    identical inputs give identical answers.  The budget bounds the
-    candidates that all disjuncts together try, tested or not.
+    Each disjunct is compiled once per process for each set of declared
+    sorts, reading no scope (_compile), and a disjunct that the compile
+    refutes has no model in any scope; any other Unsat is scope-relative.
+    Enumeration order is fixed (atoms in namespace order, integers
+    ascending, sets by cardinality then element order), so identical
+    inputs give identical answers.  The budget bounds the candidates that
+    all disjuncts together try, tested or not.
     """
     declared = dict(sorts or {})
+    for name, sort in declared.items():
+        if not isinstance(sort, Sort):
+            raise KindError(f"the sort declared for {name!r} is not a sort: {sort!r}")
+    key = tuple(declared.items())
     budget = DEFAULT_BUDGET if budget is None else budget
     tried = 0
     unknown = None
     for disjunct in f.disjuncts:
-        problem = _compile(disjunct, declared)
+        try:
+            problem = _compiled(disjunct, key)
+        except RecursionError:  # a key too deeply nested to hash or compare is a miss
+            problem = _compile(disjunct, declared)
         if problem.constraints is None:
             continue
         st = _State(scope, problem, budget, declared, tried)

@@ -59,8 +59,19 @@ class AnyS(Sort):
     """Unsorted base universe: every enumerable atom plus every integer."""
 
 
+def _need_sorts(owner, *parts):
+    """KindError unless each of parts is a Sort: a sort is built only of
+    sorts, so it always hashes and compares."""
+    for part in parts:
+        if not isinstance(part, Sort):
+            raise KindError(f"{owner} component is not a sort: {part!r}")
+
+
 class SetS(Sort):
     elem: Sort
+
+    def __post_init__(self):
+        _need_sorts("SetS", self.elem)
 
 
 class RelS(Sort):
@@ -69,15 +80,24 @@ class RelS(Sort):
     key: Sort
     val: Sort
 
+    def __post_init__(self):
+        _need_sorts("RelS", self.key, self.val)
+
 
 class SeqS(Sort):
     elem: Sort
+
+    def __post_init__(self):
+        _need_sorts("SeqS", self.elem)
 
 
 class TupleS(Sort):
     elems: tuple
 
     def __post_init__(self):
+        if type(self.elems) is not tuple:
+            raise KindError(f"tuple sort components must be a tuple, got {self.elems!r}")
+        _need_sorts("TupleS", *self.elems)
         if len(self.elems) < 2:
             raise KindError("tuple sorts need at least 2 components")
 
@@ -86,6 +106,13 @@ class RecordS(Sort):
     """Fixed field set; fields given as a tuple of (name, sort) pairs."""
 
     fields: tuple
+
+    def __post_init__(self):
+        if type(self.fields) is not tuple or not all(
+            type(f) is tuple and len(f) == 2 and type(f[0]) is str for f in self.fields
+        ):
+            raise KindError(f"record sort fields must be a tuple of (name, sort) pairs, got {self.fields!r}")
+        _need_sorts("RecordS", *(sort for _, sort in self.fields))
 
 
 def _scope_atom_stream(ns: str, scope: Scope, by_value: bool):

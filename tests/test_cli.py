@@ -71,6 +71,18 @@ def test_eval_prints_a_deeply_nested_witness(capsys, tmp_path):
     assert S.parse_value(printed) == S.parse_value(deep)
 
 
+def test_a_deeply_nested_conjunct_is_solved_again():
+    # near the parser's limit, comparing two equal copies of the term
+    # recurses deeper than Python allows: the kept compile of the first
+    # solve cannot be looked up for the second, which compiles it again
+    n = 450
+    src = "X = " + "[" * n + "Y,1" + "],1" * (n - 1) + "] & Y = a1."
+    answers = [solver.solve(S.parse_formula(src)) for _ in range(2)]
+    assert isinstance(answers[0], solver.Sat)
+    assert answers[0] == answers[1]
+    assert answers[0].witness["Y"] == S.parse_value("a1")
+
+
 def test_eval_answers_a_formula_whose_lifted_comprehension_reuses_a_free_name(capsys, tmp_path):
     # Y binds the inner comprehension and is free in in(Y,T): the formula
     # passes the binder check, so eval answers it rather than rejecting it

@@ -12,7 +12,7 @@ from setforge import goals, ttf
 from setforge._frozen import Frozen
 from setforge.errors import KindError
 from setforge.solver import Sat, Unknown, Unsat
-from setforge.universe import AnyS, AtomS, IntS, RelS, Scope, SetS, TupleS
+from setforge.universe import AnyS, AtomS, IntS, RecordS, RelS, Scope, SeqS, SetS, TupleS
 from setforge.values import IntV, vset
 
 REPO = Path(__file__).resolve().parent.parent
@@ -95,6 +95,14 @@ def test_repr_is_the_dataclass_form():
     lambda: Scope(atoms_per_namespace=-1),
     lambda: AtomS("bogus"),
     lambda: TupleS((IntS(),)),
+    # a sort is built of sorts only, so it always hashes and compares
+    lambda: SetS([]),
+    lambda: SeqS("addr"),
+    lambda: RelS(IntS(), None),
+    lambda: TupleS((IntS(), [])),
+    lambda: TupleS([IntS(), IntS()]),
+    lambda: RecordS((("bal", 3),)),
+    lambda: RecordS((("bal", IntS(), IntS()),)),
 ])
 def test_post_init_checks_still_raise(build):
     with pytest.raises(KindError):

@@ -100,6 +100,9 @@ def _oracle(case):
 
 
 def test_clash_rule_matches_a_plain_python_oracle(monkeypatch):
+    # a kept compile skips _rewrite: start with none, so every draw's
+    # first solve is compiled and counted
+    solver._compiled.cache_clear()
     fired = [0]
     rule = _compile._rewrite
 

@@ -619,6 +619,30 @@ def test_search_answers_are_unchanged(label, count_nodes, count_work, count_trie
     assert (*count_work, count_tried[0]) == WORK[label]
 
 
+def test_a_warm_compile_gives_the_answers_of_a_cold_one(count_nodes, count_work, count_tried):
+    """Each pinned row is solved cold, its compile cleared first, then
+    again from the kept compile, after a solve of the same conjunct at
+    atoms=card=5, the scopes in reverse order (5, 4, 3)."""
+
+    def answer(formula, scope, sorts):
+        count_nodes[0] = count_work[0] = count_work[1] = count_tried[0] = 0
+        r = solver.solve(formula, scope, sorts=sorts)
+        witness = r.witness if isinstance(r, solver.Sat) else None
+        return type(r).__name__, witness, count_nodes[0], *count_work, count_tried[0]
+
+    cold = {}
+    for label, (formula, scope, sorts) in SOLVES.items():
+        solver._compiled.cache_clear()
+        cold[label] = answer(formula, scope, sorts)
+    for formula, _, sorts in SOLVES.values():
+        solver.solve(formula, Scope(atoms_per_namespace=5, max_set_card=5), sorts=sorts)
+    misses = solver._compiled.cache_info().misses
+    by_scope = sorted(SOLVES, key=lambda label: -SOLVES[label][1].atoms_per_namespace)
+    warm = {label: answer(*SOLVES[label]) for label in by_scope}
+    assert solver._compiled.cache_info().misses == misses  # every warm solve was a hit
+    assert warm == cold
+
+
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_mbt_conditions_take_as_many_nodes_in_every_scope(k, count_nodes):
     # the 32 `mbt --all` conditions took 111, 115 and 119 nodes at 3, 4 and

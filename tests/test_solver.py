@@ -8,7 +8,7 @@ from oracle import enumerate_sort, scope_atoms
 
 from setforge import solver
 from setforge import speclang as S
-from setforge.errors import SetforgeError
+from setforge.errors import KindError, SetforgeError
 from setforge.formula import (
     DUALS,
     KINDS,
@@ -1365,6 +1365,14 @@ def test_sort_contains_agrees_with_the_enumerated_universe():
     assert not wrong, wrong[:5]
 
 
+def test_solve_refuses_a_declared_sort_that_is_no_sort():
+    # before the check the first answered Sat, as Y does not occur, and the
+    # second failed late: "cannot test membership for sort []"
+    for sorts in ({"Y": []}, {"X": []}):
+        with pytest.raises(KindError, match=repr(next(iter(sorts)))):
+            solve(F("X = a1"), TINY, sorts=sorts)
+
+
 # -- the search's candidate generator against the oracle's universe -----------------
 
 
@@ -1464,3 +1472,33 @@ def test_the_budget_bounds_the_candidates_tried(k, declared, count_evals, count_
     assert r == Unknown("search budget exceeded (1000 candidates tried)")
     assert count_tried[0] == 1001
     assert count_evals[0] < 3000
+
+
+# -- the compile is kept for the process ----------------------------------------------
+
+
+def test_a_kept_compile_still_rechecks_every_witness(monkeypatch):
+    calls = []
+    check = solver.eval_ground_formula
+
+    def counting_check(f, assignment, partial_ok=False):
+        calls.append(dict(assignment))
+        return check(f, assignment, partial_ok)
+
+    monkeypatch.setattr(solver, "eval_ground_formula", counting_check)
+    solver._compiled.cache_clear()
+    f, sorts = F("un(As,{a1},As_) & As = {a2}"), {"As": SetS(AtomS("addr"))}
+    answers = [solve(f, scope, sorts=sorts) for scope in (TINY, Scope(atoms_per_namespace=3), TINY)]
+    assert solver._compiled.cache_info()[:2] == (2, 1)  # hits, misses
+    witness = {"As": vset([atom("a2")]), "As_": vset([atom("a1"), atom("a2")])}
+    assert answers == [Sat(witness)] * 3
+    assert calls == [witness] * 3
+    calls.clear()
+    assert solve(F("As = {a2} & As = {}"), TINY, sorts=sorts) == Unsat()
+    assert calls == []
+
+    # a hit whose witness fails the re-check is refused, as a miss is
+    monkeypatch.setattr(solver, "eval_ground_formula", lambda *args, **kw: False)
+    with pytest.raises(SetforgeError, match="witness failed direct re-evaluation"):
+        solve(f, TINY, sorts=sorts)
+    assert solver._compiled.cache_info()[:2] == (3, 2)
