@@ -10,6 +10,7 @@ pairs, so one term shape covers sets, relations and records uniformly.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .errors import FormulaError
 from .values import Value, _add_atoms
@@ -195,7 +196,11 @@ DUALS = {
 
 
 class Constraint:
-    __slots__ = ("kind", "args")
+    """One atomic constraint.  ``_hash`` stays unset until the first
+    ``hash(c)``, which stores it there, as a Value does: a compiled
+    conjunct is looked up by its constraints on every solve."""
+
+    __slots__ = ("kind", "args", "_hash")
 
     def __init__(self, kind: str, args):
         if kind not in KINDS:
@@ -217,7 +222,11 @@ class Constraint:
         return isinstance(other, Constraint) and self.kind == other.kind and self.args == other.args
 
     def __hash__(self):
-        return hash((self.kind, self.args))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.kind, self.args))
+            return h
 
 
 def C(kind: str, *args: Term) -> Constraint:
@@ -233,9 +242,7 @@ class Formula:
     def __init__(self, disjuncts):
         self.disjuncts = tuple(tuple(d) for d in disjuncts)
         for d in self.disjuncts:
-            for c in d:
-                if not isinstance(c, Constraint):
-                    raise FormulaError(f"not a Constraint: {c!r}")
+            _need_constraints(d)
         _check_binders(self)
 
     def is_true(self):
@@ -252,6 +259,12 @@ class Formula:
 
     def __hash__(self):
         return hash(self.disjuncts)
+
+
+def _need_constraints(conjunct):
+    for c in conjunct:
+        if not isinstance(c, Constraint):
+            raise FormulaError(f"not a Constraint: {c!r}")
 
 
 def _formula_args(f: Formula):
@@ -316,14 +329,54 @@ def free_vars(f: Formula) -> list:
     return _scan([_formula_args(f)])[0][0]
 
 
+def _binders_and_names(args):
+    """The binders of the comprehensions in the terms args outside any
+    other comprehension, as a set, and the names free in args."""
+    binders = set()
+    ((names, _, _),) = _scan([args], binders)
+    return {b for b, outermost in binders if outermost}, names
+
+
+def _refuse_clash(binders, names):
+    clash = binders.intersection(names)
+    if clash:
+        raise FormulaError(f"comprehension binder shadows free variable(s): {sorted(clash)}")
+
+
 def _check_binders(f: Formula):
     """Binder names of the comprehensions outside any other comprehension
     must not collide with variables that occur free."""
-    binders = set()
-    ((names, _, _),) = _scan([_formula_args(f)], binders)
-    clash = binders and {b for b, outermost in binders if outermost}.intersection(names)
-    if clash:
-        raise FormulaError(f"comprehension binder shadows free variable(s): {sorted(clash)}")
+    _refuse_clash(*_binders_and_names(_formula_args(f)))
+
+
+def _unchecked(disjuncts) -> Formula:
+    """The Formula of a tuple of conjunct tuples, built without the checks
+    that Formula() runs: the caller has run them or must not."""
+    f = object.__new__(Formula)
+    f.disjuncts = disjuncts
+    return f
+
+
+@lru_cache(maxsize=32)
+def _body_binders(body):
+    """_binders_and_names of a tuple of constraints, as frozensets, kept
+    for the process: a transition body is checked with each of its test
+    cases, and this scans it once."""
+    binders, names = _binders_and_names([a for c in body for a in c.args])
+    return frozenset(binders), frozenset(names)
+
+
+def _conj_after(body: tuple, extra: tuple) -> Formula:
+    """conj(body + extra), raising the FormulaError that conj would, while
+    its binder check scans only extra on each call: the outermost binders
+    and free names of the concatenation are the unions of those of its
+    parts, and body's come from _body_binders."""
+    constraints = body + extra
+    _need_constraints(constraints)
+    body_binders, body_names = _body_binders(body)
+    binders, names = _binders_and_names([a for c in extra for a in c.args])
+    _refuse_clash(body_binders.union(binders), body_names.union(names))
+    return _unchecked((constraints,))
 
 
 TRUE = Formula(((),))

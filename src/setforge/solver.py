@@ -74,6 +74,7 @@ from .formula import (
     TupT,
     Var,
     _fresh_names,
+    _unchecked,
     conj_formulas,
     negate,
 )
@@ -1046,11 +1047,15 @@ def _bound_since(env, mark):
 def _open_holes(p, env, out):
     """Append to out the names of the unbound variables (holes) that pval p
     reaches through env, left to right; returns out."""
-    p = _walk(p, env)
+    # _walk inlined, as in resolve
+    while type(p) is str:
+        bound = env.get(p)
+        if bound is None:
+            out.append(p)
+            return out
+        p = bound
     kind = type(p)
-    if kind is str:
-        out.append(p)
-    elif kind is PTup or kind is PSet or kind is PSeq:
+    if kind is PTup or kind is PSet or kind is PSeq:
         for e in p.elems:
             _open_holes(e, env, out)
     return out
@@ -1194,7 +1199,12 @@ def _watch(st, i):
         watch.setdefault(h, {})[i] = None
 
 
-def _propagate(st, pending, mark, queue):
+# what a propagation at the root or after a union's placement is asked to
+# reuse: no answers
+_NOTHING_ASKED = ({}, 0)
+
+
+def _propagate(st, pending, mark, queue, asked=_NOTHING_ASKED):
     """Run constraints to a fixpoint: first the queued ones and those that
     watch a name bound since the trail mark, then whatever their bindings
     wake.
@@ -1206,8 +1216,16 @@ def _propagate(st, pending, mark, queue):
     the next round.  That is the round-robin fixpoint minus evaluations
     that can neither bind nor decide anything, so bindings happen in the
     same order.  Returns the constraints left open, or None when one fails
-    or a declared variable grounds outside its universe."""
+    or a declared variable grounds outside its universe.
+
+    asked is (answers, length): the answers, by constraint index, that the
+    forward-checking tests just gave the candidate bound last, and the
+    env's length then (_candidates).  An answer stands in for evaluating
+    its constraint again when no binding can have changed it: True always,
+    since bindings are only added and a constraint that holds stays dropped,
+    and None while the env still has that length."""
     env, constraints, watch = st.env, st.constraints, st.watch
+    answers, asked_at = asked
     live = set(pending)  # the constraints still open
     queued = set(queue)
     for name in _bound_since(env, mark):
@@ -1221,7 +1239,10 @@ def _propagate(st, pending, mark, queue):
         while queue:
             i = heapq.heappop(queue)
             before = len(env)
-            r = _eval_constraint(constraints[i], env)
+            if i in answers and (answers[i] or before == asked_at):
+                r = answers[i]
+            else:
+                r = _eval_constraint(constraints[i], env)
             if r is False:
                 return None
             if r is None:
@@ -1258,23 +1279,22 @@ _UNARY_TESTED = frozenset(("in", "nin", "subset", "nsubset", "disj", "ndisj", "n
 
 def _pending_holes(st, pending):
     """Unbound variables the pending constraints can still observe (the
-    keys of a dict), free name by free name.  The holes that one name
-    reaches come in name order, not observation order, so _H10 before _H2:
-    the decision order rests on that."""
-    env = st.env
+    keys of a dict), free name by free name, each name walked once.  The
+    holes that one name reaches come in name order, not observation order,
+    so _H10 before _H2: the decision order rests on that."""
+    env, free = st.env, st.free
     out = {}
-    for i in pending:
-        for name in st.free[i]:
-            out.update(dict.fromkeys(sorted(set(_open_holes(name, env, [])))))
+    for name in dict.fromkeys(name for i in pending for name in free[i]):
+        out.update(dict.fromkeys(sorted(set(_open_holes(name, env, [])))))
     return out
 
 
 def _pick_decision(st, pending):
     """The next decision: ("split", a, b, out) for a union with a ground
     result, else ("bind", var, candidates, tick_first, tests), whose
-    candidates are bound to var in turn.  tests lists the pending set
-    constraints (_UNARY_TESTED) that var alone decides: var is a bare
-    argument and every other one is ground."""
+    candidates are bound to var in turn.  tests lists the indices of the
+    pending set constraints (_UNARY_TESTED) that var alone decides: var is
+    a bare argument and every other one is ground."""
     env, order = st.env, st.order
     if not pending:
         # a leaf grounds every hole it still has: first those of the bound
@@ -1324,19 +1344,36 @@ def _pick_decision(st, pending):
                 m or not _is_set_term(a) and isinstance(term_pval(a, env), Value)
                 for m, a in zip(mine, c.args)
             ):
-                tests.append(c)
+                tests.append(i)
     return ("bind", var, _sort_candidates(st.registry.get(var) or AnyS(), st), True, tests)
+
+
+def _test(tests, st):
+    """The answers of the constraints with the indices in tests to the
+    candidate just bound, by index, or None at the first that answers
+    False."""
+    env, constraints = st.env, st.constraints
+    answers = {}
+    for i in tests:
+        r = _eval_constraint(constraints[i], env)
+        if r is False:
+            return None
+        answers[i] = r
+    return answers
 
 
 def _candidates(decision, st):
     """Bind the decision's candidates in env one after another, undoing the
-    previous one first; yields after each binding.  A bind's candidate that
-    one of its tests answers False is skipped: the next propagation would
-    have failed on that test, which watches var (forward checking).  No
-    tested kind binds anything, so a test reads the candidate's own binding.
-    Every other candidate is a decision node, except the first of a bind
-    whose tick_first is False.  Every candidate and every placement is
-    charged to the budget, before its tests run."""
+    previous one first; yields after each binding what the next
+    propagation is asked to reuse (_propagate): the tests' answers to that
+    candidate and the env's length, or nothing asked after a placement.  A
+    bind's candidate that one of its tests answers False is skipped: the
+    next propagation would have failed on that test, which watches var
+    (forward checking).  No tested kind binds anything, so a test reads
+    the candidate's own binding.  Every other candidate is a decision
+    node, except the first of a bind whose tick_first is False.  Every
+    candidate and every placement is charged to the budget, before its
+    tests run."""
     env = st.env
     mark = len(env)
     if decision[0] == "split":
@@ -1348,7 +1385,7 @@ def _candidates(decision, st):
             left = SetV([e for e, w in zip(out.elems, combo) if w != _PLACE_B])
             right = SetV([e for e, w in zip(out.elems, combo) if w != _PLACE_A])
             if unify(a, left, env) is not False and unify(b, right, env) is not False:
-                yield True
+                yield _NOTHING_ASKED
         return
     _, var, candidates, tick, tests = decision
     # fresh vars registered by abandoned candidates stay in the registry:
@@ -1359,7 +1396,8 @@ def _candidates(decision, st):
         _undo(env, mark)
         env[var] = cand
         st.charge()
-        if tests and any(_eval_constraint(c, env) is False for c in tests):
+        answers = _test(tests, st)
+        if answers is None:
             continue
         if tick:
             st.tick()
@@ -1369,7 +1407,7 @@ def _candidates(decision, st):
         _add_atoms(cand, added)
         added -= used
         used |= added
-        yield True
+        yield answers, len(env)
     used -= added
 
 
@@ -1395,12 +1433,13 @@ def _search(st):
             stack.append((len(env), pending, _candidates(decision, st)))
         while stack:
             mark, pending, candidates = stack[-1]
-            if next(candidates, False):
+            asked = next(candidates, None)
+            if asked is not None:
                 break
             stack.pop()
         else:
             return False
-        pending = _propagate(st, pending, mark, [])
+        pending = _propagate(st, pending, mark, [], asked)
 
 
 # -- public api ----------------------------------------------------------------------
@@ -1423,8 +1462,18 @@ def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DE
     Enumeration order is fixed (atoms in namespace order, integers
     ascending, sets by cardinality then element order), so identical
     inputs give identical answers.  The budget bounds the candidates that
-    all disjuncts together try, tested or not.
+    all disjuncts together try, tested or not.  A term nested so deeply
+    that the compile, the search or the re-check of a witness exceeds
+    Python's recursion limit gives Unknown.
     """
+    try:
+        return _solve(f, scope, sorts, budget)
+    except RecursionError:
+        return Unknown("a term is nested too deeply to solve within Python's recursion limit")
+
+
+def _solve(f, scope, sorts, budget):
+    """solve, but for its answer to a RecursionError."""
     declared = dict(sorts or {})
     for name, sort in declared.items():
         if not isinstance(sort, Sort):
@@ -1464,9 +1513,7 @@ def solve(f: Formula, scope: Scope = DEFAULT_SCOPE, sorts=None, budget: int = DE
         witness = {name: assignment[name] for name in problem.caller}
         # no second binder check: f passed it, and a comprehension lifted out
         # of another one's domain may reuse a binder that is free elsewhere
-        recheck = object.__new__(Formula)
-        recheck.disjuncts = (problem.compiled,)
-        ok = eval_ground_formula(recheck, assignment, partial_ok=True)
+        ok = eval_ground_formula(_unchecked((problem.compiled,)), assignment, partial_ok=True)
         if ok is not True:
             raise SetforgeError(
                 f"internal: witness failed direct re-evaluation: {witness!r}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import kernel
 from ._frozen import Frozen
 from .errors import SetforgeError
-from .formula import C, Constraint, Formula, Lit, Term, Var
+from .formula import C, Constraint, Formula, Lit, Term, Var, _conj_after
 from .goals import Transition
 from .solver import Sat, Unsat, solve
 from .universe import DEFAULT_SCOPE, Scope
@@ -151,7 +151,11 @@ class TestCondition(Frozen):
 
     @property
     def formula(self) -> Formula:
-        return Formula((self.body + self.case_constraints,))
+        """The conjunction of the body and the case constraints.  Its
+        binder check scans the body once per body and each condition's
+        case constraints on every call (formula._conj_after), and raises
+        the FormulaError that the full check raises."""
+        return _conj_after(self.body, self.case_constraints)
 
     @property
     def satisfiable(self):

@@ -11,6 +11,8 @@ namespace, a1 to aN, which _scope_atom_stream names lazily.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ._frozen import Frozen
 from .errors import KindError
 from .values import ENUMERABLE_NS, NS_PREFIX, Atom, IntV, SeqV, SetV, TupV, Value
@@ -115,15 +117,21 @@ class RecordS(Sort):
         _need_sorts("RecordS", *(sort for _, sort in self.fields))
 
 
+@lru_cache(maxsize=1024)
+def _scope_atom(ns: str, i: int) -> Atom:
+    """The i-th scope atom of namespace ns, one object for the process: the
+    search draws the same few atoms in every decision."""
+    return Atom(f"{NS_PREFIX[ns]}{i}", ns)
+
+
 def _scope_atom_stream(ns: str, scope: Scope, by_value: bool):
     """The scope atoms of namespace ns, a1 to aN, lazily, in index order or
     in value order, which is the order of the decimal names: a1, a10, a100,
     ..., a2."""
-    prefix = NS_PREFIX[ns]
     count = scope.atoms_per_namespace
     i = 1
     for _ in range(count):
-        yield Atom(f"{prefix}{i}", ns)
+        yield _scope_atom(ns, i)
         if not by_value:
             i += 1
         elif i * 10 <= count:

@@ -104,6 +104,41 @@ def test_a_filter_is_a_formula_of_its_own():
         conj([C("in", Var("Y"), _ris("Y", Var("T")))])
 
 
+def test_a_test_case_that_frees_a_body_binder_clashes_when_pruned():
+    # the body binds _DomL1 and is a formula; override cases 4 to 8 add the
+    # free name _DomL1 for the left domain of the oplus at index 1, and a
+    # condition checks only what its case adds to the body
+    body = conj([
+        C("eq", Var("S"), _ris("_DomL1", Var("D"))),
+        C("oplus", Var("R"), Var("G"), Var("H")),
+    ])
+    t = goals.Transition("t", ("R", "G", "D"), (), (), ("S", "H"), body, {})
+    conds = ttf.instantiate_partition(ttf.find_occurrences(t)[0], t)
+    assert len(ttf.prune(conds[:3], _TINY)) == 3
+    for cond in conds[3:]:
+        with pytest.raises(FormulaError) as full:
+            conj(cond.body + cond.case_constraints)
+        with pytest.raises(FormulaError) as pruned:
+            ttf.prune([cond], _TINY)
+        assert str(pruned.value) == str(full.value)
+        assert str(full.value) == "comprehension binder shadows free variable(s): ['_DomL1']"
+    with pytest.raises(FormulaError, match="not a Constraint"):
+        conds[0].replace(case_constraints=("eq",)).formula
+
+
+def test_equal_constraints_built_apart_hash_equal_before_and_after_a_first_hash():
+    def build():
+        return C("in", TupT((Var("X"), A1)), _ris("Y", SetT((A1,), Var("T"))))
+
+    a, b = build(), build()
+    assert a == b and a is not b
+    first = hash(a)
+    assert hash(b) == first  # b is hashed for the first time, a remembers its hash
+    assert hash(a) == hash(b) == first
+    assert hash(build()) == first
+    assert hash(C("nin", *a.args)) != first
+
+
 # -- the term walker: free names, atoms, binders and set terms -------------------------
 
 

@@ -1,6 +1,11 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -1472,6 +1477,50 @@ def test_the_budget_bounds_the_candidates_tried(k, declared, count_evals, count_
     assert r == Unknown("search budget exceeded (1000 candidates tried)")
     assert count_tried[0] == 1001
     assert count_evals[0] < 3000
+
+
+def test_a_test_answer_left_open_is_asked_again_after_a_binding(count_evals):
+    # candidate {[a1,_H1]} for R leaves the test in([a1,1],R) open; the
+    # propagation after it runs apply(R,a1,1) first, which binds _H1 = 1,
+    # so the test's open answer is stale and in(...) is evaluated again.
+    # Reusing it would leave in(...) deferred with nothing left to watch
+    sorts = {"R": RelS(AtomS("addr"), IntS())}
+    for src in ("apply(R,a1,1) & in([a1,1],R)", "apply(R,a1,1) & nin([a1,2],R)"):
+        r = solve(F(src), TINY, sorts=sorts)
+        assert r == Sat({"R": vset([TupV((atom("a1"), IntV(1)))])})
+
+
+_DEEP_SOLVES = """
+import json
+from setforge import solver, speclang
+from setforge.errors import ParseError
+
+def nested(depth, inner):
+    return "[" * depth + inner + "],1" * (depth - 1) + "]"
+
+answers = []
+for depth in range(480, 520):
+    try:
+        f = speclang.parse_formula("X = " + nested(depth, "Y,1") + " & Y = a1.")
+    except ParseError:
+        continue
+    answers.append(type(solver.solve(f)).__name__)
+f = speclang.parse_formula(nested(400, "X,1") + " = " + nested(400, "a1,1") + ".")
+print(json.dumps([answers, solver.solve(f).reason]))
+"""
+
+
+def test_a_term_nested_too_deeply_to_solve_answers_unknown():
+    # from a top-level script, the parser takes X = [[...[Y,1]...,1],1] a
+    # few levels deeper than the Sat re-check can evaluate it, and a deep
+    # equation of two tuples exceeds the recursion limit in the search
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    r = subprocess.run([sys.executable, "-c", _DEEP_SOLVES], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    answers, reason = json.loads(r.stdout)
+    assert answers[0] == "Sat" and answers[-1] == "Unknown"
+    assert set(answers) == {"Sat", "Unknown"}
+    assert reason == "a term is nested too deeply to solve within Python's recursion limit"
 
 
 # -- the compile is kept for the process ----------------------------------------------
