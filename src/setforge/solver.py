@@ -21,9 +21,10 @@ work is moved ahead of search wherever possible:
   determines its domain, whether it is a partial function, and how an
   override rewrites it.  Open positions are holes (fresh variables) that
   are only enumerated if some constraint actually looks at them;
-* set-membership and union constraints with a known result act as
-  generators, proposing candidate decompositions in a fixed order, and a
-  subset of a known set is drawn from that set's subsets only;
+* every decision binds, in a fixed order: a member of a known set to its
+  elements, a union's operand pair to the splits of its known result, else
+  a hole to its sort's values, skipping those that a set constraint on the
+  hole alone refutes; a candidate that binds nothing is followed by a hole;
 * before search, a compile that reads no scope (_compile) lifts nested
   comprehensions and open extensions into equations, gives variables
   their sorts and rewrites by rules that hold in every scope, so a
@@ -1199,8 +1200,7 @@ def _watch(st, i):
         watch.setdefault(h, {})[i] = None
 
 
-# what a propagation at the root or after a union's placement is asked to
-# reuse: no answers
+# what the propagation at the root is asked to reuse: no answers
 _NOTHING_ASKED = ({}, 0)
 
 
@@ -1272,9 +1272,16 @@ def _propagate(st, pending, mark, queue, asked=_NOTHING_ASKED):
     return [i for i in pending if i in live]
 
 
-_PLACE_A, _PLACE_B, _PLACE_BOTH = 0, 1, 2
 # the kinds a candidate is tested against before it costs a decision node
 _UNARY_TESTED = frozenset(("in", "nin", "subset", "nsubset", "disj", "ndisj", "neq"))
+
+
+def _splits(out):
+    """The pairs (left, right) of sets whose union is the ground set out,
+    as TupVs: each member of out goes to the left, the right or both, the
+    first member's place varying slowest."""
+    for places in itertools.product(("l", "r", "lr"), repeat=len(out.elems)):
+        yield TupV([SetV(e for e, place in zip(out.elems, places) if side in place) for side in "lr"])
 
 
 def _pending_holes(st, pending):
@@ -1289,12 +1296,14 @@ def _pending_holes(st, pending):
     return out
 
 
-def _pick_decision(st, pending):
-    """The next decision: ("split", a, b, out) for a union with a ground
-    result, else ("bind", var, candidates, tick_first, tests), whose
-    candidates are bound to var in turn.  tests lists the indices of the
-    pending set constraints (_UNARY_TESTED) that var alone decides: var is
-    a bare argument and every other one is ground."""
+def _pick_decision(st, pending, stuck):
+    """The next decision, a bind: (target, candidates, tick_first, tests).
+    A generator comes first unless stuck lists the holes of a target that a
+    candidate bound nothing to: a member of a ground set is bound to its
+    elements, a union's operand pair to its ground result's _splits.  Else
+    target is a pending hole, one of stuck if given, and tests lists the
+    pending set constraints (_UNARY_TESTED) that it alone decides: it is a
+    bare argument and every other one is ground."""
     env, order = st.env, st.order
     if not pending:
         # a leaf grounds every hole it still has: first those of the bound
@@ -1305,22 +1314,17 @@ def _pick_decision(st, pending):
             holes = _open_holes(name, env, [])
             if holes:
                 var = min(holes, key=lambda h: order.get(h, len(order)))
-                return ("bind", var, _sort_candidates(st.registry.get(var) or AnyS(), st), False, ())
+                return (var, _sort_candidates(st.registry.get(var) or AnyS(), st), False, ())
         return None
-    for i in pending:
+    for i in pending if stuck is None else ():
         c = st.constraints[i]
-        if c.kind == "in":
-            x = term_pval(c.args[0], env)
-            s = term_pval(c.args[1], env)
-            if isinstance(s, SetV) and type(x) is str:
-                return ("bind", x, s.elems, True, ())
-        if c.kind == "un":
-            a = term_pval(c.args[0], env)
-            b = term_pval(c.args[1], env)
-            out = term_pval(c.args[2], env)
-            if isinstance(out, SetV) and not (isinstance(a, Value) and isinstance(b, Value)):
-                return ("split", a, b, out)
-    live = [v for v in _pending_holes(st, pending) if v in order]
+        if c.kind == "in" or c.kind == "un":
+            *operands, whole = [term_pval(a, env) for a in c.args]
+            if isinstance(whole, SetV) and not all(isinstance(p, Value) for p in operands):
+                if c.kind == "in":
+                    return (operands[0], whole.elems, True, ())
+                return (PTup(operands), _splits(whole), True, ())
+    live = [v for v in stuck or _pending_holes(st, pending) if v in order]
     if not live:
         return None
     # a bare variable equated to a comprehension or an open extension is
@@ -1345,7 +1349,7 @@ def _pick_decision(st, pending):
                 for m, a in zip(mine, c.args)
             ):
                 tests.append(i)
-    return ("bind", var, _sort_candidates(st.registry.get(var) or AnyS(), st), True, tests)
+    return (var, _sort_candidates(st.registry.get(var) or AnyS(), st), True, tests)
 
 
 def _test(tests, st):
@@ -1363,39 +1367,31 @@ def _test(tests, st):
 
 
 def _candidates(decision, st):
-    """Bind the decision's candidates in env one after another, undoing the
-    previous one first; yields after each binding what the next
+    """Bind the decision's candidates to its target one after another,
+    undoing the previous one first; yields after each binding what the next
     propagation is asked to reuse (_propagate): the tests' answers to that
-    candidate and the env's length, or nothing asked after a placement.  A
-    bind's candidate that one of its tests answers False is skipped: the
-    next propagation would have failed on that test, which watches var
-    (forward checking).  No tested kind binds anything, so a test reads
-    the candidate's own binding.  Every other candidate is a decision
-    node, except the first of a bind whose tick_first is False.  Every
-    candidate and every placement is charged to the budget, before its
-    tests run."""
+    candidate and the env's length.  A name is bound in env, any other
+    target unified with the candidate.  A candidate is skipped when unify
+    answers False, or when a test does: the next propagation would have
+    failed on that test, which watches the target (forward checking).  No
+    tested kind binds anything, so a test reads the candidate's own binding.
+    Every other candidate is a decision node, except the first of a decision
+    whose tick_first is False.  Every candidate is charged to the budget
+    before it is tried."""
     env = st.env
     mark = len(env)
-    if decision[0] == "split":
-        _, a, b, out = decision
-        for combo in itertools.product((_PLACE_A, _PLACE_B, _PLACE_BOTH), repeat=len(out.elems)):
-            st.charge()
-            st.tick()
-            _undo(env, mark)
-            left = SetV([e for e, w in zip(out.elems, combo) if w != _PLACE_B])
-            right = SetV([e for e, w in zip(out.elems, combo) if w != _PLACE_A])
-            if unify(a, left, env) is not False and unify(b, right, env) is not False:
-                yield _NOTHING_ASKED
-        return
-    _, var, candidates, tick, tests = decision
+    target, candidates, tick, tests = decision
     # fresh vars registered by abandoned candidates stay in the registry:
     # they are unreachable, and keeping it append-only keeps runs identical
     used = st.used_atoms
     added = set()  # the atoms the current candidate brought into use
     for cand in candidates:
         _undo(env, mark)
-        env[var] = cand
         st.charge()
+        if type(target) is str:
+            env[target] = cand
+        elif unify(target, cand, env) is False:
+            continue
         answers = _test(tests, st)
         if answers is None:
             continue
@@ -1413,16 +1409,19 @@ def _candidates(decision, st):
 
 def _search(st):
     """Depth-first search over decisions, kept on an explicit stack of
-    (trail mark, open constraints, candidates) frames.  True when env ends
-    up satisfying every constraint with every declared variable in its
-    universe, False when no branch does."""
+    (trail mark, open constraints, target, candidates) frames.  True when
+    env ends up satisfying every constraint with every declared variable in
+    its universe, False when no branch does.  A candidate that bound
+    nothing, propagation included, as {X,Y} against {a1,a2}, is followed by
+    a hole of its target, so that no generator picks itself again."""
     env = st.env
     everything = list(range(len(st.constraints)))
     pending = _propagate(st, everything, 0, list(everything))
+    stuck = None
     stack = []
     while True:
         if pending is not None:
-            decision = _pick_decision(st, pending)
+            decision = _pick_decision(st, pending, stuck)
             if decision is None:
                 if not pending:
                     return True
@@ -1430,9 +1429,9 @@ def _search(st):
                     "constraints left undecided with no enumerable variable: "
                     + ", ".join(st.constraints[i].kind for i in pending)
                 )
-            stack.append((len(env), pending, _candidates(decision, st)))
+            stack.append((len(env), pending, decision[0], _candidates(decision, st)))
         while stack:
-            mark, pending, candidates = stack[-1]
+            mark, pending, target, candidates = stack[-1]
             asked = next(candidates, None)
             if asked is not None:
                 break
@@ -1440,6 +1439,7 @@ def _search(st):
         else:
             return False
         pending = _propagate(st, pending, mark, [], asked)
+        stuck = None if len(env) > mark else _open_holes(target, env, [])
 
 
 # -- public api ----------------------------------------------------------------------

@@ -44,6 +44,13 @@ def test_eval_sat_and_unsat(capsys, tmp_path):
     assert out.startswith("Unsat")
 
 
+def test_eval_decides_a_set_pattern_against_a_union_result(capsys, tmp_path):
+    p = tmp_path / "f.slog"
+    p.write_text("un({X,Y},{},{a1,a2}).\n")
+    code, out, _ = run_cli(capsys, "eval", str(p))
+    assert (code, out) == (0, "Sat\n  X = a1\n  Y = a2\n")
+
+
 def test_eval_parse_error_exit_2(capsys, tmp_path):
     p = tmp_path / "bad.slog"
     p.write_text("X = {\n")

@@ -93,6 +93,47 @@ def test_split_with_disjointness_first_witness():
     assert isinstance(r, Sat)
     assert r.witness["A"] == vset([atom("a1")])
     assert r.witness["B"] == vset([])
+    # the splits come in placement order: a1 and a2 left fails A neq {a1,a2},
+    # then a1 left and a2 right holds
+    sets = SetS(AtomS("addr"))
+    f = F("un(A,B,{a1,a2}) & disj(A,B) & A neq {a1,a2} & A neq {}")
+    assert solve(f, sorts={"A": sets, "B": sets}) == Sat({"A": vset([atom("a1")]), "B": vset([atom("a2")])})
+
+
+# (formula, witness as printed values, or the verdict) under a budget of
+# 1,000 candidates.  A member of a ground set and a union's operand pair
+# with a ground result are bound through unify, whatever their shape: a
+# structured member matches the set's members, a member of the wrong shape
+# is no candidate, and a set pattern that unify leaves undecided binds
+# nothing, so a hole of that pattern is bound next instead of the same
+# generator again.  A hole of another constraint would leave the pattern
+# open, and the last two rows would exhaust the budget enumerating W and D
+# before the union refutes them.
+GENERATOR_ROWS = [
+    ("in([X,Y],{[a1,[a1,a1]]})", {"X": "a1", "Y": "[a1,a1]"}),
+    ("X = [Z,W] & in(X,{[a1,{a2}]})", {"W": "{a2}", "X": "[a1,{a2}]", "Z": "a1"}),
+    ("disj(C,{X,a1}) & in([X,Y],{a1})", "Unsat"),
+    ("in({X,Y},{{a1,a2}}) & X neq Y", {"X": "a1", "Y": "a2"}),
+    ("un({X,Y},{},{a1,a2})", {"X": "a1", "Y": "a2"}),
+    ("A = {X,Y} & un(A,B,{a1,a2}) & X neq Y & B = {}", {"A": "{a1,a2}", "B": "{}", "X": "a1", "Y": "a2"}),
+    ("nin(W,D) & in({Y},{{a1},{a1,a2}}) & un(B,{a1},{1})", "Unsat"),
+    ("X neq Y & in({W,Z},{{a1,a2}}) & un(B,{[Y,a1]},{1})", "Unsat"),
+]
+
+
+@pytest.mark.parametrize("src,expected", GENERATOR_ROWS, ids=[row[0] for row in GENERATOR_ROWS])
+def test_a_generator_binds_an_open_target_through_unify(src, expected):
+    r = solve(F(src), budget=1000)
+    got = {k: S.print_value(v) for k, v in sorted(r.witness.items())} if isinstance(r, Sat) else type(r).__name__
+    assert got == expected
+
+
+def test_a_split_that_fails_to_unify_is_charged_but_no_node(count_nodes, count_tried):
+    # of the 27 splits of {a1,a2,a3}, only the one that puts every member on
+    # both sides unifies with [A,A], and A neq {a1,a2,a3} refutes it
+    three = Scope(atoms_per_namespace=3, max_set_card=3)
+    r = solve(F("un(A,A,{a1,a2,a3}) & A neq {a1,a2,a3}"), three, sorts={"A": SetS(AtomS("addr"))})
+    assert (r, count_nodes[0], count_tried[0]) == (Unsat(), 1, 27)
 
 
 def test_check_unsat_examples():
