@@ -21,10 +21,13 @@ work is moved ahead of search wherever possible:
   determines its domain, whether it is a partial function, and how an
   override rewrites it.  Open positions are holes (fresh variables) that
   are only enumerated if some constraint actually looks at them;
-* every decision binds, in a fixed order: a member of a known set to its
-  elements, a union's operand pair to the splits of its known result, else
-  a hole to its sort's values, skipping those that a set constraint on the
-  hole alone refutes; a candidate that binds nothing is followed by a hole;
+* every decision binds, in a fixed order: a variable member of a known
+  set to its elements, a union's operand pair to the splits of its known
+  result, a structured member to the set's elements, else a hole to its
+  sort's values, skipping those that a set constraint on the hole alone
+  refutes; a candidate that binds nothing is followed by a hole of its
+  target, and a search that then finds no model answers Unknown if such a
+  hole may need a value outside the universe it is enumerated in;
 * before search, a compile that reads no scope (_compile) lifts nested
   comprehensions and open extensions into equations, gives variables
   their sorts and rewrites by rules that hold in every scope, so a
@@ -323,6 +326,14 @@ def _unify_struct(a, b, env):
         be = b.elems
         if len(ae) == 1 and len(be) == 1:
             return unify(ae[0], be[0], env)
+        # a listed set has at most as many members as it lists elements,
+        # and each of its ground elements is a member
+        for listed, ground in ((ae, b), (be, a)):
+            if isinstance(ground, SetV) and (
+                len(listed) < len(ground.elems)
+                or any(isinstance(e, Value) and e not in ground for e in listed)
+            ):
+                return False
         return None
     return False
 
@@ -1299,11 +1310,12 @@ def _pending_holes(st, pending):
 def _pick_decision(st, pending, stuck):
     """The next decision, a bind: (target, candidates, tick_first, tests).
     A generator comes first unless stuck lists the holes of a target that a
-    candidate bound nothing to: a member of a ground set is bound to its
-    elements, a union's operand pair to its ground result's _splits.  Else
-    target is a pending hole, one of stuck if given, and tests lists the
-    pending set constraints (_UNARY_TESTED) that it alone decides: it is a
-    bare argument and every other one is ground."""
+    candidate bound nothing to: a variable member of a ground set is bound
+    to its elements, a union's operand pair to its ground result's _splits,
+    and only when neither is pending a structured member to the set's
+    elements.  Else target is a pending hole, one of stuck if given, and
+    tests lists the pending set constraints (_UNARY_TESTED) that it alone
+    decides: it is a bare argument and every other one is ground."""
     env, order = st.env, st.order
     if not pending:
         # a leaf grounds every hole it still has: first those of the bound
@@ -1316,14 +1328,19 @@ def _pick_decision(st, pending, stuck):
                 var = min(holes, key=lambda h: order.get(h, len(order)))
                 return (var, _sort_candidates(st.registry.get(var) or AnyS(), st), False, ())
         return None
+    structured = None
     for i in pending if stuck is None else ():
         c = st.constraints[i]
         if c.kind == "in" or c.kind == "un":
             *operands, whole = [term_pval(a, env) for a in c.args]
             if isinstance(whole, SetV) and not all(isinstance(p, Value) for p in operands):
-                if c.kind == "in":
+                if c.kind == "un":
+                    return (PTup(operands), _splits(whole), True, ())
+                if type(operands[0]) is str:
                     return (operands[0], whole.elems, True, ())
-                return (PTup(operands), _splits(whole), True, ())
+                structured = structured or (operands[0], whole.elems, True, ())
+    if structured:
+        return structured
     live = [v for v in stuck or _pending_holes(st, pending) if v in order]
     if not live:
         return None
@@ -1368,16 +1385,16 @@ def _test(tests, st):
 
 def _candidates(decision, st):
     """Bind the decision's candidates to its target one after another,
-    undoing the previous one first; yields after each binding what the next
-    propagation is asked to reuse (_propagate): the tests' answers to that
-    candidate and the env's length.  A name is bound in env, any other
-    target unified with the candidate.  A candidate is skipped when unify
-    answers False, or when a test does: the next propagation would have
-    failed on that test, which watches the target (forward checking).  No
-    tested kind binds anything, so a test reads the candidate's own binding.
-    Every other candidate is a decision node, except the first of a decision
-    whose tick_first is False.  Every candidate is charged to the budget
-    before it is tried."""
+    undoing the previous one first; yields after each binding the candidate
+    and what the next propagation is asked to reuse (_propagate): the
+    tests' answers to that candidate and the env's length.  A name is bound
+    in env, any other target unified with the candidate.  A candidate is
+    skipped when unify answers False, or when a test does: the next
+    propagation would have failed on that test, which watches the target
+    (forward checking).  No tested kind binds anything, so a test reads the
+    candidate's own binding.  Every other candidate is a decision node,
+    except the first of a decision whose tick_first is False.  Every
+    candidate is charged to the budget before it is tried."""
     env = st.env
     mark = len(env)
     target, candidates, tick, tests = decision
@@ -1403,8 +1420,20 @@ def _candidates(decision, st):
         _add_atoms(cand, added)
         added -= used
         used |= added
-        yield answers, len(env)
+        yield cand, (answers, len(env))
     used -= added
+
+
+def _beyond_reach(p, v, st):
+    """Whether p = v, v ground, can give an undeclared hole of p a value
+    outside the universe the search enumerates that hole in: a hole k
+    levels down in p takes a value k levels down in v."""
+    p = _walk(p, st.env)
+    if type(p) is str:
+        return p not in st.validate and not sort_contains(st.registry.get(p) or AnyS(), v, st.scope)
+    if isinstance(p, Value) or not isinstance(v, (SetV, TupV, SeqV)):
+        return False
+    return any(_beyond_reach(e, w, st) for e in p.elems for w in v.elems)
 
 
 def _search(st):
@@ -1413,11 +1442,15 @@ def _search(st):
     env ends up satisfying every constraint with every declared variable in
     its universe, False when no branch does.  A candidate that bound
     nothing, propagation included, as {X,Y} against {a1,a2}, is followed by
-    a hole of its target, so that no generator picks itself again."""
+    a hole of its target, so that no generator picks itself again; when
+    such a hole may need a value that it is not enumerated to
+    (_beyond_reach), no branch refutes the target, and _Stuck replaces
+    False."""
     env = st.env
     everything = list(range(len(st.constraints)))
     pending = _propagate(st, everything, 0, list(everything))
     stuck = None
+    beyond = False
     stack = []
     while True:
         if pending is not None:
@@ -1432,14 +1465,20 @@ def _search(st):
             stack.append((len(env), pending, decision[0], _candidates(decision, st)))
         while stack:
             mark, pending, target, candidates = stack[-1]
-            asked = next(candidates, None)
-            if asked is not None:
+            tried = next(candidates, None)
+            if tried is not None:
                 break
             stack.pop()
         else:
+            if beyond:
+                raise _Stuck("no model found, but an undecided set match may need a value "
+                             "that the search does not enumerate")
             return False
+        cand, asked = tried
         pending = _propagate(st, pending, mark, [], asked)
         stuck = None if len(env) > mark else _open_holes(target, env, [])
+        if stuck and pending is not None and _beyond_reach(target, cand, st):
+            beyond = True
 
 
 # -- public api ----------------------------------------------------------------------
