@@ -1,6 +1,6 @@
 """The compile of one conjunct into the problem the search runs.  It reads
-no scope: it lifts each comprehension or open extension that is no eq or
-neq operand into an equation on a fresh variable (_lifted), rewrites by
+no scope: it lifts each comprehension or open extension but the first
+operand of an eq into an equation on a fresh variable (_lifted), rewrites by
 rules that hold in every scope (_rewrite) and gives each variable a sort
 (_infer_sorts).  One walk per constraint (formula._scan, the walk of the
 binder check and of free_vars) finds its free names, its literal atoms and
@@ -53,7 +53,7 @@ _ANY = AnyS()
 _TAG_ORDER = (_REL, _SET, _INT, _SEQ)  # a variable at two tagged positions takes the first
 
 _ARG_KINDS = {
-    **dict.fromkeys(("eq", "neq")),
+    "eq": None, "neq": (None, None),
     **dict.fromkeys(("in", "nin"), (None, _SET)),
     **dict.fromkeys(("un", "diff", "inters"), (_SET, _SET, _SET)),
     **dict.fromkeys(("disj", "ndisj", "subset", "nsubset"), (_SET, _SET)),
@@ -104,17 +104,17 @@ def _compile(disjunct, declared) -> Problem:
 
 def _lifts(c: Constraint, sets):
     """Whether _lifted has something to lift in c, which holds sets
-    comprehensions and open extensions outside every filter and pattern:
-    one that is no eq or neq operand."""
-    if c.kind in ("eq", "neq"):
-        sets -= sum(map(_is_set_term, c.args))  # an operand stays in place
+    comprehensions and open extensions outside every filter and pattern."""
+    if c.kind == "eq":
+        sets -= any(map(_is_set_term, c.args))  # its first such operand stays in place
     return sets > 0
 
 
 def _lifted(c: Constraint, fresh):
     """The constraints that replace c: an equation for each comprehension
-    and open extension in c that is no eq or neq operand, defining the
-    fresh variable that takes its place, inner ones first, then c."""
+    and open extension in c but an eq's first such operand, defining the
+    fresh variable that takes its place, inner ones first, then c.  So c
+    keeps one only as a side of an eq whose other side holds none."""
     defs = []
 
     def walk(t, operand=False):
@@ -137,8 +137,8 @@ def _lifted(c: Constraint, fresh):
         defs.append(Constraint("eq", (Var(name), t)))
         return Var(name)
 
-    operands = c.kind in ("eq", "neq")
-    args = [walk(a, operands) for a in c.args]
+    eq = c.kind == "eq"  # an operand stays unless an earlier one is a set term
+    args = [walk(a, eq and not any(map(_is_set_term, c.args[:i]))) for i, a in enumerate(c.args)]
     return [*defs, Constraint(c.kind, args)]
 
 
@@ -402,7 +402,7 @@ def _infer_sorts(constraints, declared, names):
     sorts = dict(declared)
     for c in constraints:
         tags = _ARG_KINDS[c.kind]
-        if tags is None:  # a compiled constraint has set terms only as eq or neq operands
+        if tags is None:  # a compiled constraint has set terms only as an eq operand
             notes = [(t.domain if type(t) is RisT else t.tail, _SET)
                      for t in c.args if _is_set_term(t)]
         else:

@@ -136,13 +136,31 @@ def _parse_entry(src: str, where: str):
         raise ParseError(f"{where}: {e.message}", e.line, e.col, e.token) from None
 
 
+def _entries(entries, field: str) -> list:
+    """entries, the value of a scenario's field, when it is a JSON list;
+    TypeError otherwise."""
+    if type(entries) is not list:
+        raise TypeError(f"{field} is no list")
+    return entries
+
+
+def _packet(src: str, where: str):
+    """The packet that src gives; KindError naming its entry otherwise."""
+    p = _parse_entry(src, where)
+    if not consensus._is_packet(p):
+        raise KindError(f"{where}: not a packet: {p!r}")
+    return p
+
+
 def _load_scenario(path: str):
     obj = _read_json(path, "scenario")
     try:
-        nodes = vset([_parse_entry(n, f"nodes[{i}]") for i, n in enumerate(obj["nodes"])])
-        soup = vset([_parse_entry(p, f"soup[{i}]") for i, p in enumerate(obj.get("soup", []))])
+        nodes = vset([_parse_entry(n, f"nodes[{i}]")
+                      for i, n in enumerate(_entries(obj["nodes"], "nodes"))])
+        soup = vset([_packet(p, f"soup[{i}]")
+                     for i, p in enumerate(_entries(obj.get("soup", []), "soup"))])
         schedule = []
-        for i, sel in enumerate(obj.get("schedule", [])):
+        for i, sel in enumerate(_entries(obj.get("schedule", []), "schedule")):
             schedule.append(sel if type(sel) is int else _parse_entry(sel, f"schedule[{i}]"))
         this = _parse_entry(obj["this"], "this") if "this" in obj else None
     except (KeyError, TypeError) as e:

@@ -65,8 +65,13 @@ def make_packet(src: Value, dst: Value, msg: Value) -> TupV:
     return TupV((src, dst, msg))
 
 
+def _is_packet(p: Value) -> bool:
+    """Whether p has a packet's shape: a (source, destination, message) triple."""
+    return isinstance(p, TupV) and len(p.elems) == 3
+
+
 def packet_parts(p: Value):
-    if not (isinstance(p, TupV) and len(p.elems) == 3):
+    if not _is_packet(p):
         raise KindError(f"not a packet: {p!r}")
     return p.elems[0], p.elems[1], p.elems[2]
 

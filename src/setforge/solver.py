@@ -28,12 +28,14 @@ work is moved ahead of search wherever possible:
   refutes; a candidate that binds nothing is followed by a hole of its
   target, and a search that then finds no model answers Unknown if such a
   hole may need a value outside the universe it is enumerated in;
-* before search, a compile that reads no scope (_compile) lifts nested
-  comprehensions and open extensions into equations, gives variables
-  their sorts and rewrites by rules that hold in every scope, so a
-  conjunct it refutes has no model in any scope; a conjunct is compiled
-  once per process for each set of declared sorts, and every later solve
-  of an equal conjunct, at any scope, reuses that compile (_compiled);
+* before search, a compile that reads no scope (_compile) lifts every
+  comprehension and open extension into an equation, but one side of an
+  eq, so one that denotes no set makes its constraint false wherever it
+  sits; it gives variables their sorts and rewrites by rules that hold in
+  every scope, so a conjunct it refutes has no model in any scope; a
+  conjunct is compiled once per process for each set of declared sorts,
+  and every later solve of an equal conjunct, at any scope, reuses that
+  compile (_compiled);
 * one generator gives every sort's candidates (_values), drawing atoms
   from the used ones and the first few unused ones, so a decision costs
   the same at any atoms=; a set of atoms or a relation's keys are tried
@@ -219,10 +221,6 @@ class _Defer(Exception):
     """Internal: a term cannot be evaluated yet."""
 
 
-# _set_value of a comprehension or an open extension that denotes no set
-_NO_SET = object()
-
-
 def term_pval(t: Term, env):
     """The resolved pval of a term.  Children come back resolved already, so
     a compound is built straight from them.  An unbound variable is its
@@ -247,12 +245,7 @@ def term_pval(t: Term, env):
         return SetV(rs) if all(isinstance(r, Value) for r in rs) else PSet(rs)
     if kind is not SetT and kind is not RisT:
         raise KindError(f"not a term: {t!r}")
-    v = _set_value(t, env)
-    if v is None:
-        raise _Defer()
-    if v is _NO_SET:
-        raise KindError("a comprehension or an open extension denotes no set")
-    return v
+    return _set_value(t, env)
 
 
 # -- unification ------------------------------------------------------------------
@@ -416,17 +409,17 @@ def _ground_int(p):
 # returns its answer.  A ground argument at a position that _ARG_KINDS
 # tags, of another kind than the tag's, makes the constraint false before
 # its rule runs, so no rule checks the kinds of its arguments itself.  eq
-# and neq have no tags: their rules take the terms, because a
-# comprehension or an open extension has no pval.  A dual kind (nin,
-# ndisj, nsubset, npfun) shares the rule of its positive kind.  Rules call
-# kernel functions through the module, so that wrappers installed on it
-# see every call.
+# has no tags: its rule takes the terms, because one side may be a
+# comprehension or an open extension, which it reads as a pattern.  A dual
+# kind (nin, ndisj, nsubset, npfun) shares the rule of its positive kind.
+# Rules call kernel functions through the module, so that wrappers
+# installed on it see every call.
 
 
 def _eval_constraint(c: Constraint, env):
     """Evaluate or propagate one constraint against the current bindings.
     Returns True (satisfied, possibly after binding), False, or None (not
-    decided yet).  Only an eq or neq operand is a comprehension or an open
+    decided yet).  Only one side of an eq is a comprehension or an open
     extension: the compile lifts every other one into an equation, so
     term_pval reads the arguments of every other kind without raising."""
     tags = _ARG_KINDS[c.kind]
@@ -699,30 +692,30 @@ def _compare(holds, args, env):
 
 
 def _set_value(t, env):
-    """The value of a comprehension or an open extension once its inputs
-    are ground, else None; _NO_SET when it denotes no set.  Its domain, or
+    """The value of a comprehension or an open extension: _Defer until its
+    inputs are ground, KindError when it denotes no set.  Its domain, or
     its elements and then its tail, are read by term_pval, so a set term
     among them raises as term_pval does; the compile lifts every such one
     out of the search's constraints.  A comprehension's binder is set in
     env while its filter and pattern are evaluated, and restored after; a
-    pattern that has no value or denotes no set makes the whole None or
-    _NO_SET.  An open extension {e1,...,ek / T} is the union of T and the
-    ei, when T is a set that lists no ei."""
+    pattern that has no value or denotes no set raises for the whole.  An
+    open extension {e1,...,ek / T} is the union of T and the ei, when T is
+    a set that lists no ei."""
     if isinstance(t, SetT):
         elems = [term_pval(e, env) for e in t.elems]
         tail = term_pval(t.tail, env)
         if isinstance(tail, Value) and not isinstance(tail, SetV):
-            return _NO_SET
+            raise KindError("the tail of an open extension is no set")
         if not isinstance(tail, SetV) or not all(isinstance(e, Value) for e in elems):
-            return None
+            raise _Defer()
         if any(e in tail for e in elems):
-            return _NO_SET
+            raise KindError("the tail of an open extension lists one of its elements")
         return kernel.union(SetV(elems), tail)
     domain = term_pval(t.domain, env)
     if not isinstance(domain, Value):
-        return None
+        raise _Defer()
     if not isinstance(domain, SetV):
-        return _NO_SET
+        raise KindError("the domain of a comprehension is no set")
     out = []
     binder = t.binder
     saved = env.get(binder)
@@ -731,17 +724,12 @@ def _set_value(t, env):
             env[binder] = x
             v = eval_ground_formula(t.filter, env, partial_ok=True)
             if v is None:
-                return None
+                raise _Defer()
             if not v:
                 continue
-            try:
-                y = term_pval(t.pattern, env)
-            except _Defer:
-                return None
-            except KindError:
-                return _NO_SET
+            y = term_pval(t.pattern, env)
             if not isinstance(y, Value):
-                return None
+                raise _Defer()
             out.append(y)
     finally:
         if saved is None:
@@ -751,46 +739,24 @@ def _set_value(t, env):
     return SetV(out)
 
 
-def _operand(t, env):
-    """The pval of an eq or neq operand, or the _set_value of a
-    comprehension or an open extension."""
-    return _set_value(t, env) if _is_set_term(t) else term_pval(t, env)
-
-
 def _eval_eq(lhs: Term, rhs: Term, env):
-    for one, other in ((lhs, rhs), (rhs, lhs)):
-        if isinstance(one, SetT) and one.tail is not None:
-            return _eval_open_eq(one, _operand(other, env), env)
+    """eq: at most one side is a comprehension or an open extension, which
+    makes the equation false when it denotes no set."""
     try:
-        a = term_pval(lhs, env)
-        b = term_pval(rhs, env)
+        for one, other in ((lhs, rhs), (rhs, lhs)):
+            if isinstance(one, SetT) and one.tail is not None:
+                return _eval_open_eq(one, term_pval(other, env), env)
+        a, b = term_pval(lhs, env), term_pval(rhs, env)
     except _Defer:
         return None
     except KindError:
-        return False  # a comprehension that denotes no set
+        return False
     return unify(a, b, env)
-
-
-def _eval_neq(lhs: Term, rhs: Term, env):
-    try:
-        a = term_pval(lhs, env)
-        b = term_pval(rhs, env)
-    except (_Defer, KindError):
-        # an operand is a comprehension or an open extension, whose value is
-        # a set once known: decided then, and at once when a side is no set
-        a, b = _operand(lhs, env), _operand(rhs, env)
-        if a is _NO_SET or b is _NO_SET or any(
-            isinstance(v, Value) and not isinstance(v, SetV) for v in (a, b)
-        ):
-            return True
-        if a is None or b is None:
-            return None
-    return _neq_decide(a, b, env)
 
 
 _RULES = {
     "eq": _eval_eq,
-    "neq": _eval_neq,
+    "neq": lambda args, env: _neq_decide(*args, env),
     "in": partial(_member, True),
     "nin": partial(_member, False),
     "un": partial(_set_op, "union"),
@@ -821,14 +787,9 @@ _RULES = {
 
 
 def _eval_open_eq(pat: SetT, s, env):
-    """S = {e1,...,ek / T}, where s is the pval of S, or its _set_value when
-    S is a comprehension or an open extension: the listed elements are
-    members of S and the tail is exactly S without them (set-unification
-    normal form)."""
-    if s is None:
-        return None
-    if s is _NO_SET:
-        return False
+    """S = {e1,...,ek / T}, where s is the pval of S: the listed elements
+    are members of S and the tail is exactly S without them (set-unification
+    normal form).  It raises _Defer or KindError as _set_value does."""
     elem_pvals = [term_pval(e, env) for e in pat.elems]
     tail_pval = term_pval(pat.tail, env)
 
@@ -856,10 +817,7 @@ def _eval_open_eq(pat: SetT, s, env):
         return None
 
     if type(s) is str or isinstance(s, PSet):
-        whole = _set_value(pat, env)
-        if whole is None:
-            return None
-        return False if whole is _NO_SET else unify(s, whole, env)
+        return unify(s, _set_value(pat, env), env)
     if isinstance(s, Value):  # ground but not a set
         return False
     return None
@@ -884,16 +842,6 @@ def _ground_term(t: Term, env):
     return v
 
 
-def _ground_operand(t: Term, env):
-    """The value of an eq or neq operand, None when it denotes no set."""
-    if not _is_set_term(t):
-        return _ground_term(t, env)
-    v = _set_value(t, env)
-    if v is None:
-        raise _Defer()
-    return None if v is _NO_SET else v
-
-
 def _need(cls, v):
     """v, when it is an instance of cls; KindError otherwise."""
     if not isinstance(v, cls):
@@ -916,13 +864,15 @@ def _on_integers(holds):
 
 
 # One ground check per positive kind; a dual kind (formula.DUALS) is the
-# negation of its positive kind's check.  A check raises one of
-# _EVAL_ERRORS when an argument has the wrong kind, which makes the kind
-# and its dual false.  The checks share nothing with the propagation rules
-# in _RULES, and they call kernel functions through the module, so that
-# wrappers installed on it see every call.
+# negation of its positive kind's check.  An argument of the wrong kind,
+# or a comprehension or an open extension that denotes no set, raises one
+# of _EVAL_ERRORS, which makes the kind and its dual false, as the
+# equation that the compile lifts such a term into makes them.  The checks
+# share nothing with the propagation rules in _RULES, and they call kernel
+# functions through the module, so that wrappers installed on it see
+# every call.
 _GROUND_RULES = {
-    "eq": lambda a, b: a is not None and a == b,
+    "eq": operator.eq,
     "in": lambda x, s: x in _need(SetV, s),
     "un": lambda a, b, out: kernel.union(a, b) == out,
     "diff": lambda a, b, out: kernel.difference(a, b) == out,
@@ -953,9 +903,8 @@ def _ground_constraint(c: Constraint, env) -> bool:
     negated = check is None
     if negated:
         check = _GROUND_RULES[DUALS[c.kind]]
-    ground = _ground_operand if c.kind in ("eq", "neq") else _ground_term
     try:
-        return check(*[ground(a, env) for a in c.args]) != negated
+        return check(*[_ground_term(a, env) for a in c.args]) != negated
     except _EVAL_ERRORS:
         return False
 
@@ -1362,7 +1311,7 @@ def _pick_decision(st, pending, stuck):
         if c.kind in _UNARY_TESTED:
             mine = [isinstance(a, Var) and _walk(a.name, env) == var for a in c.args]
             if any(mine) and all(
-                m or not _is_set_term(a) and isinstance(term_pval(a, env), Value)
+                m or isinstance(term_pval(a, env), Value)
                 for m, a in zip(mine, c.args)
             ):
                 tests.append(i)

@@ -336,6 +336,25 @@ def test_scenario_parse_error_names_its_entry(capsys, tmp_path):
         assert err.startswith("error: " + where) and "(line 1, column " in err, err
 
 
+@pytest.mark.parametrize("scenario, code, err", [
+    # a string is no list of entries, though it iterates as one
+    ({"nodes": "a1"}, 2, "error: scenario is missing or mistypes a field: nodes is no list\n"),
+    ({"nodes": ["this"], "soup": "x"}, 2,
+     "error: scenario is missing or mistypes a field: soup is no list\n"),
+    ({"nodes": ["this"], "schedule": "0"}, 2,
+     "error: scenario is missing or mistypes a field: schedule is no list\n"),
+    ({"nodes": {"this": 1}}, 2, "error: scenario is missing or mistypes a field: nodes is no list\n"),
+    # a soup entry that is no packet is refused before any delivery
+    ({"nodes": ["this"], "soup": ["x"]}, 1, "rejected: soup[0]: not a packet: Atom('x', 'opaque')\n"),
+    ({"nodes": ["this"], "soup": ["[env,this,addrMsg({a1})]", "[env,this]"]}, 1,
+     "rejected: soup[1]: not a packet: TupV(Atom('env', 'addr'), Atom('this', 'addr'))\n"),
+])
+def test_a_scenario_field_of_the_wrong_shape_is_refused_when_it_loads(capsys, tmp_path, scenario, code, err):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(scenario), encoding="utf-8")
+    assert run_cli(capsys, "simulate", str(p)) == (code, "", err)
+
+
 def test_evm_fixture_parse_error_names_its_key(capsys, tmp_path):
     fx = json.loads(EVM_CHECKPOINT.read_text())
     fx["transaction"] = fx["transaction"].replace("[tn,0]", "[tn,²]")

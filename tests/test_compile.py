@@ -175,7 +175,9 @@ def test_every_binder_is_found_and_the_outermost_ones_are_marked():
 
 @pytest.mark.parametrize("src, sets, lifted", [
     ("A = ris(X in S,[],true,X)", 1, False),
-    ("{a1/T} neq A", 1, False),
+    # only an eq keeps one in place, the first: no neq operand stays
+    ("{a1/T} neq A", 1, True),
+    ("{a1/T} = ris(X in S,[],true,X)", 2, True),
     ("A = [1,ris(X in S,[],true,X)]", 1, True),
     ("A = ris(X in {a1/T},[],true,X)", 2, True),
     ("in(a1,ris(X in S,[],true,X))", 1, True),
@@ -183,7 +185,7 @@ def test_every_binder_is_found_and_the_outermost_ones_are_marked():
     ("in(a1,ris(X in S,[],X = {a1/T},[X,{a2/T}]))", 1, True),
     ("A = ris(X in S,[],X = {a1/T},[X,{a2/T}])", 1, False),
 ])
-def test_a_set_term_operand_of_eq_or_neq_stays_and_a_nested_one_is_lifted(src, sets, lifted):
+def test_a_set_term_operand_of_eq_stays_and_a_nested_one_is_lifted(src, sets, lifted):
     (d,) = S.parse_formula(src).disjuncts
     assert _scan([d[0].args]) == [(free_vars(Formula((d,))), None, sets)]
     p = _compile._compile(d, {})
@@ -242,10 +244,11 @@ def _shipped_conjuncts():
 
 class _Conjuncts:
     """Seeded conjuncts with comprehensions and open extensions everywhere:
-    as eq and neq operands, where they stay, and nested in tuples, sets,
-    comprehension domains and the arguments of other kinds, where the
-    compile lifts them.  A comprehension at depth k binds Zk, which occurs
-    only inside it, so every conjunct passes the binder check."""
+    as eq operands, where the first one stays, as neq operands and nested
+    in tuples, sets, comprehension domains and the arguments of other
+    kinds, where the compile lifts them.  A comprehension at depth k binds
+    Zk, which occurs only inside it, so every conjunct passes the binder
+    check."""
 
     VARS = ("A", "B", "C", "_E1")
     KINDS = {"eq": "tt", "neq": "tt", "in": "ts", "nin": "ts", "subset": "ss",

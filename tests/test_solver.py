@@ -333,9 +333,11 @@ ORACLE_CORPUS = [
     # R: refuted at compile time, where the search spent its whole budget
     ("apply(Z,R,2)", {"R": RelS(AtomS("addr"), IntS())}),
     # an open extension against another one or against a comprehension is
-    # decided once both values are known
+    # decided once both values are known.  S is declared: undeclared, the
+    # oracle ranges it over AnyS, which holds no set, while the search gives
+    # it the sort of a comprehension's domain (see the test below)
     ("{a1/A} neq {a2/B}", {"A": SetS(AtomS("addr")), "B": SetS(AtomS("addr"))}),
-    ("{a1/A} neq ris(X in S, [], true, X)", {"A": SetS(AtomS("addr"))}),
+    ("{a1/A} neq ris(X in S, [], true, X)", {"A": SetS(AtomS("addr")), "S": SetS(AtomS("addr"))}),
     # the output of ran is a set, which Q's sort never holds: refuted at
     # compile time, where the search enumerated every candidate for W
     ("ran(W,Q)", {"Q": SeqS(IntS())}),
@@ -356,6 +358,18 @@ def test_bounded_completeness_matches_brute_force(src, sorts):
     if expected:
         assert eval_ground_formula(f, got.witness) is True
         assert all(sort_contains(s, got.witness[v], scope) for v, s in sorts.items()), src
+
+
+def test_an_undeclared_comprehension_domain_is_searched_as_a_set():
+    """brute_force_sat ranges an undeclared S over AnyS, which holds no set,
+    so it finds no model; the search takes S as a set, and its model
+    re-checks."""
+    scope = Scope(atoms_per_namespace=2, int_lo=0, int_hi=3, max_set_card=2, max_seq_len=2)
+    f, sorts = F("{a1/A} neq ris(X in S, [], true, X)"), {"A": SetS(AtomS("addr"))}
+    got = solve(f, scope, sorts=sorts)
+    assert isinstance(got, Sat) and not brute_force_sat(f, scope, sorts)
+    assert eval_ground_formula(f, got.witness) is True
+    assert isinstance(got.witness["S"], SetV)
 
 
 def test_leaf_holes_of_a_declared_variable_are_searched():
@@ -745,7 +759,8 @@ def test_rule_cases_match_brute_force_and_run_every_rule(monkeypatch):
 # kind -> a true instance, a false one and one with an argument of the wrong
 # kind, for each kind with a ground check; a dual kind is checked on its
 # positive kind's instances.  eq has no wrong kind: its third instance is an
-# open extension whose tail lists its element, which denotes no set.
+# open extension whose tail lists its element, which denotes no set and so
+# makes eq and neq false, as a wrong kind does.
 GROUND_CASES = {
     "eq": ("{a1/{a2}} = {a1,a2}", "[1,a1] = [a1,1]", "{a1/{a1}} = {a1}"),
     "in": ("in(a1,{a1,a2})", "in(a3,{a1,a2})", "in(1,2)"),
@@ -790,11 +805,9 @@ def test_every_kind_has_a_ground_check_or_is_the_dual_of_one():
 @pytest.mark.parametrize("kind", GROUND_CASES)
 def test_ground_check_against_literal_expectations(kind):
     """The true, false and wrong-kind instances give True, False and False;
-    the dual gives False, True and False, except that neq is the negation
-    of eq throughout."""
+    the dual gives False, True and False."""
     dual = DUALS.get(kind)
-    dual_expected = (False, True, True) if kind == "eq" else (False, True, False)
-    for src, expected, expected_of_dual in zip(GROUND_CASES[kind], (True, False, False), dual_expected):
+    for src, expected, expected_of_dual in zip(GROUND_CASES[kind], (True, False, False), (False, True, False)):
         f = F(src)
         assert eval_ground_formula(f, {}) is expected, src
         if dual is not None:
@@ -802,10 +815,11 @@ def test_ground_check_against_literal_expectations(kind):
             assert eval_ground_formula(Formula(((C(dual, *c.args),),)), {}) is expected_of_dual, src
 
 
-# Comprehensions and open extensions nested in a constraint's arguments,
-# with T's value -> the formula's value.  The ground check reads them as the
-# compile step lifts them, an equation on a fresh variable, so {a1/T}, which
-# denotes no set when T lists a1, makes the constraint and its dual false.
+# Comprehensions and open extensions nested in a constraint's arguments or
+# as an operand of eq or neq, with T's value -> the formula's value.  The
+# ground check reads them as the compile step lifts them, an equation on a
+# fresh variable, so {a1/T}, which denotes no set when T lists a1, makes the
+# constraint and its dual false wherever it sits.
 NESTED_SET_TERMS = {
     "in(a1,{a1/T})": {"{}": True, "{a1}": False, "{a2}": True, "{a1,a2}": False},
     "nin(a2,{a1/T})": {"{}": True, "{a1}": False, "{a2}": False, "{a1,a2}": False},
@@ -817,9 +831,12 @@ NESTED_SET_TERMS = {
     "{{a1/T}/{a2}} neq {a2,{a1}}": {"{}": False, "{a1}": False, "{a2}": True, "{a1,a2}": False},
     "in(a1,ris(X in {a1/T},[],true,X))": {"{}": True, "{a1}": False, "{a2}": True, "{a1,a2}": False},
     "nin(a1,ris(X in {a1/T},[],true,X))": {"{}": False, "{a1}": False, "{a2}": False, "{a1,a2}": False},
-    "{{a1/T}/3} neq {}": {"{}": True, "{a1}": False, "{a2}": True, "{a1,a2}": False},
+    "{{a1/T}/3} neq {}": {"{}": False, "{a1}": False, "{a2}": False, "{a1,a2}": False},
     "in({a1},ris(X in {a1},[],true,{X/T}))": {"{}": True, "{a1}": False, "{a2}": False, "{a1,a2}": False},
     "in([1,{a1}],ris(X in {a1},[],true,[1,{X/T}]))": {"{}": True, "{a1}": False, "{a2}": False, "{a1,a2}": False},
+    "{a1/T} neq {a1}": {"{}": False, "{a1}": False, "{a2}": True, "{a1,a2}": False},
+    "{a1/T} = {a1}": {"{}": True, "{a1}": False, "{a2}": False, "{a1,a2}": False},
+    "{a1/T} neq {a1/T}": {"{}": False, "{a1}": False, "{a2}": False, "{a1,a2}": False},
 }
 
 
@@ -837,6 +854,53 @@ def test_nested_set_terms_evaluate_as_the_solver_answers(src):
         pinned = solve(F(f"T = {S.print_value(t)} & {src}"), TINY, sorts=sorts)
         assert got is isinstance(pinned, Sat), (src, t)
     assert brute_force_sat(F(src), TINY, sorts) is isinstance(solve(F(src), TINY, sorts=sorts), Sat)
+
+
+def _set_term_source(rng, depth=0):
+    """A seeded eq or neq operand: T, X, a literal, or a tuple, set,
+    open extension or comprehension built of them.  A comprehension at
+    depth k binds Zk, which occurs only inside it."""
+    pick = rng.randrange(6) if depth < 2 else rng.randrange(2)
+    if pick == 0:
+        return rng.choice(["T", "X"])
+    if pick == 1:
+        return rng.choice(["{}", "{a1}", "{a2}", "a1", "1"])
+    inner = _set_term_source(rng, depth + 1)
+    elem = rng.choice(["a1", "a2", "X", inner])
+    if pick == 2:
+        return f"[{elem},{inner}]"
+    if pick == 3:
+        return f"{{{elem}}}"
+    if pick == 4:
+        return f"{{{elem}/{inner}}}"
+    z = f"Z{depth}"
+    filt = rng.choice(["true", f"in({z},T)"])
+    pattern = rng.choice([z, f"[{z},X]", f"{{{z}/T}}"])
+    return f"ris({z} in {inner},[],{filt},{pattern})"
+
+
+_RNG = random.Random(20261022)
+# the first pair is {a1/T} against {a1}, which denotes no set when T lists a1
+WRAPPED_OPERANDS = [("{a1/T}", "{a1}")] + [
+    (_set_term_source(_RNG), _set_term_source(_RNG)) for _ in range(24)
+]
+
+
+@pytest.mark.parametrize("a,b", WRAPPED_OPERANDS, ids=range(len(WRAPPED_OPERANDS)))
+def test_wrapping_both_operands_in_one_tuple_keeps_the_answer(a, b):
+    """a R b and [1,a] R [1,b] have one answer for eq and neq, from the
+    ground check and from the search pinned to each assignment: a set term
+    that denotes no set means the same at the top as when nested."""
+    sorts = {"T": SetS(AtomS("addr")), "X": AtomS("addr")}
+    for rel in ("=", "neq"):
+        plain, wrapped = f"{a} {rel} {b}", f"[1,{a}] {rel} [1,{b}]"
+        for t, x in itertools.product(enumerate_sort(sorts["T"], TINY), scope_atoms("addr", TINY)):
+            env = {"T": t, "X": x}
+            pin = f"T = {S.print_value(t)} & X = {S.print_value(x)}"
+            answers = [eval_ground_formula(F(src), env) for src in (plain, wrapped)]
+            answers += [isinstance(solve(F(f"{pin} & {src}"), TINY, sorts=sorts), Sat)
+                        for src in (plain, wrapped)]
+            assert len(set(answers)) == 1, (plain, env, answers)
 
 
 # eval_ground_formula's answers on seeded random formulas that nest
@@ -970,21 +1034,21 @@ PARTIAL_ANSWERS = [
     ("{[{},[1,X]],{ris(Y in U,[],true,U)}} neq U", {"X": "{}", "U": "{}"}, True, True),
     ("X neq a1", {"X": "{a1,a2}"}, True, True),
     ("{[T,U]/T} neq {{T/T}/{}}", {"T": "{a2}", "U": "{a1,a2}"}, True, True),
-    ("ris(Y in a2,[],true,ris(Z in a1,[],Z neq a1,T)) neq a2", {"T": "a1"}, True, True),
+    ("ris(Y in a2,[],true,ris(Z in a1,[],Z neq a1,T)) neq a2", {"T": "a1"}, False, False),
     ("{[T,T]} neq T", {"T": "1"}, True, True),
-    ("{{[1,a2],{1}}/[T,[a2,{}]]} neq {{[U,a1],[T,X]/T}}", {"X": "a1", "T": "{a2}", "U": "{a1}"}, True, True),
+    ("{{[1,a2],{1}}/[T,[a2,{}]]} neq {{[U,a1],[T,X]/T}}", {"X": "a1", "T": "{a2}", "U": "{a1}"}, False, False),
     ("disj({a2,{}},{})", {}, True, True),
-    ("U neq ris(Y in a2,[],Y neq a2,ris(Z in U,[],Z neq a1,U))", {"U": "a1"}, True, True),
+    ("U neq ris(Y in a2,[],Y neq a2,ris(Z in U,[],Z neq a1,U))", {"U": "a1"}, False, False),
     ("[{},1] neq {1}", {}, True, True),
     ("nin(U,{1,a2})", {"U": "{a1,a2}"}, True, True),
     ("ris(Y in {{}/T},[],Y neq T,[Y,1]) neq [{U,{}},{}]", {"T": "{a1,a2}", "U": "{a1,a2}"}, True, True),
     ("{[[T,X],{U,X}]/ris(Y in U,[],true,Y)} neq {{},X}", {"X": "a1", "T": "a1", "U": "{a1,a2}"}, True, True),
     ("{1} neq [X,a2]", {"X": "a1"}, True, True),
     ("{{X}/{a2,a1}} neq a1", {"X": "a1"}, True, True),
-    ("ris(Y in X,[],in(Y,T),a1) neq [{a1},[a2,[1,T]]]", {"X": "a1", "T": "a1"}, True, True),
+    ("ris(Y in X,[],in(Y,T),a1) neq [{a1},[a2,[1,T]]]", {"X": "a1", "T": "a1"}, False, False),
     ("{} neq [T,[a2,a1]]", {"T": "{a2}"}, True, True),
-    ("X neq {[ris(Y in {},[],Y neq a1,a2),X],a2/T}", {"X": "1", "T": "{a1,a2}"}, True, True),
-    ("{{},[a2,ris(Y in {},[],true,{})]} neq {[[a1,X],U]/a2}", {"X": "{}", "U": "{a1}"}, True, True),
+    ("X neq {[ris(Y in {},[],Y neq a1,a2),X],a2/T}", {"X": "1", "T": "{a1,a2}"}, False, False),
+    ("{{},[a2,ris(Y in {},[],true,{})]} neq {[[a1,X],U]/a2}", {"X": "{}", "U": "{a1}"}, False, False),
     ("{{{}},a2} neq a2", {}, True, True),
     ("1 neq [{a1},{1}]", {}, True, True),
     ("disj(X,{X})", {"X": "{a2}"}, True, True),
@@ -1002,7 +1066,7 @@ PARTIAL_ANSWERS = [
     ("X neq {[{},a2]/{a1,U/U}}", {"X": "{a1,a2}", "U": "{}"}, True, True),
     ("nin(T,ris(Y in {X},[],true,{}))", {"X": "1", "T": "1"}, True, True),
     ("a2 neq [{a2},ris(Y in T,[],Y neq a1,a2)]", {"T": "{}"}, True, True),
-    ("{} neq ris(Y in 1,[],in(Y,T),{[1,Y]})", {"T": "a1"}, True, True),
+    ("{} neq ris(Y in 1,[],in(Y,T),{[1,Y]})", {"T": "a1"}, False, False),
     ("[1,U] neq {{}/ris(Y in U,[],Y neq a1,a2)}", {"U": "{a1,a2}"}, True, True),
     ("disj(ris(Y in {a2},[],Y neq a1,{{},U}),U)", {"U": "{a1}"}, True, True),
     ("[[{1,a2},{a1}],[a2,[a2,a2]]] neq a2", {}, True, True),
@@ -1011,18 +1075,18 @@ PARTIAL_ANSWERS = [
     ("disj(ris(Y in {{1},T},[],in(Y,T),Y),{})", {"T": "a1"}, True, True),
     ("nin(ris(Y in X,[],Y = X,{{},U/{}}),X)", {"X": "{a1}"}, True, True),
     ("nin([T,U],{ris(Y in {},[],Y = X,a2)})", {"T": "{a2}", "U": "{a1}"}, True, True),
-    ("ris(Y in a1,[],true,ris(Z in U,[],in(Z,{a1/U}),T)) neq U", {"U": "{a1,a2}"}, True, True),
+    ("ris(Y in a1,[],true,ris(Z in U,[],in(Z,{a1/U}),T)) neq U", {"U": "{a1,a2}"}, False, False),
     ("U = ris(Y in U,[],in(Y,T),{X})", {"T": "{a2}", "U": "{}"}, True, True),
     ("{} = ris(Y in {a1},[],Y neq a1,U)", {}, True, True),
-    ("ris(Y in a1,[],Y = X,{{a2/X}}) neq 1", {}, True, True),
-    ("{[T,X]/a1} neq {{}}", {"X": "{}"}, True, True),
-    ("{X/1} neq U", {"U": "1"}, True, True),
+    ("ris(Y in a1,[],Y = X,{{a2/X}}) neq 1", {}, False, False),
+    ("{[T,X]/a1} neq {{}}", {"X": "{}"}, False, False),
+    ("{X/1} neq U", {"U": "1"}, False, False),
     ("disj({X/{a1/{}}},ris(Y in T,[],Y neq Y,{{}/U}))", {"X": "{a2}", "T": "{a2}"}, True, True),
     ("disj(ris(Y in ris(Y in U,[],Y = X,X),[],true,[{},a2]),T)", {"T": "{a1,a2}", "U": "{}"}, True, True),
     ("subset({},{[ris(Y in T,[],Y = X,X),U]/T})", {"T": "{}", "U": "1"}, True, True),
-    ("{ris(Y in U,[],in(Y,{a1/U}),X)/[{},T]} neq a2", {"T": "{}", "U": "{a1,a2}"}, True, True),
-    ("{[a2,T],U/a2} neq X", {"X": "{}", "U": "{a1}"}, True, True),
-    ("ris(Y in {T,a2},[],Y neq Y,{X,a2/X}) neq {{U,1}/1}", {"T": "{a1,a2}", "U": "{a1}"}, True, True),
+    ("{ris(Y in U,[],in(Y,{a1/U}),X)/[{},T]} neq a2", {"T": "{}", "U": "{a1,a2}"}, False, False),
+    ("{[a2,T],U/a2} neq X", {"X": "{}", "U": "{a1}"}, False, False),
+    ("ris(Y in {T,a2},[],Y neq Y,{X,a2/X}) neq {{U,1}/1}", {"T": "{a1,a2}", "U": "{a1}"}, False, False),
     ("1 neq ris(Y in {},[],in(Y,T),[a1,{}])", {}, True, True),
     ("1 neq {{U,U},U}", {}, None, "raises"),
     ("subset({{1}},{[{X},X],T})", {"T": "1"}, None, "raises"),
