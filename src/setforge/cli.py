@@ -145,10 +145,15 @@ def _entries(entries, field: str) -> list:
 
 
 def _packet(src: str, where: str):
-    """The packet that src gives; KindError naming its entry otherwise."""
+    """The packet that src gives, checked as make_packet checks one;
+    KindError naming its entry otherwise."""
     p = _parse_entry(src, where)
     if not consensus._is_packet(p):
         raise KindError(f"{where}: not a packet: {p!r}")
+    try:
+        consensus._check_packet(*p.elems)
+    except KindError as e:
+        raise KindError(f"{where}: {e}") from None
     return p
 
 

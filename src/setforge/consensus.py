@@ -48,7 +48,10 @@ def addr_msg_payload(msg: Value) -> SetV:
     return msg.elems[1]
 
 
-def msg_kind(msg: Value) -> str:
+def _msg_kind(msg: Value) -> str:
+    """The kind of a message value; KindError for any other value.  The
+    checks in this module call it, not msg_kind, so that checking a packet
+    calls no public function."""
     if isinstance(msg, Atom) and msg.ns == "msg":
         return msg.name
     if isinstance(msg, TupV) and isinstance(msg.elems[0], Atom) and msg.elems[0].ns == "msg":
@@ -56,12 +59,22 @@ def msg_kind(msg: Value) -> str:
     raise KindError(f"not a message value: {msg!r}")
 
 
-def make_packet(src: Value, dst: Value, msg: Value) -> TupV:
+def msg_kind(msg: Value) -> str:
+    return _msg_kind(msg)
+
+
+def _check_packet(src: Value, dst: Value, msg: Value) -> None:
+    """KindError unless src and dst are addresses, src is not null and msg
+    is a message value: what a packet must hold."""
     _need_addr(src, "packet source")
     _need_addr(dst, "packet destination")
     if src == NULL_ADDR:
         raise KindError("packet source must not be the reserved null address")
-    msg_kind(msg)
+    _msg_kind(msg)
+
+
+def make_packet(src: Value, dst: Value, msg: Value) -> TupV:
+    _check_packet(src, dst, msg)
     return TupV((src, dst, msg))
 
 

@@ -24,10 +24,12 @@ work is moved ahead of search wherever possible:
 * every decision binds, in a fixed order: a variable member of a known
   set to its elements, a union's operand pair to the splits of its known
   result, a structured member to the set's elements, else a hole to its
-  sort's values, skipping those that a set constraint on the hole alone
-  refutes; a candidate that binds nothing is followed by a hole of its
-  target, and a search that then finds no model answers Unknown if such a
-  hole may need a value outside the universe it is enumerated in;
+  sort's values; each candidate is propagated, the set constraints that
+  the hole alone decides first, and only one whose propagation stands is
+  a decision node (forward checking); a candidate that binds nothing is
+  followed by a hole of its target, and a search that then finds no
+  model answers Unknown if such a hole may need a value outside the
+  universe it is enumerated in;
 * before search, a compile that reads no scope (_compile) lifts every
   comprehension and open extension into an equation, but one side of an
   eq, so one that denotes no set makes its constraint false wherever it
@@ -52,7 +54,6 @@ so a witness is ground and a sort with no values in the scope has none.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import operator
 from functools import lru_cache, partial
@@ -1160,79 +1161,42 @@ def _watch(st, i):
         watch.setdefault(h, {})[i] = None
 
 
-# what the propagation at the root is asked to reuse: no answers
-_NOTHING_ASKED = ({}, 0)
-
-
-def _propagate(st, pending, mark, queue, asked=_NOTHING_ASKED):
-    """Run constraints to a fixpoint: first the queued ones and those that
-    watch a name bound since the trail mark, then whatever their bindings
-    wake.
-
-    pending lists the open constraints in ascending order.  Each round runs its
-    constraints in that order.  A constraint woken by a binding runs later
-    in the same round when it comes after the one that bound, else in the
-    next round, and one whose own evaluation bound something runs again in
-    the next round.  That is the round-robin fixpoint minus evaluations
-    that can neither bind nor decide anything, so bindings happen in the
-    same order.  Returns the constraints left open, or None when one fails
-    or a declared variable grounds outside its universe.
-
-    asked is (answers, length): the answers, by constraint index, that the
-    forward-checking tests just gave the candidate bound last, and the
-    env's length then (_candidates).  An answer stands in for evaluating
-    its constraint again when no binding can have changed it: True always,
-    since bindings are only added and a constraint that holds stays dropped,
-    and None while the env still has that length."""
+def _propagate(st, pending, mark, queue):
+    """Run constraints to a fixpoint in rounds, each in index order: the
+    first round is queue, and each later one the live constraints that
+    watch a name bound since the previous round (since the trail mark, for
+    the second), with each constraint that bound something and stays open.
+    pending lists the open constraints in ascending order.  Returns the
+    ones left open, or None when one fails or, at the fixpoint, a declared
+    variable grounded since the mark lies outside its universe."""
     env, constraints, watch = st.env, st.constraints, st.watch
-    answers, asked_at = asked
     live = set(pending)  # the constraints still open
-    queued = set(queue)
-    for name in _bound_since(env, mark):
-        for j in watch.get(name, ()):
-            if j not in queued and j in live:
-                queued.add(j)
-                queue.append(j)
-    heapq.heapify(queue)
+    since = mark
     while True:
-        again = {}
-        while queue:
-            i = heapq.heappop(queue)
+        again = set()
+        for i in queue:
             before = len(env)
-            if i in answers and (answers[i] or before == asked_at):
-                r = answers[i]
-            else:
-                r = _eval_constraint(constraints[i], env)
+            r = _eval_constraint(constraints[i], env)
             if r is False:
                 return None
-            if r is None:
-                _watch(st, i)
-            else:
+            if r is not None:
                 live.discard(i)
-            if len(env) == before:
-                continue
-            if r is None:
-                again[i] = None
-            for name in _bound_since(env, before):
-                for j in watch.get(name, ()):
-                    if j == i or j not in live:
-                        continue
-                    if j < i:
-                        again[j] = None
-                    elif j not in queued:
-                        queued.add(j)
-                        heapq.heappush(queue, j)
-        if not _in_declared_universe(st, mark):
-            return None
+            else:
+                _watch(st, i)
+                if len(env) > before:
+                    again.add(i)
+        for name in _bound_since(env, since):
+            again.update(j for j in watch.get(name, ()) if j in live)
         if not again:
             break
-        mark = len(env)
+        since = len(env)
         queue = sorted(again)
-        queued = set(queue)
+    if not _in_declared_universe(st, mark):
+        return None
     return [i for i in pending if i in live]
 
 
-# the kinds a candidate is tested against before it costs a decision node
+# the kinds that a candidate's propagation runs first, as its tests
 _UNARY_TESTED = frozenset(("in", "nin", "subset", "nsubset", "disj", "ndisj", "neq"))
 
 
@@ -1318,32 +1282,16 @@ def _pick_decision(st, pending, stuck):
     return (var, _sort_candidates(st.registry.get(var) or AnyS(), st), True, tests)
 
 
-def _test(tests, st):
-    """The answers of the constraints with the indices in tests to the
-    candidate just bound, by index, or None at the first that answers
-    False."""
-    env, constraints = st.env, st.constraints
-    answers = {}
-    for i in tests:
-        r = _eval_constraint(constraints[i], env)
-        if r is False:
-            return None
-        answers[i] = r
-    return answers
-
-
-def _candidates(decision, st):
+def _candidates(decision, st, pending):
     """Bind the decision's candidates to its target one after another,
-    undoing the previous one first; yields after each binding the candidate
-    and what the next propagation is asked to reuse (_propagate): the
-    tests' answers to that candidate and the env's length.  A name is bound
-    in env, any other target unified with the candidate.  A candidate is
-    skipped when unify answers False, or when a test does: the next
-    propagation would have failed on that test, which watches the target
-    (forward checking).  No tested kind binds anything, so a test reads the
-    candidate's own binding.  Every other candidate is a decision node,
-    except the first of a decision whose tick_first is False.  Every
-    candidate is charged to the budget before it is tried."""
+    undoing the previous one first, and propagate each (_propagate) with
+    the decision's tests as its first round; yields each candidate whose
+    propagation stands, with the constraints it leaves open.  A name is
+    bound in env, any other target unified with the candidate, and a
+    candidate that unify refutes is skipped.  Every candidate
+    that yields is a decision node, except the first of a decision whose
+    tick_first is False, and every candidate is charged to the budget
+    before it is tried."""
     env = st.env
     mark = len(env)
     target, candidates, tick, tests = decision
@@ -1358,8 +1306,8 @@ def _candidates(decision, st):
             env[target] = cand
         elif unify(target, cand, env) is False:
             continue
-        answers = _test(tests, st)
-        if answers is None:
+        left = _propagate(st, pending, mark, tests)
+        if left is None:
             continue
         if tick:
             st.tick()
@@ -1369,7 +1317,7 @@ def _candidates(decision, st):
         _add_atoms(cand, added)
         added -= used
         used |= added
-        yield cand, (answers, len(env))
+        yield cand, left
     used -= added
 
 
@@ -1387,33 +1335,33 @@ def _beyond_reach(p, v, st):
 
 def _search(st):
     """Depth-first search over decisions, kept on an explicit stack of
-    (trail mark, open constraints, target, candidates) frames.  True when
-    env ends up satisfying every constraint with every declared variable in
-    its universe, False when no branch does.  A candidate that bound
-    nothing, propagation included, as {X,Y} against {a1,a2}, is followed by
-    a hole of its target, so that no generator picks itself again; when
-    such a hole may need a value that it is not enumerated to
-    (_beyond_reach), no branch refutes the target, and _Stuck replaces
-    False."""
+    (trail mark, target, candidates) frames.  True when env ends up
+    satisfying every constraint with every declared variable in its
+    universe, False when no branch does.  A candidate that bound nothing,
+    propagation included, as {X,Y} against {a1,a2}, is followed by a hole
+    of its target, so that no generator picks itself again; when such a
+    hole may need a value that it is not enumerated to (_beyond_reach), no
+    branch refutes the target, and _Stuck replaces False."""
     env = st.env
     everything = list(range(len(st.constraints)))
-    pending = _propagate(st, everything, 0, list(everything))
+    pending = _propagate(st, everything, 0, everything)
+    if pending is None:
+        return False
     stuck = None
     beyond = False
     stack = []
     while True:
-        if pending is not None:
-            decision = _pick_decision(st, pending, stuck)
-            if decision is None:
-                if not pending:
-                    return True
-                raise _Stuck(
-                    "constraints left undecided with no enumerable variable: "
-                    + ", ".join(st.constraints[i].kind for i in pending)
-                )
-            stack.append((len(env), pending, decision[0], _candidates(decision, st)))
+        decision = _pick_decision(st, pending, stuck)
+        if decision is None:
+            if not pending:
+                return True
+            raise _Stuck(
+                "constraints left undecided with no enumerable variable: "
+                + ", ".join(st.constraints[i].kind for i in pending)
+            )
+        stack.append((len(env), decision[0], _candidates(decision, st, pending)))
         while stack:
-            mark, pending, target, candidates = stack[-1]
+            mark, target, candidates = stack[-1]
             tried = next(candidates, None)
             if tried is not None:
                 break
@@ -1423,10 +1371,9 @@ def _search(st):
                 raise _Stuck("no model found, but an undecided set match may need a value "
                              "that the search does not enumerate")
             return False
-        cand, asked = tried
-        pending = _propagate(st, pending, mark, [], asked)
+        cand, pending = tried
         stuck = None if len(env) > mark else _open_holes(target, env, [])
-        if stuck and pending is not None and _beyond_reach(target, cand, st):
+        if stuck and _beyond_reach(target, cand, st):
             beyond = True
 
 

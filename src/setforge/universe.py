@@ -26,6 +26,9 @@ class Scope(Frozen):
     max_seq_len: int = 4
 
     def __post_init__(self):
+        for name, bound in zip(self._fields, self._values):
+            if type(bound) is not int:
+                raise KindError(f"scope bound {name} must be an integer, got {bound!r}")
         if self.atoms_per_namespace < 0 or self.max_set_card < 0 or self.max_seq_len < 0:
             raise KindError("scope bounds must be non-negative")
         if self.int_lo > self.int_hi:

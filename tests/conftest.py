@@ -97,3 +97,17 @@ def count_tried(monkeypatch):
 
     monkeypatch.setattr(solver, "_State", CountingState)
     return counter
+
+
+@pytest.fixture
+def count_evals(monkeypatch):
+    """Counts constraint evaluations by wrapping solver._eval_constraint."""
+    counter = [0]
+    evaluate = solver._eval_constraint
+
+    def counting_eval(*args):
+        counter[0] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(solver, "_eval_constraint", counting_eval)
+    return counter

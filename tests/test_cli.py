@@ -348,6 +348,13 @@ def test_scenario_parse_error_names_its_entry(capsys, tmp_path):
     ({"nodes": ["this"], "soup": ["x"]}, 1, "rejected: soup[0]: not a packet: Atom('x', 'opaque')\n"),
     ({"nodes": ["this"], "soup": ["[env,this,addrMsg({a1})]", "[env,this]"]}, 1,
      "rejected: soup[1]: not a packet: TupV(Atom('env', 'addr'), Atom('this', 'addr'))\n"),
+    # so is a triple that make_packet refuses, though no schedule delivers it
+    ({"nodes": ["this"], "soup": ["[env,this,foo]"], "schedule": []}, 1,
+     "rejected: soup[0]: not a message value: Atom('foo', 'opaque')\n"),
+    ({"nodes": ["this"], "soup": ["[env,this,connectMsg]", "[null,this,connectMsg]"], "schedule": []}, 1,
+     "rejected: soup[1]: packet source must not be the reserved null address\n"),
+    ({"nodes": ["this"], "soup": ["[env,5,connectMsg]"], "schedule": []}, 1,
+     "rejected: soup[0]: packet destination must be an address atom, got IntV(5)\n"),
 ])
 def test_a_scenario_field_of_the_wrong_shape_is_refused_when_it_loads(capsys, tmp_path, scenario, code, err):
     p = tmp_path / "s.json"

@@ -157,10 +157,11 @@ def test_a_set_pattern_that_cannot_match_is_no_candidate(count_tried, src, verdi
 
 def test_a_split_that_fails_to_unify_is_charged_but_no_node(count_nodes, count_tried):
     # of the 27 splits of {a1,a2,a3}, only the one that puts every member on
-    # both sides unifies with [A,A], and A neq {a1,a2,a3} refutes it
+    # both sides unifies with [A,A], and its propagation fails on
+    # A neq {a1,a2,a3}, so no split costs a node
     three = Scope(atoms_per_namespace=3, max_set_card=3)
     r = solve(F("un(A,A,{a1,a2,a3}) & A neq {a1,a2,a3}"), three, sorts={"A": SetS(AtomS("addr"))})
-    assert (r, count_nodes[0], count_tried[0]) == (Unsat(), 1, 27)
+    assert (r, count_nodes[0], count_tried[0]) == (Unsat(), 0, 27)
 
 
 def test_check_unsat_examples():
@@ -1219,38 +1220,41 @@ def test_atom_pool_lists_no_scope_atoms_it_does_not_return():
         assert peak < 1_000_000, (by_value, peak)
 
 
-def test_skipping_renamings_keeps_verdicts_and_witnesses(monkeypatch, count_nodes):
+def test_skipping_renamings_keeps_verdicts_and_witnesses(monkeypatch, count_nodes, count_tried):
     """Against the full enumeration at atoms=3, where the generated literals
-    name only a1 and a2: the same answers, never more nodes, and fewer on
-    a good share of the formulas."""
+    name only a1 and a2: the same answers, never more nodes or candidates
+    tried, and fewer candidates on a good share of the formulas."""
     scope = Scope(atoms_per_namespace=3, int_lo=0, int_hi=1, max_set_card=2, max_seq_len=1)
     pruned = 0
     for gen in (_RandomFormulas(seed=7), _WideFormulas(seed=7)):
         for _ in range(200):
             f = gen.formula()
             sorts = {v: gen.SORTS[v] for v in free_vars(f)}
-            count_nodes[0] = 0
+            count_nodes[0] = count_tried[0] = 0
             got = solve(f, scope, sorts=sorts)
-            nodes = count_nodes[0]
+            nodes, tried = count_nodes[0], count_tried[0]
             with monkeypatch.context() as m:
                 m.setattr(solver, "_atom_pool", _every_atom_used)
-                count_nodes[0] = 0
+                count_nodes[0] = count_tried[0] = 0
                 full = solve(f, scope, sorts=sorts)
             assert got == full, S.print_formula(f)
             assert nodes <= count_nodes[0], S.print_formula(f)
-            pruned += nodes < count_nodes[0]
+            assert tried <= count_tried[0], S.print_formula(f)
+            pruned += tried < count_tried[0]
     assert pruned >= 30, pruned
 
 
 def test_subset_of_a_ground_set_tries_only_its_subsets(count_nodes):
-    # Y's candidates are {} and {a2}, the subsets of X, in every scope.  The
-    # neq constraints refute both before they cost a node; un is no tested
-    # kind, so with W = Y both are drawn as nodes and the branch fails after
+    # of Y's candidates only {} and {a2}, the subsets of X, pass the subset
+    # test, in every scope.  The neq constraints refute both as tests; un is
+    # no tested kind, so with
+    # W = Y both fail in their propagation, which un(Y,Y,W) carries to W.
+    # Neither costs a node
     sets = SetS(AtomS("addr"))
     sorts = {"X": sets, "Y": sets, "W": sets}
     for text, nodes in (
         ("X = {a2} & subset(Y,X) & Y neq {} & Y neq {a2}", 0),
-        ("X = {a2} & subset(Y,X) & un(Y,Y,W) & W neq {} & W neq {a2}", 2),
+        ("X = {a2} & subset(Y,X) & un(Y,Y,W) & W neq {} & W neq {a2}", 0),
     ):
         for k in (3, 5):
             count_nodes[0] = 0
@@ -1510,6 +1514,20 @@ def test_solve_refuses_a_declared_sort_that_is_no_sort():
             solve(F("X = a1"), TINY, sorts=sorts)
 
 
+@pytest.mark.parametrize("bounds", [
+    {"max_set_card": 2.5},
+    {"atoms_per_namespace": "3"},
+    {"int_hi": 8.0},
+    {"max_seq_len": None},
+    {"atoms_per_namespace": True},
+])
+def test_a_scope_bound_that_is_no_integer_is_refused(bounds):
+    # before the check these gave a raw ValueError or TypeError, when built
+    # or in solve, and atoms=True solved as atoms=1
+    with pytest.raises(KindError, match=f"scope bound {next(iter(bounds))} must be an integer"):
+        Scope(**bounds)
+
+
 # -- the search's candidate generator against the oracle's universe -----------------
 
 
@@ -1575,20 +1593,6 @@ def test_the_generator_draws_the_oracles_universe_up_to_renaming(sort):
 # -- the search's work is bounded, by counts --------------------------------------------
 
 
-@pytest.fixture
-def count_evals(monkeypatch):
-    """Counts constraint evaluations by wrapping solver._eval_constraint."""
-    counter = [0]
-    evaluate = solver._eval_constraint
-
-    def counting_eval(*args):
-        counter[0] += 1
-        return evaluate(*args)
-
-    monkeypatch.setattr(solver, "_eval_constraint", counting_eval)
-    return counter
-
-
 def test_a_set_of_any_values_costs_the_same_at_any_atoms(count_evals, count_tried):
     answers = []
     for k in (3, 200_000):
@@ -1612,10 +1616,10 @@ def test_the_budget_bounds_the_candidates_tried(k, declared, count_evals, count_
 
 
 def test_a_test_answer_left_open_is_asked_again_after_a_binding(count_evals):
-    # candidate {[a1,_H1]} for R leaves the test in([a1,1],R) open; the
-    # propagation after it runs apply(R,a1,1) first, which binds _H1 = 1,
-    # so the test's open answer is stale and in(...) is evaluated again.
-    # Reusing it would leave in(...) deferred with nothing left to watch
+    # candidate {[a1,_H1]} for R leaves the test in([a1,1],R) open in the
+    # first round of its propagation; the second runs apply(R,a1,1), which
+    # binds _H1 = 1, and then in(...) again.  Keeping the open answer would
+    # leave in(...) deferred with nothing left to watch
     sorts = {"R": RelS(AtomS("addr"), IntS())}
     for src in ("apply(R,a1,1) & in([a1,1],R)", "apply(R,a1,1) & nin([a1,2],R)"):
         r = solve(F(src), TINY, sorts=sorts)
